@@ -31,8 +31,11 @@ let tail_message = function
 (* Is [s.[pos..]] a prefix of what a valid frame could start with?  A
    torn single-write append is always such a prefix: up to 4 bytes it
    must match the magic, past that the header/payload may end early
-   but every complete field must validate. *)
-let scan contents =
+   but every complete field must validate.  With [~parse:false] the
+   payloads are only checksummed, not decoded, and no records are
+   returned: enough to classify the tail before an append, since a
+   payload whose CRC matches is exactly what the writer framed. *)
+let scan ?(parse = true) contents =
   let len = String.length contents in
   let rec go pos acc =
     if pos = len then (List.rev acc, Clean, pos)
@@ -60,16 +63,18 @@ let scan contents =
           else if remaining - header_bytes < plen then
             torn remaining
           else
-            let payload = String.sub contents (pos + header_bytes) plen in
-            let found = Sp_util.Crc32.string payload in
+            let body = pos + header_bytes in
+            let found = Sp_util.Crc32.sub contents ~pos:body ~len:plen in
+            let next = body + plen in
             if found <> crc then
               corrupt
                 (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)"
                    crc found)
+            else if not parse then go next acc
             else
-              match Sp_obs.Json.parse payload with
+              match Sp_obs.Json.parse (String.sub contents body plen) with
               | Error msg -> corrupt (Printf.sprintf "bad JSON: %s" msg)
-              | Ok json -> go (pos + header_bytes + plen) (json :: acc)
+              | Ok json -> go next (json :: acc)
   in
   go 0 []
 
@@ -102,7 +107,13 @@ let frame json =
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* Appends from different domains of one process take turns: one
+   append's torn-tail recovery must never read another's half-written
+   record as a crash leftover and truncate it away. *)
+let append_lock = Mutex.create ()
+
 let append ~path json =
+  Mutex.protect append_lock @@ fun () ->
   let dir = Filename.dirname path in
   if dir <> "." && dir <> "/" then Sp_pinball.Store.mkdir_p dir;
   let recover () =
@@ -111,7 +122,7 @@ let append ~path json =
       match read_contents path with
       | Error msg -> Error msg
       | Ok contents -> (
-          let _, tail, valid_end = scan contents in
+          let _, tail, valid_end = scan ~parse:false contents in
           match tail with
           | Clean -> Ok ()
           | Corrupt { offset; reason } ->

@@ -35,7 +35,10 @@ val append : path:string -> Sp_obs.Json.t -> (unit, string) result
 (** Append one record, creating the file (and directories) as needed.
     Recovers a [Torn] tail by truncating to the last valid record
     first (counted in [results.torn_recovered]); refuses a [Corrupt]
-    store.  Maintains [results.appends]. *)
+    store.  Maintains [results.appends].  Appends within one process
+    are serialised, so concurrent appends from several domains cannot
+    mistake each other's half-written record for a torn tail; sharing
+    one store between processes is not supported. *)
 
 val record_of_result :
   client:string ->

@@ -1,9 +1,9 @@
 (* The serve daemon.  Threads (not domains) own the blocking socket
    I/O — one acceptor, one reader per connection, one scheduler — and
-   the benchmark work itself runs on the Sp_util.Pool domain pool in
-   batches drained fairly from the bounded queue.  Replies are built
-   by Specrepro.Api, the same code path as the CLI's [--json], which
-   is what keeps the two surfaces byte-compatible. *)
+   the benchmark work itself runs on Sp_util.Pool worker domains, one
+   job per free slot, taken fairly from the bounded queue.  Replies are
+   built by Specrepro.Api, the same code path as the CLI's [--json],
+   which is what keeps the two surfaces byte-compatible. *)
 
 module Json = Sp_obs.Json
 module Metrics = Sp_obs.Metrics
@@ -216,7 +216,13 @@ let reader_main t conn =
   close_if_done t conn
 
 (* ------------------------------------------------------------------ *)
-(* the scheduler: drain a fair batch, fan it across the domain pool *)
+(* the scheduler: continuous dispatch onto the domain pool
+
+   [parallel] slots bound the jobs in flight.  The scheduler takes a
+   slot, then the fairest queued job, and hands it to a pool worker;
+   each job replies and records the moment it finishes, so a quick job
+   never waits on a slow neighbour.  Jobs never run on the main domain,
+   which hosts the reader, acceptor and scheduler threads. *)
 
 let run_job job =
   let start = Unix.gettimeofday () in
@@ -273,28 +279,33 @@ let finish t job (outcome, seconds) =
       job.conn.pending <- job.conn.pending - 1);
   close_if_done t job.conn
 
-let rec scheduler_loop t =
-  match Queue.pop t.queue with
-  | None -> () (* closed and fully drained *)
-  | Some first ->
-      let rec fill acc n =
-        if n >= t.config.parallel then acc
-        else
-          match Queue.try_pop t.queue with
-          | None -> acc
-          | Some j -> fill (j :: acc) (n + 1)
-      in
-      let batch = Array.of_list (List.rev (fill [ first ] 1)) in
-      Metrics.set m_queue_depth (float_of_int (Queue.length t.queue));
-      Atomic.set t.inflight (Array.length batch);
-      Metrics.set m_inflight (float_of_int (Array.length batch));
-      let outcomes =
-        Sp_util.Pool.parallel_map ~jobs:t.config.parallel run_job batch
-      in
-      Atomic.set t.inflight 0;
-      Metrics.set m_inflight 0.0;
-      Array.iteri (fun i outcome -> finish t batch.(i) outcome) outcomes;
-      scheduler_loop t
+let set_inflight t delta =
+  let n = Atomic.fetch_and_add t.inflight delta + delta in
+  Metrics.set m_inflight (float_of_int n)
+
+let scheduler_loop t =
+  let parallel = max 1 t.config.parallel in
+  let slots = Semaphore.Counting.make parallel in
+  let rec loop () =
+    Semaphore.Counting.acquire slots;
+    match Queue.pop t.queue with
+    | None -> Semaphore.Counting.release slots (* closed and fully drained *)
+    | Some job ->
+        Metrics.set m_queue_depth (float_of_int (Queue.length t.queue));
+        set_inflight t 1;
+        Sp_util.Pool.async ~jobs:parallel (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                set_inflight t (-1);
+                Semaphore.Counting.release slots)
+              (fun () -> finish t job (run_job job)));
+        loop ()
+  in
+  loop ();
+  (* drain: every dispatched job has answered once all slots are back *)
+  for _ = 1 to parallel do
+    Semaphore.Counting.acquire slots
+  done
 
 (* ------------------------------------------------------------------ *)
 (* acceptor and lifecycle *)

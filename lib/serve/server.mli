@@ -3,10 +3,10 @@
 
     One accept thread hands each connection to a reader thread;
     [submit] requests are enqueued on the bounded fair {!Queue}
-    (per-client round-robin) and a scheduler thread drains them in
-    batches of up to [parallel] jobs, executing each batch across the
-    {!Sp_util.Pool} domain pool.  Every completed run's record is
-    appended to the {!Results_store} (when configured) and its
+    (per-client round-robin) and a scheduler thread hands them, one at
+    a time as any of [parallel] slots frees up, to {!Sp_util.Pool}
+    worker domains.  Each job is answered as soon as it finishes: its
+    record is appended to the {!Results_store} (when configured) and its
     [specrepro/v2] [run] envelope — built by the same
     {!Specrepro.Api} code path the CLI uses, hence byte-compatible
     with [specrepro run --json] — is sent back on the submitting

@@ -22,44 +22,43 @@ let le_host = not Sys.big_endian
    of tables.(k-1) by one zero byte, so tables.(k).(b) is the CRC
    contribution of byte [b] seen [k] positions before the end of the
    chunk.  Sixteen tables support the slicing-by-16 main loop; the
-   first eight double as the slicing-by-8 mid-tail step. *)
+   first eight double as the slicing-by-8 mid-tail step.  They are
+   built at module initialisation, before any domain can look them up
+   (a [lazy] forced by two domains at once raises). *)
 let tables =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then polynomial lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c)
-     in
-     let ts = Array.make 16 t0 in
-     for k = 1 to 15 do
-       ts.(k) <-
-         Array.map (fun v -> (v lsr 8) lxor t0.(v land 0xFF)) ts.(k - 1)
-     done;
-     ts)
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then polynomial lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let ts = Array.make 16 t0 in
+  for k = 1 to 15 do
+    ts.(k) <- Array.map (fun v -> (v lsr 8) lxor t0.(v land 0xFF)) ts.(k - 1)
+  done;
+  ts
 
 let update crc s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";
-  let ts = Lazy.force tables in
-  let t0 = Array.unsafe_get ts 0
-  and t1 = Array.unsafe_get ts 1
-  and t2 = Array.unsafe_get ts 2
-  and t3 = Array.unsafe_get ts 3
-  and t4 = Array.unsafe_get ts 4
-  and t5 = Array.unsafe_get ts 5
-  and t6 = Array.unsafe_get ts 6
-  and t7 = Array.unsafe_get ts 7
-  and t8 = Array.unsafe_get ts 8
-  and t9 = Array.unsafe_get ts 9
-  and t10 = Array.unsafe_get ts 10
-  and t11 = Array.unsafe_get ts 11
-  and t12 = Array.unsafe_get ts 12
-  and t13 = Array.unsafe_get ts 13
-  and t14 = Array.unsafe_get ts 14
-  and t15 = Array.unsafe_get ts 15 in
+  let t0 = Array.unsafe_get tables 0
+  and t1 = Array.unsafe_get tables 1
+  and t2 = Array.unsafe_get tables 2
+  and t3 = Array.unsafe_get tables 3
+  and t4 = Array.unsafe_get tables 4
+  and t5 = Array.unsafe_get tables 5
+  and t6 = Array.unsafe_get tables 6
+  and t7 = Array.unsafe_get tables 7
+  and t8 = Array.unsafe_get tables 8
+  and t9 = Array.unsafe_get tables 9
+  and t10 = Array.unsafe_get tables 10
+  and t11 = Array.unsafe_get tables 11
+  and t12 = Array.unsafe_get tables 12
+  and t13 = Array.unsafe_get tables 13
+  and t14 = Array.unsafe_get tables 14
+  and t15 = Array.unsafe_get tables 15 in
   let c = ref (crc lxor 0xFFFF_FFFF) in
   let i = ref pos in
   let stop = pos + len in

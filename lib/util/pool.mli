@@ -1,19 +1,24 @@
-(** A fixed-size domain pool for embarrassingly parallel batches.
+(** A persistent domain pool for embarrassingly parallel batches.
 
     The pipeline's hot loops (suite fan-out, cold regional replays,
     k-means assignment) are all independent-job batches; this module
     runs them across OCaml 5 domains while keeping results in input
     order, so [jobs = 1] and [jobs = N] are observationally identical.
 
-    Parallel calls issued from {e inside} a pool worker run
-    sequentially instead of nesting domains, so composed fan-outs
-    (suite over benchmarks, replays within a benchmark) never
-    oversubscribe the machine.
+    Worker domains are spawned lazily and never exit; batches reach
+    them through one shared task queue.  A batch's caller works on it
+    too, so a batch asks for [jobs - 1] workers, capped at
+    [Domain.recommended_domain_count () - 1]; {!async} asks for [jobs],
+    capped at [Domain.recommended_domain_count ()].  A batch issued
+    from inside a worker shares the same fixed worker set, so composed
+    fan-outs (suite over benchmarks, replays within a benchmark) never
+    oversubscribe the machine and never spawn domains per call.
 
-    Observability: every batch records [pool.batches], [pool.tasks],
-    [pool.domains_spawned] and a [pool.domain_busy_seconds] histogram
-    in {!Sp_obs.Metrics}.  All pool metrics are registered unstable —
-    their values legitimately vary with [jobs]. *)
+    Observability: every batch records [pool.batches] and
+    [pool.tasks], every spawn [pool.domains_spawned], and each domain
+    that ran items of a batch one [pool.domain_busy_seconds]
+    observation in {!Sp_obs.Metrics}.  All pool metrics are registered
+    unstable — their values legitimately vary with [jobs]. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1 — one core is
@@ -21,12 +26,13 @@ val default_jobs : unit -> int
 
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map ~jobs f arr] is [Array.map f arr] computed on up to
-    [jobs] domains.  Results are returned in input order.  Falls back
-    to plain sequential [Array.map] when [jobs <= 1], the array has at
-    most one element, or the caller is itself a pool worker.  If a
-    worker raises, the first exception is re-raised on the calling
-    domain after all workers have been joined.  [jobs] defaults to
-    {!default_jobs}. *)
+    [jobs] domains, the calling one included (and no more domains than
+    [Domain.recommended_domain_count ()]).  Results are returned in
+    input order.  Runs as plain sequential [Array.map] when [jobs <= 1]
+    or the array has at most one element.  If [f] raises, the first
+    exception is re-raised on the calling domain once every item
+    already started has finished; the remaining items are abandoned.
+    [jobs] defaults to {!default_jobs}. *)
 
 val parallel_for : ?jobs:int -> ?chunks:int -> n:int -> (int -> int -> unit) -> unit
 (** [parallel_for ~jobs ~chunks ~n body] splits [0, n) into [chunks]
@@ -38,3 +44,10 @@ val parallel_for : ?jobs:int -> ?chunks:int -> n:int -> (int -> int -> unit) -> 
 val chunk_bounds : chunks:int -> n:int -> (int * int) array
 (** The [(lo, hi)] ranges {!parallel_for} would use; exposed for
     callers that reduce per-chunk partial results themselves. *)
+
+val async : jobs:int -> (unit -> unit) -> unit
+(** [async ~jobs task] queues [task] to run on a pool worker, never on
+    the calling domain, and returns at once.  The pool first grows to
+    at least [jobs] workers (at least one; capped as above), so up to
+    [jobs] async tasks can run at the same time.  A task that raises
+    is logged through {!Sp_obs.Log} and its worker keeps serving. *)

@@ -81,19 +81,96 @@ let test_chunk_bounds_partition () =
       Alcotest.(check int) "ends at n" n (snd b.(Array.length b - 1)))
     [ (1, 10); (3, 10); (4, 103); (16, 8); (7, 7) ]
 
-let test_pool_nested_degrades () =
-  (* a parallel_map inside a worker runs sequentially instead of
-     spawning jobs*jobs domains; results are still correct *)
-  let r =
-    Pool.parallel_map ~jobs:3
-      (fun base ->
-        Pool.parallel_map ~jobs:3
-          (fun i -> (10 * base) + i)
-          [| 1; 2; 3 |])
-      [| 1; 2 |]
+(* nested batches share the one worker set instead of degrading to
+   sequential; three levels deep the results still equal Array.map *)
+let nested3 leaf =
+  let input = Array.init 4 Fun.id in
+  Pool.parallel_map ~jobs:3
+    (fun a ->
+      Pool.parallel_map ~jobs:3
+        (fun b -> Pool.parallel_map ~jobs:3 (fun c -> leaf a b c) input)
+        input)
+    input
+
+let test_pool_nested () =
+  let leaf a b c = (100 * a) + (10 * b) + c in
+  let input = Array.init 4 Fun.id in
+  let expected =
+    Array.map
+      (fun a -> Array.map (fun b -> Array.map (fun c -> leaf a b c) input) input)
+      input
   in
-  Alcotest.(check bool) "nested results" true
-    (r = [| [| 11; 12; 13 |]; [| 21; 22; 23 |] |])
+  Alcotest.(check bool) "3-level nested results" true (nested3 leaf = expected);
+  (* a failure two levels down reaches the outermost caller *)
+  let raised =
+    try
+      ignore
+        (nested3 (fun a b c ->
+             if a = 2 && b = 1 && c = 3 then failwith "deep" else c));
+      None
+    with Failure msg -> Some msg
+  in
+  Alcotest.(check (option string)) "nested Failure re-raised" (Some "deep")
+    raised
+
+let domains_spawned () =
+  Option.value ~default:0.0
+    (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ())
+       "pool.domains_spawned")
+
+(* workers persist across batches: 200 batches cost at most the
+   jobs - 1 = 2 workers a jobs:3 batch asks for *)
+let test_pool_spawn_bound () =
+  let before = domains_spawned () in
+  for _ = 1 to 200 do
+    ignore (Pool.parallel_map ~jobs:3 (fun x -> x * 2) (Array.init 8 Fun.id))
+  done;
+  let grew = domains_spawned () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "spawned %.0f domains (at most 2)" grew)
+    true (grew <= 2.0)
+
+(* async tasks never run on the caller, and a raising task leaves its
+   worker serving the tasks queued behind it *)
+let test_pool_async () =
+  let m = Mutex.create () in
+  let ran = ref [] in
+  for _ = 1 to 2 do
+    Pool.async ~jobs:2 (fun () -> failwith "async task fails on purpose")
+  done;
+  for _ = 1 to 4 do
+    Pool.async ~jobs:2 (fun () ->
+        Mutex.protect m (fun () -> ran := Domain.self () :: !ran))
+  done;
+  let finished () = Mutex.protect m (fun () -> List.length !ran) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while finished () < 4 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  Alcotest.(check int) "every task ran" 4 (finished ());
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "off the caller" true (d <> Domain.self ()))
+    !ran
+
+(* the CRC tables are shared by every domain: concurrent first use from
+   4 domains must agree with the sequential results *)
+let test_crc32_concurrent () =
+  let bufs =
+    Array.init 4 (fun d ->
+        String.init (50_000 + (7 * d)) (fun i -> Char.chr ((i * (d + 3)) land 0xff)))
+  in
+  let domains =
+    Array.map
+      (fun s -> Domain.spawn (fun () -> Array.init 20 (fun _ -> Crc32.string s)))
+      bufs
+  in
+  let concurrent = Array.map Domain.join domains in
+  Array.iteri
+    (fun d s ->
+      let expected = Crc32.string s in
+      Array.iter (Alcotest.(check int) "concurrent crc" expected) concurrent.(d))
+    bufs
 
 (* ------------------------------------------------------------------ *)
 (* jobs=1 vs jobs=N equivalence *)
@@ -201,8 +278,10 @@ let suite =
     Alcotest.test_case "parallel_for coverage" `Quick test_parallel_for_covers;
     Alcotest.test_case "chunk bounds partition" `Quick
       test_chunk_bounds_partition;
-    Alcotest.test_case "nested fan-out degrades" `Quick
-      test_pool_nested_degrades;
+    Alcotest.test_case "nested fan-out shares workers" `Quick test_pool_nested;
+    Alcotest.test_case "pool spawn bound" `Quick test_pool_spawn_bound;
+    Alcotest.test_case "pool async off the caller" `Quick test_pool_async;
+    Alcotest.test_case "crc32 concurrent domains" `Quick test_crc32_concurrent;
     Alcotest.test_case "kmeans jobs equivalence" `Quick
       test_kmeans_jobs_equivalence;
     Alcotest.test_case "variance sweep jobs equivalence" `Quick

@@ -283,6 +283,42 @@ let test_store_corrupt () =
   | Ok () -> Alcotest.fail "append must refuse a corrupt store");
   rm path
 
+let counter name =
+  Option.value ~default:0.0
+    (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ()) name)
+
+(* daemon jobs finish on different domains: their appends must not
+   mistake each other's half-written record for a torn tail.  Records
+   span two pages, so an unserialised write is visibly partial to a
+   concurrent reader for a while. *)
+let test_store_concurrent_appends () =
+  let path = tmp_path "store-concurrent.bin" in
+  rm path;
+  let appends_before = counter "results.appends" in
+  let pad = J.Str (String.make 6000 'p') in
+  let domains =
+    Array.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to 50 do
+              match
+                synth_record ~client:(string_of_int d) "505.mcf_r"
+                  (float_of_int i)
+              with
+              | J.Obj kvs -> append_ok path (J.Obj (("pad", pad) :: kvs))
+              | _ -> assert false
+            done))
+  in
+  Array.iter Domain.join domains;
+  (match RS.read_file path with
+  | Ok (records, RS.Clean) ->
+      Alcotest.(check int) "every record kept" 200 (List.length records)
+  | Ok (_, t) ->
+      Alcotest.fail (Option.value (RS.tail_message t) ~default:"unexpected tail")
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (float 0.0)) "results.appends" 200.0
+    (counter "results.appends" -. appends_before);
+  rm path
+
 (* ------------------------------------------------------------------ *)
 (* regression gating *)
 
@@ -737,6 +773,111 @@ let test_daemon_drain_on_shutdown () =
   | _ -> Alcotest.fail "results store damaged");
   rm results_path
 
+let status_field client name =
+  let _, reply = request_ok client Sp_serve.Client.status in
+  match
+    Option.bind (Option.bind (J.member "result" reply) (J.member name)) J.to_float
+  with
+  | Some v -> int_of_float v
+  | None -> Alcotest.fail ("status lacks " ^ name)
+
+(* continuous dispatch: with a slow job running in one slot, a quick
+   job submitted on another connection is answered from the other slot
+   before the slow one finishes *)
+let test_daemon_fast_passes_slow () =
+  let server, socket =
+    start_server ~name:"fastslow" ~parallel:2 (test_options 0.02 1)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sp_serve.Server.stop server)
+    (fun () ->
+      let slow = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close slow with Unix.Unix_error _ -> ())
+        (fun () ->
+          P.write slow
+            (Sp_serve.Client.submit ~benchmark:"557.xz_r" (test_options 0.5 1));
+          match Sp_serve.Client.connect socket with
+          | Error e -> Alcotest.fail e
+          | Ok fast ->
+              Fun.protect
+                ~finally:(fun () -> Sp_serve.Client.close fast)
+                (fun () ->
+                  let deadline = Unix.gettimeofday () +. 10.0 in
+                  while
+                    status_field fast "jobs_inflight" < 1
+                    && Unix.gettimeofday () < deadline
+                  do
+                    Thread.delay 0.005
+                  done;
+                  let _, reply =
+                    request_ok fast
+                      (Sp_serve.Client.submit ~benchmark:"620.omnetpp_s"
+                         (test_options 0.02 1))
+                  in
+                  Alcotest.(check (option string))
+                    "fast job answered" (Some "run") (reply_command reply);
+                  (* a host with one recommended domain has one worker,
+                     so the two slots cannot run side by side there *)
+                  if Domain.recommended_domain_count () >= 2 then begin
+                    let slow_ready, _, _ = Unix.select [ slow ] [] [] 0.0 in
+                    Alcotest.(check bool)
+                      "slow job still running" true (slow_ready = [])
+                  end;
+                  match P.read slow with
+                  | Ok (_, r) ->
+                      Alcotest.(check (option string))
+                        "slow job answered" (Some "run") (reply_command r)
+                  | Error e -> Alcotest.fail (P.error_message e))))
+
+let reply_counter reply name =
+  match J.member "metrics" (Option.get (J.member "result" reply)) with
+  | Some (J.List samples) -> (
+      match
+        List.find_opt
+          (fun m -> Option.bind (J.member "name" m) J.to_str = Some name)
+          samples
+      with
+      | Some m -> Option.bind (J.member "value" m) J.to_float
+      | None -> None)
+  | _ -> None
+
+(* the pool's workers outlive every job: 8 submits at --jobs 2 spawn at
+   most the daemon's 2 workers, not fresh domains per parallel step *)
+let test_daemon_spawn_bound () =
+  let before = counter "pool.domains_spawned" in
+  let server, socket =
+    start_server ~name:"spawns" ~parallel:2 (test_options 0.02 2)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sp_serve.Server.stop server)
+    (fun () ->
+      match Sp_serve.Client.connect socket with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+          Fun.protect
+            ~finally:(fun () -> Sp_serve.Client.close client)
+            (fun () ->
+              let last = ref J.Null in
+              for _ = 1 to 8 do
+                let _, reply =
+                  request_ok client
+                    (Sp_serve.Client.submit ~benchmark:"620.omnetpp_s"
+                       (test_options 0.02 2))
+                in
+                Alcotest.(check (option string))
+                  "job answered" (Some "run") (reply_command reply);
+                last := reply
+              done;
+              match reply_counter !last "pool.domains_spawned" with
+              | None -> Alcotest.fail "reply metrics lack pool.domains_spawned"
+              | Some v ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "spawned %.0f domains (at most 2)"
+                       (v -. before))
+                    true
+                    (v -. before <= 2.0)))
+
 (* ------------------------------------------------------------------ *)
 (* the CLI exit-code convention, pinned end to end
 
@@ -825,6 +966,8 @@ let suite =
       test_store_roundtrip;
     Alcotest.test_case "store torn-tail recovery" `Quick test_store_torn_tail;
     Alcotest.test_case "store corrupt is terminal" `Quick test_store_corrupt;
+    Alcotest.test_case "store concurrent appends" `Quick
+      test_store_concurrent_appends;
     Alcotest.test_case "regress verdicts" `Quick test_regress;
     Alcotest.test_case "api options roundtrip" `Quick
       test_api_options_roundtrip;
@@ -841,5 +984,8 @@ let suite =
       test_daemon_disconnect_mid_job;
     Alcotest.test_case "daemon drains on shutdown" `Quick
       test_daemon_drain_on_shutdown;
+    Alcotest.test_case "daemon fast job passes slow" `Quick
+      test_daemon_fast_passes_slow;
+    Alcotest.test_case "daemon spawn bound" `Quick test_daemon_spawn_bound;
     Alcotest.test_case "cli exit codes" `Quick test_cli_exit_codes;
   ]

@@ -258,6 +258,38 @@ let micro ?(gates = []) ?gate_all () =
             fun () ->
               let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
               ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
+      (* the block-level timing model alone: leader fetches, per-segment
+         dispatch cycles and data references, branch outcomes, all on
+         the fused engine *)
+      Test.make ~name:"interp-10k-insns+timing"
+        (Staged.stage
+           (let core =
+              Sp_cpu.Interval_core.create
+                ~config:Pipeline.default_options.core_config prog
+            in
+            let hooks = Sp_cpu.Interval_core.hooks core in
+            fun () ->
+              let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
+              ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
+      (* the tool set of a cold regional replay — ldst mix, allcache and
+         the timing model, at the pipeline's configurations — as one
+         fused run *)
+      Test.make ~name:"interp-10k-region-tools"
+        (Staged.stage
+           (let o = Pipeline.default_options in
+            let hooks =
+              Sp_vm.Hooks.seq_all
+                [
+                  Sp_pin.Ldstmix.hooks (Sp_pin.Ldstmix.create prog);
+                  Sp_pin.Allcache_tool.hooks
+                    (Sp_pin.Allcache_tool.create ~config:o.cache_config prog);
+                  Sp_cpu.Interval_core.hooks
+                    (Sp_cpu.Interval_core.create ~config:o.core_config prog);
+                ]
+            in
+            fun () ->
+              let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
+              ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
       Test.make ~name:"kmeans-k20-2000x15"
         (Staged.stage (fun () ->
              ignore (Sp_simpoint.Kmeans.fit ~max_iters:10 ~k:20 points)));

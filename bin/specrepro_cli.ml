@@ -507,7 +507,7 @@ let replay_cmd =
         None
     | Ok pb ->
         let prog = pb.Sp_pinball.Pinball.program in
-        let mixt = Sp_pin.Ldstmix.create () in
+        let mixt = Sp_pin.Ldstmix.create prog in
         let cache =
           Sp_pin.Allcache_tool.create ~config:Sp_cache.Config.allcache_sim prog
         in
@@ -581,7 +581,7 @@ let exec_cmd =
     match Sp_vm.Progtext.load file with
     | Error e -> Printf.eprintf "%s: %s\n" file e; exit 1
     | Ok prog ->
-        let mixt = Sp_pin.Ldstmix.create () in
+        let mixt = Sp_pin.Ldstmix.create prog in
         let cache =
           Sp_pin.Allcache_tool.create ~config:Sp_cache.Config.allcache_sim prog
         in

@@ -55,7 +55,7 @@ let () =
     Store.list_dir ~dir
     |> List.map (fun path ->
            let pb = Store.load_exn path in
-           let mixt = Sp_pin.Ldstmix.create () in
+           let mixt = Sp_pin.Ldstmix.create pb.Pinball.program in
            let r = Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mixt ] pb in
            (Pinball.weight pb, Sp_pin.Ldstmix.mix mixt, r.Replayer.retired))
   in
@@ -69,7 +69,7 @@ let () =
     (Format.asprintf "%a" Sp_pin.Mix.pp weighted);
 
   (* compare against the live whole run *)
-  let mixt = Sp_pin.Ldstmix.create () in
+  let mixt = Sp_pin.Ldstmix.create whole.Logger.pinball.Pinball.program in
   ignore (Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mixt ] whole.Logger.pinball);
   Printf.printf "  whole-run mix: %s\n"
     (Format.asprintf "%a" Sp_pin.Mix.pp (Sp_pin.Ldstmix.mix mixt));

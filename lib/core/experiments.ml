@@ -965,11 +965,7 @@ let sampling ?(options = Pipeline.default_options) ?specs () =
       ignore
         (Sp_pin.Pin.run_fresh
            ~tools:
-             [
-               Sp_pin.Bbv_tool.hooks bbv;
-               Sp_cpu.Interval_core.hooks core;
-               Sp_cpu.Slice_timer.hooks timer;
-             ]
+             [ Sp_pin.Bbv_tool.hooks bbv; Sp_cpu.Slice_timer.hooks timer ]
            prog);
       Sp_pin.Bbv_tool.finish bbv;
       Sp_cpu.Slice_timer.finish timer;
@@ -1617,7 +1613,7 @@ let timevary ?(options = Pipeline.default_options) ?specs () =
       in
       ignore
         (Sp_pin.Pin.run_fresh
-           ~tools:[ Sp_cpu.Interval_core.hooks core; Sp_cpu.Slice_timer.hooks timer ]
+           ~tools:[ Sp_cpu.Slice_timer.hooks timer ]
            prog);
       Sp_cpu.Slice_timer.finish timer;
       let cpis = Sp_cpu.Slice_timer.slice_cpis timer in

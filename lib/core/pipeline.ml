@@ -180,7 +180,7 @@ let stage ~bench ~timings name f =
    pinball is an independent job. *)
 let replay_point options (pb : Pinball.t) =
   let prog = pb.Pinball.program in
-  let mixt = Ldstmix.create () in
+  let mixt = Ldstmix.create prog in
   let cache =
     Allcache_tool.create ~config:options.cache_config
       ~prefetch:options.next_line_prefetch prog
@@ -245,13 +245,13 @@ let replay_points options (whole : Logger.whole) points =
    and reset produce identical state under the pipeline's replacement
    policies (LRU/FIFO; [Random] keeps a replacement RNG that a reset
    does not re-seed) — so per-point statistics are bit-identical to
-   the {!warm_replay_points_scan} reference, while every point becomes
-   an independent job for the domain pool. *)
+   the shared-scan reference the equivalence suite keeps, while every
+   point becomes an independent job for the domain pool. *)
 let replay_warm_point options (wr : Logger.warm_region) =
   Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
   let pb = wr.Logger.warm_pinball in
   let prog = pb.Pinball.program in
-  let mixt = Ldstmix.create () in
+  let mixt = Ldstmix.create prog in
   let cache =
     Allcache_tool.create ~config:options.cache_config
       ~prefetch:options.next_line_prefetch prog
@@ -303,68 +303,6 @@ let warm_replay_points options ~warmup_insns (whole : Logger.whole) points =
   Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_warm_point options)
     regions
   |> Array.to_list
-
-(* The pre-parallel implementation — one shared forward scan with
-   shared warm tools, reset at each window start — kept verbatim as
-   the differential reference the equivalence suite replays against
-   (metric observation moved inside the loop so per-point cache
-   metrics match the parallel path's).  Not used by the pipeline. *)
-let warm_replay_points_scan options ~warmup_insns (whole : Logger.whole)
-    points =
-  let prog = whole.Logger.pinball.Pinball.program in
-  let warm_cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let warm_core =
-    Sp_cpu.Interval_core.create ~config:options.core_config prog
-  in
-  let warm_hooks =
-    [ Allcache_tool.hooks warm_cache; Sp_cpu.Interval_core.hooks warm_core ]
-  in
-  let acc = ref [] in
-  let warmup =
-    {
-      Logger.length = warmup_insns;
-      hooks = Sp_vm.Hooks.seq_all warm_hooks;
-      on_start =
-        (fun () ->
-          Allcache_tool.reset_state warm_cache;
-          Sp_cpu.Interval_core.reset_state warm_core;
-          Allcache_tool.set_warming warm_cache true;
-          Sp_cpu.Interval_core.set_warming warm_core true);
-    }
-  in
-  Logger.scan_regions ~warmup whole points (fun pb ->
-      Allcache_tool.set_warming warm_cache false;
-      Sp_cpu.Interval_core.set_warming warm_core false;
-      (* a zero-length window skips on_start: reset here instead *)
-      if warmup_insns = 0 then begin
-        Allcache_tool.reset_state warm_cache;
-        Sp_cpu.Interval_core.reset_state warm_core
-      end;
-      let mixt = Ldstmix.create () in
-      let result =
-        Replayer.replay ~tools:(Ldstmix.hooks mixt :: warm_hooks) pb
-      in
-      let cluster, weight =
-        match pb.Pinball.kind with
-        | Pinball.Region r -> (r.cluster, r.weight)
-        | Pinball.Whole -> (-1, 1.0)
-      in
-      let cache_stats = Allcache_tool.stats warm_cache in
-      Sp_cache.Hierarchy.observe_stats cache_stats;
-      acc :=
-        {
-          Runstats.cluster;
-          weight;
-          insns = result.Replayer.retired;
-          mix = Ldstmix.mix mixt;
-          cache = cache_stats;
-          cpi = Sp_cpu.Interval_core.cpi warm_core;
-        }
-        :: !acc);
-  List.rev !acc
 
 (* The pinball-cache skeleton: produce the whole pinball by logging
    ([log]), unless a cache directory is configured and holds a valid
@@ -645,9 +583,10 @@ let run_benchmark ?(options = default_options) spec =
   }
 
 (* Whole benchmarks are the coarsest unit of independent work: fan them
-   out across the pool.  Each worker's nested parallelism (replays,
-   k-means) degrades to sequential automatically, so [jobs] is the
-   total domain budget, not a multiplier. *)
+   out across the pool.  The batches each benchmark issues in turn
+   (replays, k-means) run on the same persistent workers, so nesting
+   never multiplies domains: the pool stays capped at the machine's
+   recommended domain count whatever [jobs] is. *)
 let run_suite ?(options = default_options) ?(specs = Suite.all) () =
   let options = normalize options in
   Sp_obs.Tracer.with_span ~cat:"pipeline" "suite" (fun () ->

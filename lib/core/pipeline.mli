@@ -197,14 +197,7 @@ val warm_replay_points :
     ({!Sp_pinball.Logger.capture_warm_regions}) and replayed with fresh
     per-point tool state ({!Sp_pinball.Replayer.replay_prefixed}), so
     the replays fan out across the domain pool ([options.jobs]);
-    results are bit-identical to {!warm_replay_points_scan} at every
-    job count. *)
-
-val warm_replay_points_scan :
-  options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
-  Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
-(** The sequential shared-scan implementation warm replay used before
-    it was parallelised: one forward pass over the whole execution,
-    shared warm tools reset at each window start.  Kept as the
-    differential reference for the equivalence suite; the pipeline
-    itself always uses {!warm_replay_points}. *)
+    results are bit-identical at every job count to the sequential
+    shared scan this replaced (one forward pass, shared warm tools
+    reset at each window start), which the equivalence suite keeps as
+    its reference. *)

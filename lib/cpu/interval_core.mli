@@ -29,6 +29,24 @@ type t
 val create : ?config:Core_config.t -> Program.t -> t
 
 val hooks : t -> Hooks.t
+(** The block-level hook set: the leader fetch on [on_block], each
+    segment's dispatch cycles and data references on [on_block_mems],
+    the predictor on [on_branch].  With no per-instruction callback
+    live it runs on the fused block-stepping engine, and it keeps the
+    engine there when seq'd with other block-level tools.  The core's
+    own L1I/L1D apply the fused [allcache] tool's exact same-line
+    repeat filters.  Statistics are bit-identical to
+    {!hooks_per_instr} (enforced by the differential suite). *)
+
+val hooks_per_instr : t -> Hooks.t
+(** The per-instruction callback set ([on_instr]/[on_read]/[on_write]
+    plus the same [on_block] fetch and [on_branch]): [cycles] and
+    [instructions] are current after every retired instruction, which
+    observers that sample the core between instructions need
+    ({!Slice_timer}).  Also the reference for differential testing.
+    Give each set a core of its own: the block-level set's repeat
+    filters assume every access to the core's caches went through
+    it. *)
 
 val cpi : t -> float
 (** Cycles per instruction so far; 0 before any instruction. *)

@@ -20,14 +20,20 @@ let close t len =
   t.last_cycles <- c;
   t.count <- 0
 
+(* The core's per-instruction set runs first, so a slice boundary reads
+   [cycles] with the closing instruction already charged.  The
+   block-level set would charge it only after the instruction's
+   [on_instr] — one instruction late. *)
 let hooks t =
-  {
-    Hooks.nil with
-    on_instr =
-      (fun _pc _kind ->
-        t.count <- t.count + 1;
-        if t.count >= t.slice_len then close t t.slice_len);
-  }
+  Hooks.seq
+    (Interval_core.hooks_per_instr t.core)
+    {
+      Hooks.nil with
+      on_instr =
+        (fun _pc _kind ->
+          t.count <- t.count + 1;
+          if t.count >= t.slice_len then close t t.slice_len);
+    }
 
 let finish t = if t.count >= t.slice_len / 2 then close t t.count
 

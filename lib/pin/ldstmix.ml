@@ -1,10 +1,18 @@
 open Sp_isa
 open Sp_vm
 
-type t = { counts : int array (* indexed by mem_class code *) }
+(* A span counter: classification needs only each retired
+   instruction's static kind, so the tool consumes the positional
+   [on_block_span] aggregate and never asks for per-instruction
+   dispatch — a replay under it stays on the block-stepping engines. *)
 
-(* Per-kind memory class, precomputed so the hot callback is two array
-   operations. *)
+type t = {
+  counts : int array; (* indexed by mem_class code *)
+  kinds : int array; (* the program's kind code per pc *)
+}
+
+(* Per-kind memory class, precomputed so the hot loop is three array
+   operations per instruction. *)
 let class_of_kind =
   Array.init Isa.num_kinds (fun code ->
       match Isa.kind_of_code code with
@@ -17,17 +25,16 @@ let class_of_kind =
 
 let class_code_of_kind code = class_of_kind.(code)
 
-let create () = { counts = Array.make 4 0 }
+let create (prog : Program.t) = { counts = Array.make 4 0; kinds = prog.kinds }
 
-let hooks t =
+let span t pc0 n =
   let counts = t.counts in
-  {
-    Hooks.nil with
-    on_instr =
-      (fun _pc kind ->
-        let cls = Array.unsafe_get class_of_kind kind in
-        Array.unsafe_set counts cls (Array.unsafe_get counts cls + 1));
-  }
+  for pc = pc0 to pc0 + n - 1 do
+    let c = Array.unsafe_get class_of_kind (Array.unsafe_get t.kinds pc) in
+    Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+  done
+
+let hooks t = { Hooks.nil with on_block_span = (fun pc0 n -> span t pc0 n) }
 
 let count t cls = t.counts.(Isa.mem_class_code cls)
 

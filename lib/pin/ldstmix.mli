@@ -13,8 +13,13 @@ val class_code_of_kind : int -> int
     tool, exposed so combined consumers ({!Profile_tool}) reproduce its
     counts bit-for-bit from per-kind totals. *)
 
-val create : unit -> t
+val create : Program.t -> t
+(** The program supplies each pc's static kind, from which retired
+    spans are classified. *)
+
 val hooks : t -> Hooks.t
+(** A block-level set: a single {!Hooks.on_block_span} counter, so it
+    never forces per-instruction dispatch. *)
 
 val count : t -> Sp_isa.Isa.mem_class -> int
 val total : t -> int

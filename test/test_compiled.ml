@@ -289,7 +289,7 @@ let prop_profile_combined =
       let bbv = Bbv_tool.create ~slice_len p in
       replay ~engine:Interp.Block_step (Bbv_tool.hooks bbv);
       Bbv_tool.finish bbv;
-      let mixt = Ldstmix.create () in
+      let mixt = Ldstmix.create p in
       replay ~engine:Interp.Reference (Ldstmix.hooks mixt);
       let ins = Inscount.create () in
       replay ~engine:Interp.Reference (Inscount.hooks ins);

@@ -366,6 +366,43 @@ let test_profile_cache_reuse () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* Golden results: the simulated numbers of two full default-option
+   pipeline runs, pinned across commits.  Each run's v2 envelope is
+   normalised as CI's [norm()] does — wall-clock fields zeroed, the
+   metrics snapshot emptied, the [jobs] echo zeroed — and the MD5 of
+   the two normalised envelopes (newline-joined) must equal the
+   recorded digest.  Performance work must leave it alone; a deliberate
+   change to the results must re-pin it, like [test_pinball.ml]'s
+   golden bytes. *)
+let golden_results_md5 = "ed089428f8aed73c2590c81f5ee5a919"
+
+let rec norm_envelope = function
+  | Sp_obs.Json.Obj kvs ->
+      Sp_obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match k with
+             | "wall_seconds" | "seconds" | "jobs" -> (k, Sp_obs.Json.Num 0.0)
+             | "metrics" -> (k, Sp_obs.Json.List [])
+             | _ -> (k, norm_envelope v))
+           kvs)
+  | Sp_obs.Json.List vs -> Sp_obs.Json.List (List.map norm_envelope vs)
+  | v -> v
+
+let test_golden_results () =
+  let options =
+    { Pipeline.default_options with slices_scale = 0.05; progress = false }
+  in
+  let envelopes =
+    List.map
+      (fun name ->
+        Pipeline.run_benchmark ~options (Sp_workloads.Suite.find name)
+        |> Api.run_envelope |> norm_envelope |> Sp_obs.Json.to_string)
+      [ "620.omnetpp_s"; "557.xz_r" ]
+  in
+  Alcotest.(check string) "normalised envelopes md5" golden_results_md5
+    (Digest.to_hex (Digest.string (String.concat "\n" envelopes)))
+
 let suite =
   [
     Alcotest.test_case "pipeline basics" `Quick test_pipeline_basics;
@@ -383,4 +420,5 @@ let suite =
     Alcotest.test_case "pipeline deterministic" `Quick test_pipeline_deterministic;
     Alcotest.test_case "pinball cache reuse" `Quick test_pinball_cache_reuse;
     Alcotest.test_case "profile cache reuse" `Quick test_profile_cache_reuse;
+    Alcotest.test_case "golden results" `Quick test_golden_results;
   ]

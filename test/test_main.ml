@@ -17,6 +17,7 @@ let () =
       ("blockstep", Test_blockstep.suite);
       ("compiled", Test_compiled.suite);
       ("fusedcache", Test_fusedcache.suite);
+      ("timing", Test_timing.suite);
       ("models", Test_models.suite);
       ("misc", Test_misc.suite);
       ("coverage", Test_coverage.suite);

@@ -36,7 +36,7 @@ let test_inscount () =
 
 let test_ldstmix () =
   let prog = mix_program ~iters:50 in
-  let tool = Ldstmix.create () in
+  let tool = Ldstmix.create prog in
   let run = Pin.run_fresh ~tools:[ Ldstmix.hooks tool ] prog in
   Alcotest.(check int) "MEM_R" 50 (Ldstmix.count tool Isa.Mem_r);
   Alcotest.(check int) "MEM_W" 50 (Ldstmix.count tool Isa.Mem_w);

@@ -62,11 +62,11 @@ let test_regional_capture_matches_ground_truth () =
   let points = [| mk_point 0 0 start len 1.0 |] in
   let regions = Logger.capture_regions whole points in
   Alcotest.(check int) "one region" 1 (Array.length regions);
-  let mixt = Sp_pin.Ldstmix.create () in
+  let mixt = Sp_pin.Ldstmix.create prog in
   let r = Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mixt ] regions.(0) in
   Alcotest.(check int) "exact length" len r.Replayer.retired;
   (* ground truth: native run, instrument the same interval *)
-  let gt = Sp_pin.Ldstmix.create () in
+  let gt = Sp_pin.Ldstmix.create prog in
   let m = Interp.create ~entry:0 () in
   let syscall = noisy_syscall 7 in
   ignore (Interp.run ~syscall ~fuel:start prog m);

@@ -246,12 +246,13 @@ let prop_region_replay_fidelity =
         }
       in
       let regions = Sp_pinball.Logger.capture_regions whole [| point |] in
-      let mix1 = Sp_pin.Ldstmix.create () in
+      let prog = regions.(0).Sp_pinball.Pinball.program in
+      let mix1 = Sp_pin.Ldstmix.create prog in
       ignore
         (Sp_pinball.Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mix1 ]
            regions.(0));
       (* replay twice: identical *)
-      let mix2 = Sp_pin.Ldstmix.create () in
+      let mix2 = Sp_pin.Ldstmix.create prog in
       ignore
         (Sp_pinball.Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mix2 ]
            regions.(0));

@@ -4,7 +4,7 @@
    regional pinballs with fresh per-point tool state
    (Pipeline.warm_replay_points); the pre-parallel implementation — one
    shared forward scan with shared warm tools reset at each window
-   start — is kept as Pipeline.warm_replay_points_scan.  Random halting
+   start — is kept below as [warm_replay_points_scan].  Random halting
    programs (counted Asm loops with randomised load/store/ALU/syscall
    bodies) are run through both over warmup windows that exercise every
    clamping edge: zero, tiny, larger than the first region's start
@@ -97,6 +97,67 @@ let points_of_spec total spec =
 
 let options = { Pipeline.default_options with progress = false }
 
+(* ------------------------------------------------------------------ *)
+(* The reference: warm replay as the pipeline ran it before it went
+   parallel — one shared forward scan with shared warm tools, reset at
+   each window start (metric observation inside the loop so per-point
+   cache metrics match the parallel path's).  Public APIs only. *)
+
+let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
+    (whole : Logger.whole) points =
+  let prog = whole.Logger.pinball.Pinball.program in
+  let warm_cache =
+    Allcache_tool.create ~config:options.cache_config
+      ~prefetch:options.next_line_prefetch prog
+  in
+  let warm_core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
+  let warm_hooks =
+    [ Allcache_tool.hooks warm_cache; Sp_cpu.Interval_core.hooks warm_core ]
+  in
+  let acc = ref [] in
+  let warmup =
+    {
+      Logger.length = warmup_insns;
+      hooks = Sp_vm.Hooks.seq_all warm_hooks;
+      on_start =
+        (fun () ->
+          Allcache_tool.reset_state warm_cache;
+          Sp_cpu.Interval_core.reset_state warm_core;
+          Allcache_tool.set_warming warm_cache true;
+          Sp_cpu.Interval_core.set_warming warm_core true);
+    }
+  in
+  Logger.scan_regions ~warmup whole points (fun pb ->
+      Allcache_tool.set_warming warm_cache false;
+      Sp_cpu.Interval_core.set_warming warm_core false;
+      (* a zero-length window skips on_start: reset here instead *)
+      if warmup_insns = 0 then begin
+        Allcache_tool.reset_state warm_cache;
+        Sp_cpu.Interval_core.reset_state warm_core
+      end;
+      let mixt = Ldstmix.create prog in
+      let result =
+        Replayer.replay ~tools:(Ldstmix.hooks mixt :: warm_hooks) pb
+      in
+      let cluster, weight =
+        match pb.Pinball.kind with
+        | Pinball.Region r -> (r.cluster, r.weight)
+        | Pinball.Whole -> (-1, 1.0)
+      in
+      let cache_stats = Allcache_tool.stats warm_cache in
+      Sp_cache.Hierarchy.observe_stats cache_stats;
+      acc :=
+        {
+          Runstats.cluster;
+          weight;
+          insns = result.Replayer.retired;
+          mix = Ldstmix.mix mixt;
+          cache = cache_stats;
+          cpi = Sp_cpu.Interval_core.cpi warm_core;
+        }
+        :: !acc);
+  List.rev !acc
+
 (* warmup windows covering every clamping edge: none, tiny, and one
    far larger than any region start (clamped against program start and
    the previous region's end); bodies emit Sys instructions, so the
@@ -117,7 +178,7 @@ let prop_parallel_matches_scan =
       List.for_all
         (fun wu ->
           let scan =
-            Pipeline.warm_replay_points_scan options ~warmup_insns:wu whole
+            warm_replay_points_scan options ~warmup_insns:wu whole
               points
           in
           let par1 =

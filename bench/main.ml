@@ -401,6 +401,42 @@ let micro ?(gates = []) ?gate_all () =
               ignore
                 (Sp_simpoint.Sampler.select Sp_simpoint.Sampler.Stratified
                    ~slice_len:100 slices)));
+      (* the select stage exactly as the pipeline runs it, on data
+         shaped like the pipeline's: 3500 slices (above the 3000-slice
+         fitting cap, so the full-set assign runs) in runs of 70 from
+         12 planted phases over overlapping 20-block sets, with count
+         noise.  One [fits] serves the SimPoint select and the Figure 4
+         variance sweep.  Uniform random points, as in
+         [kmeans-k20-2000x15], give the triangle bounds little to
+         prune *)
+      Test.make ~name:"select-simpoint-3500-slices"
+        (Staged.stage
+           (let rng = Sp_util.Rng.create 11 in
+            let slices =
+              Array.init 3500 (fun i ->
+                  let phase = i / 70 * 7 mod 12 in
+                  let bbv =
+                    Array.init 20 (fun b ->
+                        ( (phase * 10) + b,
+                          10 + (b * (phase + 1) mod 7 * 5)
+                          + Sp_util.Rng.int rng 8 ))
+                  in
+                  {
+                    Sp_pin.Bbv_tool.index = i;
+                    start_icount = i * 100;
+                    length = Array.fold_left (fun acc (_, c) -> acc + c) 0 bbv;
+                    bbv;
+                  })
+            in
+            let config = Sp_simpoint.Simpoints.default_config in
+            fun () ->
+              let fits = Sp_simpoint.Simpoints.fits ~config slices in
+              ignore
+                (Sp_simpoint.Sampler.select ~config ~fits
+                   Sp_simpoint.Sampler.Simpoint ~slice_len:100 slices);
+              ignore
+                (Sp_simpoint.Variance.sweep ~config ~fits
+                   ~ks:Pipeline.default_options.variance_ks slices)));
     ]
   in
   let benchmark test =

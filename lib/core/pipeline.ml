@@ -513,10 +513,16 @@ let run_benchmark ?(options = default_options) spec =
   (* the select stage is the pluggable sampler tier: every registered
      methodology consumes the same slices and produces weighted points,
      so everything below this line is sampler-agnostic *)
-  let sel =
+  let fits, sel =
     stage ~bench ~timings "select" (fun () ->
-        Sp_simpoint.Sampler.select ~config:options.simpoint_config
-          options.sampler ~slice_len:options.slice_insns slices)
+        (* one projection and k-means memo for the benchmark: the
+           variance sweep below reuses every fit select made *)
+        let fits =
+          Sp_simpoint.Simpoints.fits ~config:options.simpoint_config slices
+        in
+        ( fits,
+          Sp_simpoint.Sampler.select ~config:options.simpoint_config ~fits
+            options.sampler ~slice_len:options.slice_insns slices ))
   in
   Sp_obs.Metrics.incr (M.sampler_runs options.sampler);
   Sp_obs.Metrics.add M.select_points
@@ -524,7 +530,7 @@ let run_benchmark ?(options = default_options) spec =
   let variance =
     if options.collect_variance then
       stage ~bench ~timings "variance" (fun () ->
-          Sp_simpoint.Variance.sweep ~config:options.simpoint_config
+          Sp_simpoint.Variance.sweep ~config:options.simpoint_config ~fits
             ~ks:options.variance_ks slices)
     else []
   in

@@ -18,13 +18,19 @@ val fit :
     1) fans the nearest-centroid search of each Lloyd round across the
     {!Sp_util.Pool} domain pool; the result is bit-for-bit identical
     for every job count because the floating-point accumulation stays
-    in point order.
+    in point order.  The searches skip centroids by triangle-inequality
+    bounds, and the result is bit-for-bit that of the unpruned
+    algorithm: exhaustive scans, lowest index on ties.
     @raise Invalid_argument if [points] is empty or [k < 1]. *)
 
 val assign :
   ?jobs:int -> centroids:float array array -> float array array -> int array
 (** Nearest-centroid assignment for a (possibly different) point set —
-    used when centroids were fitted on a subsample. *)
+    used when centroids were fitted on a subsample.  Each point gets
+    the index of its nearest centroid, the lowest one on ties, exactly
+    as an exhaustive scan; centroids that the centroid-to-centroid
+    distances prove farther than the point's best so far are not
+    measured.  The result is the same for every [jobs]. *)
 
 val sq_distance : float array -> float array -> float
 

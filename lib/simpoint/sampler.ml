@@ -20,7 +20,7 @@ let of_name s =
 
 type input = {
   slices : Sp_pin.Bbv_tool.slice array;
-  projected : float array array;
+  fits : Simpoints.fits;
   slice_weights : float array;
   slice_len : int;
   budget : int;
@@ -71,8 +71,8 @@ module Simpoint_impl = struct
   let run inp =
     let config = { inp.config with max_k = min inp.config.max_k inp.budget } in
     let sel =
-      Simpoints.select ~config ~projected:inp.projected
-        ~slice_len:inp.slice_len inp.slices
+      Simpoints.select ~config ~fits:inp.fits ~slice_len:inp.slice_len
+        inp.slices
     in
     {
       kind;
@@ -190,10 +190,11 @@ module Stratified_impl = struct
       max 1
         (min n (int_of_float (Float.round (sqrt (float_of_int budget)))))
     in
+    let projected = Simpoints.projection inp.fits in
     let pilot =
       Kmeans.fit ~max_iters:inp.config.kmeans_iters
         ~seed:(inp.config.seed + 7919) ~jobs:inp.config.jobs ~k:strata_k
-        inp.projected
+        projected
     in
     let members = Array.make pilot.Kmeans.k [] in
     for i = n - 1 downto 0 do
@@ -211,7 +212,7 @@ module Stratified_impl = struct
             let c = pilot.Kmeans.centroids.(h) in
             let acc =
               Array.fold_left
-                (fun acc i -> acc +. Kmeans.sq_distance inp.projected.(i) c)
+                (fun acc i -> acc +. Kmeans.sq_distance projected.(i) c)
                 0.0 ms
             in
             sqrt (acc /. float_of_int (Array.length ms)))
@@ -245,7 +246,7 @@ module Stratified_impl = struct
     let samples = Array.length points in
     (* variance-reduction proxy on the auxiliary variable: fraction of
        total variance that survives within strata (lower is better) *)
-    let aux = aux_variable inp.projected in
+    let aux = aux_variable projected in
     let var_total = Sp_util.Stats.variance aux in
     let var_within =
       Array.to_list (Array.init pilot.Kmeans.k Fun.id)
@@ -324,7 +325,7 @@ module Rss_impl = struct
     let set_size =
       max 1 (min n (int_of_float (Float.round (sqrt (float_of_int budget)))))
     in
-    let aux = aux_variable inp.projected in
+    let aux = aux_variable (Simpoints.projection inp.fits) in
     (* repeated subsampling: re-draw the whole selection [repeats]
        times; draw 0 is the selection we return, the spread of the
        per-draw auxiliary means is the empirical variance estimate *)
@@ -394,15 +395,14 @@ let () =
   register (module Stratified_impl);
   register (module Rss_impl)
 
-let select ?(config = Simpoints.default_config) ?budget k ~slice_len slices =
+let select ?(config = Simpoints.default_config) ?budget ?fits k ~slice_len
+    slices =
   let n = Array.length slices in
   if n = 0 then invalid_arg "Sampler.select: no slices";
   let budget =
     max 1 (min n (match budget with Some b -> b | None -> config.max_k))
   in
-  let projected =
-    Projection.project ~dim:config.proj_dim ~seed:config.seed slices
-  in
+  let fits = Simpoints.resolve_fits ?fits config slices in
   let total =
     Array.fold_left (fun acc s -> acc + s.Sp_pin.Bbv_tool.length) 0 slices
   in
@@ -413,4 +413,4 @@ let select ?(config = Simpoints.default_config) ?budget k ~slice_len slices =
       slices
   in
   let (module I : S) = implementation k in
-  I.run { slices; projected; slice_weights; slice_len; budget; config }
+  I.run { slices; fits; slice_weights; slice_len; budget; config }

@@ -44,9 +44,10 @@ val kind_enum : (string * kind) list
 
 type input = {
   slices : Sp_pin.Bbv_tool.slice array;  (** per-slice metadata *)
-  projected : float array array;
-      (** random-projected BBV matrix, one row per slice (computed once
-          by {!select} and shared by every implementation) *)
+  fits : Simpoints.fits;
+      (** the benchmark's k-means memo and random-projected BBV matrix
+          ({!Simpoints.projection}, one row per slice), projected once
+          by {!select} and shared by every implementation *)
   slice_weights : float array;
       (** per-slice share of retired instructions; sums to 1 *)
   slice_len : int;  (** nominal slice length in instructions *)
@@ -86,13 +87,18 @@ val implementation : kind -> (module S)
 val select :
   ?config:Simpoints.config ->
   ?budget:int ->
+  ?fits:Simpoints.fits ->
   kind ->
   slice_len:int ->
   Sp_pin.Bbv_tool.slice array ->
   output
 (** Project the slices once ({!Projection.project} under [config]) and
-    run the registered implementation for [kind].  [budget] defaults to
-    [config.max_k], making every sampler comparable to SimPoint's
-    cluster cap; it is clamped to [1, num_slices].  The [Simpoint] path
+    run the registered implementation for [kind].  [fits] supplies the
+    projection and k-means memo instead (checked as
+    {!Simpoints.resolve_fits} does); the [Simpoint] path fills its
+    memo, so a later {!Variance.sweep} given the same [fits] reuses
+    those fits.  [budget] defaults to [config.max_k], making every
+    sampler comparable to SimPoint's cluster cap; it is clamped to
+    [1, num_slices].  The [Simpoint] path
     is bit-identical to calling {!Simpoints.select} directly.
     @raise Invalid_argument if there are no slices. *)

@@ -116,60 +116,115 @@ let build config ~slice_len slices projected result bic_curve =
     bic_curve;
   }
 
-let project_or ~config projected slices =
-  match projected with
-  | Some p -> p
-  | None -> Projection.project ~dim:config.proj_dim ~seed:config.seed slices
+(* One benchmark's clustering work, shared by every consumer of its
+   slices: the projection, the fitting sample and a per-k memo of
+   (full-set result, BIC).  A fit is deterministic in k given the
+   fields {!resolve_fits} checks, so whoever computes it first, the
+   others reuse it unchanged.  Only the domain that owns the value reads
+   or inserts memo entries; pool tasks compute fits and hand them back,
+   so the table needs no lock. *)
+type fits = {
+  built_under : config;
+  slices : Sp_pin.Bbv_tool.slice array;
+  projection : float array array;
+  sample : float array array;
+  memo : (int, Kmeans.result * float) Hashtbl.t;
+}
 
-let select_with_k ?(config = default_config) ?projected ~slice_len ~k slices =
+let fits ?(config = default_config) slices =
+  if Array.length slices = 0 then invalid_arg "Simpoints.fits: no slices";
+  let projection =
+    Projection.project ~dim:config.proj_dim ~seed:config.seed slices
+  in
+  {
+    built_under = config;
+    slices;
+    projection;
+    sample = subsample config.sample_cap projection;
+    memo = Hashtbl.create 16;
+  }
+
+let projection f = f.projection
+
+(* The slices are compared physically: every caller builds the fits
+   from the very array it then passes, and an array that merely looks
+   the same is not worth a deep comparison on every call. *)
+let resolve_fits ?fits:f config slices =
+  match f with
+  | None -> fits ~config slices
+  | Some f ->
+      let b = f.built_under in
+      if
+        b.seed <> config.seed || b.proj_dim <> config.proj_dim
+        || b.sample_cap <> config.sample_cap
+        || b.kmeans_iters <> config.kmeans_iters
+        || f.slices != slices
+      then
+        invalid_arg
+          "Simpoints: fits built from other slices or under another seed, \
+           proj_dim, sample_cap or kmeans_iters";
+      f
+
+(* pure: safe on any domain *)
+let compute_fit config f k =
+  let result = cluster config ~k f.projection f.sample in
+  (result, Bic.score result f.projection)
+
+let memo_fit config f k =
+  match Hashtbl.find_opt f.memo k with
+  | Some v -> v
+  | None ->
+      let v = compute_fit config f k in
+      Hashtbl.add f.memo k v;
+      v
+
+let map_fits config f ks g =
+  let cached = Array.map (Hashtbl.find_opt f.memo) ks in
+  let out =
+    Sp_util.Pool.parallel_map ~jobs:config.jobs
+      (fun (k, hit) ->
+        let v = match hit with Some v -> v | None -> compute_fit config f k in
+        (v, g k v))
+      (Array.map2 (fun k hit -> (k, hit)) ks cached)
+  in
+  Array.iteri
+    (fun i (v, _) ->
+      if Option.is_none cached.(i) then Hashtbl.replace f.memo ks.(i) v)
+    out;
+  Array.map snd out
+
+let select_with_k ?(config = default_config) ?fits ~slice_len ~k slices =
   if Array.length slices = 0 then invalid_arg "Simpoints.select_with_k: no slices";
-  let projected = project_or ~config projected slices in
-  let sample = subsample config.sample_cap projected in
-  let result = cluster config ~k projected sample in
-  let bic = Bic.score result projected in
-  build config ~slice_len slices projected result [ (k, bic) ]
+  let f = resolve_fits ?fits config slices in
+  let result, bic = memo_fit config f k in
+  build config ~slice_len slices f.projection result [ (k, bic) ]
 
 (* SimPoint 3.0's policy: score k=1 and k=maxK, then binary-search the
    smallest k whose BIC reaches threshold of the [low, high] range. *)
-let select ?(config = default_config) ?projected ~slice_len slices =
+let select ?(config = default_config) ?fits ~slice_len slices =
   if Array.length slices = 0 then invalid_arg "Simpoints.select: no slices";
-  let projected = project_or ~config projected slices in
-  let sample = subsample config.sample_cap projected in
+  let f = resolve_fits ?fits config slices in
   let max_k = min config.max_k (Array.length slices) in
-  let cache = Hashtbl.create 16 in
-  let compute k =
-    let result = cluster config ~k projected sample in
-    (result, Bic.score result projected)
-  in
   (* [demanded] records the ks the sequential search logic actually
      asked for, as opposed to ks whose fits were merely precomputed
-     speculatively.  The published BIC curve is built from the demanded
-     set only, so selection output is bit-identical at every job
-     count. *)
+     speculatively or by another consumer of [f].  The published BIC
+     curve is built from the demanded set only, so selection output is
+     bit-identical at every job count and whatever the memo held. *)
   let demanded = Hashtbl.create 16 in
   let eval k =
     Hashtbl.replace demanded k ();
-    match Hashtbl.find_opt cache k with
-    | Some v -> v
-    | None ->
-        let v = compute k in
-        Hashtbl.add cache k v;
-        v
+    memo_fit config f k
   in
-  (* Warm the cache for [ks] through the pool.  Each [compute] is
-     deterministic in k alone, so precomputing a fit (whether it ends
-     up demanded or not) changes nothing downstream. *)
+  (* Fill the memo for [ks] through the pool.  Each fit is
+     deterministic in k alone, so precomputing one (whether it ends up
+     demanded or not) changes nothing downstream. *)
   let warm ks =
     match
       List.sort_uniq compare
-        (List.filter (fun k -> not (Hashtbl.mem cache k)) ks)
+        (List.filter (fun k -> not (Hashtbl.mem f.memo k)) ks)
     with
     | [] -> ()
-    | ks ->
-        Sp_util.Pool.parallel_map ~jobs:config.jobs
-          (fun k -> (k, compute k))
-          (Array.of_list ks)
-        |> Array.iter (fun (k, v) -> Hashtbl.replace cache k v)
+    | ks -> ignore (map_fits config f (Array.of_list ks) (fun _ _ -> ()))
   in
   (* The binary search's probes are data-dependent (each depends on the
      previous BIC), but its two anchors k=1 and k=max_k are
@@ -187,7 +242,7 @@ let select ?(config = default_config) ?projected ~slice_len slices =
          round needs one of the two possible midpoints of the halved
          interval.  Fitting all three concurrently hides the next
          round's fit behind this one; the probe that goes unused only
-         warmed the cache. *)
+         warmed the memo. *)
       if config.jobs > 1 then
         warm [ mid; (lo + mid) / 2; (mid + 1 + hi) / 2 ];
       let _, bic = eval mid in
@@ -198,11 +253,11 @@ let select ?(config = default_config) ?projected ~slice_len slices =
   let result, _ = eval chosen in
   let curve =
     Hashtbl.fold
-      (fun k () acc -> (k, snd (Hashtbl.find cache k)) :: acc)
+      (fun k () acc -> (k, snd (Hashtbl.find f.memo k)) :: acc)
       demanded []
     |> List.sort compare
   in
-  build config ~slice_len slices projected result curve
+  build config ~slice_len slices f.projection result curve
 
 let total_weight points = Array.fold_left (fun acc p -> acc +. p.weight) 0.0 points
 

@@ -39,17 +39,51 @@ type t = {
   bic_curve : (int * float) list; (** (k, BIC) at each evaluated k *)
 }
 
-val select : ?config:config -> ?projected:float array array ->
-  slice_len:int -> Sp_pin.Bbv_tool.slice array -> t
-(** Run projection, the BIC-guided search for k, and representative
-    selection.  [projected] short-circuits the projection step with a
-    precomputed matrix (it must be the deterministic
-    {!Projection.project} of [slices] under [config]; the {!Sampler}
-    driver uses this to project once and share the matrix across
-    sampler implementations without changing any result).
+type fits
+(** One benchmark's clustering work, built once and shared by every
+    consumer of its slices ({!select}, {!select_with_k},
+    {!Sampler.select}, {!Variance.sweep}): the projection, the k-means
+    fitting sample and a memo of each fitted k's full-set result and
+    BIC.  Every fit is deterministic in k, so sharing changes no
+    output.  The memo is read and written only by the domain that calls
+    these functions (pool tasks just compute fits), so a [fits] value
+    must not be used from two domains at once. *)
+
+val fits : ?config:config -> Sp_pin.Bbv_tool.slice array -> fits
+(** [fits ~config slices] projects [slices] ({!Projection.project}
+    under [config.seed] and [config.proj_dim]) and takes the fitting
+    sample; the memo starts empty.
     @raise Invalid_argument if there are no slices. *)
 
-val select_with_k : ?config:config -> ?projected:float array array ->
+val projection : fits -> float array array
+(** The projected slice vectors, one row per slice. *)
+
+val resolve_fits :
+  ?fits:fits -> config -> Sp_pin.Bbv_tool.slice array -> fits
+(** [resolve_fits ?fits config slices] is [fits] when given, else a
+    fresh [fits ~config slices].
+    @raise Invalid_argument if [fits] was built from another slice
+    array than [slices] (compared physically: pass the array the
+    [fits] was built from) or under a different [seed], [proj_dim],
+    [sample_cap] or [kmeans_iters] than [config]. *)
+
+val map_fits :
+  config -> fits -> int array -> (int -> Kmeans.result * float -> 'a) ->
+  'a array
+(** [map_fits config f ks g] is [g k (fit k)] for each [k] of [ks], in
+    order, as one {!Sp_util.Pool.parallel_map} batch of [config.jobs]:
+    memo hits are looked up before the batch, the misses are fitted and
+    passed to [g] inside it, and they join the memo after it. *)
+
+val select : ?config:config -> ?fits:fits ->
+  slice_len:int -> Sp_pin.Bbv_tool.slice array -> t
+(** Run projection, the BIC-guided search for k, and representative
+    selection.  [fits] supplies the projection and any fits already
+    made (see {!resolve_fits} for the checks); the ks the search fits
+    join its memo.  The result does not depend on what the memo held.
+    @raise Invalid_argument if there are no slices. *)
+
+val select_with_k : ?config:config -> ?fits:fits ->
   slice_len:int -> k:int -> Sp_pin.Bbv_tool.slice array -> t
 (** Like {!select} but with a forced cluster count (used by the MaxK
     sensitivity sweep). *)

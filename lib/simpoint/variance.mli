@@ -4,7 +4,7 @@
 
 type sweep_point = {
   k : int;
-  avg_variance : float;  (** mean over clusters of within-cluster variance *)
+  avg_variance : float;  (** mean over non-empty clusters of within-cluster variance *)
   max_variance : float;
   distortion : float;
 }
@@ -14,6 +14,10 @@ val at_k :
 (** Cluster at exactly [k] and measure variance. *)
 
 val sweep :
-  ?config:Simpoints.config -> ks:int list -> Sp_pin.Bbv_tool.slice array ->
-  sweep_point list
-(** Variance at each cluster count in [ks] (Figure 4's x-axis). *)
+  ?config:Simpoints.config -> ?fits:Simpoints.fits -> ks:int list ->
+  Sp_pin.Bbv_tool.slice array -> sweep_point list
+(** Variance at each cluster count in [ks] (Figure 4's x-axis).  [fits]
+    shares the projection and the fits of an earlier {!Simpoints.select}
+    on the same slices (checked as {!Simpoints.resolve_fits} does);
+    without it the sweep builds its own.  The ks it fits join the memo,
+    and the result does not depend on what the memo held. *)

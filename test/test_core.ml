@@ -389,19 +389,75 @@ let rec norm_envelope = function
   | Sp_obs.Json.List vs -> Sp_obs.Json.List (List.map norm_envelope vs)
   | v -> v
 
+(* Golden selection: what the run envelope does not carry — each
+   benchmark's chosen k, BIC curve and point identities, and every
+   field of its variance sweep — hashed with floats by their bits.
+   The two runs above are joined by a [557.xz_r] run whose
+   [sample_cap] (500) sits below its 1291 slices, so k-means fits a
+   subsample and the full set goes through [Kmeans.assign].  Pinned on
+   the commit before the select stage was reworked; a deliberate change
+   to the selection must re-pin it, like [golden_results_md5]. *)
+let golden_selection_md5 = "b1d95eba9d3b31d49da4873bbc75c7a1"
+
+let selection_fingerprint (r : Pipeline.bench_result) =
+  let b = Buffer.create 4096 in
+  let int i = Buffer.add_string b (string_of_int i ^ ";") in
+  let flt f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f) ^ ";") in
+  let sel = r.Pipeline.selection in
+  Buffer.add_string b r.Pipeline.spec.Sp_workloads.Benchspec.name;
+  int sel.Pipeline.chosen_k;
+  List.iter (fun (k, bic) -> int k; flt bic) sel.Pipeline.bic_curve;
+  Array.iter
+    (fun (p : Sp_simpoint.Simpoints.point) ->
+      int p.slice_index;
+      int p.start_icount;
+      int p.length;
+      flt p.weight)
+    sel.Pipeline.points;
+  List.iter
+    (fun (v : Sp_simpoint.Variance.sweep_point) ->
+      int v.k;
+      flt v.avg_variance;
+      flt v.max_variance;
+      flt v.distortion)
+    r.Pipeline.variance;
+  Buffer.contents b
+
 let test_golden_results () =
   let options =
     { Pipeline.default_options with slices_scale = 0.05; progress = false }
   in
-  let envelopes =
+  let results =
     List.map
-      (fun name ->
-        Pipeline.run_benchmark ~options (Sp_workloads.Suite.find name)
-        |> Api.run_envelope |> norm_envelope |> Sp_obs.Json.to_string)
+      (fun name -> Pipeline.run_benchmark ~options (Sp_workloads.Suite.find name))
       [ "620.omnetpp_s"; "557.xz_r" ]
   in
+  let envelopes =
+    List.map
+      (fun r ->
+        Api.run_envelope r |> norm_envelope |> Sp_obs.Json.to_string)
+      results
+  in
   Alcotest.(check string) "normalised envelopes md5" golden_results_md5
-    (Digest.to_hex (Digest.string (String.concat "\n" envelopes)))
+    (Digest.to_hex (Digest.string (String.concat "\n" envelopes)));
+  let capped =
+    let options =
+      {
+        options with
+        simpoint_config =
+          { options.simpoint_config with Sp_simpoint.Simpoints.sample_cap = 500 };
+      }
+    in
+    let r = Pipeline.run_benchmark ~options (Sp_workloads.Suite.find "557.xz_r") in
+    Alcotest.(check bool) "sample cap below the slice count" true
+      (r.Pipeline.selection.Pipeline.num_slices > 500);
+    r
+  in
+  Alcotest.(check string) "selection and variance md5" golden_selection_md5
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.map selection_fingerprint (results @ [ capped ])))))
 
 let suite =
   [

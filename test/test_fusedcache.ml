@@ -15,8 +15,9 @@
 
    The k-means half ports the original unpruned implementation
    (nested-array Lloyd iterations, linear-scan seeding draw) and
-   requires [Kmeans.fit]'s pruned search to reproduce its assignment,
-   sizes, centroids and distortion to the last bit. *)
+   requires [Kmeans.fit]'s pruned seeding and search to reproduce its
+   assignment, sizes, centroids and distortion to the last bit, and
+   [Kmeans.assign] its exhaustive nearest-centroid scan. *)
 
 open Sp_isa
 open Sp_vm
@@ -416,6 +417,22 @@ let points_gen =
     in
     array_repeat n (array_repeat dim coord))
 
+(* a few well-separated planted centres plus small noise (or none, so
+   members coincide): the pipeline's regime, where the seeding, search
+   and assign prunes actually fire *)
+let clustered_gen =
+  QCheck.Gen.(
+    triple (int_range 1 8) (int_range 1 12) (int_range 1 300)
+    >>= fun (dim, centres, n) ->
+    array_repeat centres (array_repeat dim (float_bound_inclusive 100.0))
+    >>= fun cs ->
+    oneofl [ 0.0; 0.01; 0.5 ] >>= fun noise ->
+    array_repeat n
+      (pair (int_bound (centres - 1))
+         (array_repeat dim (float_range (-1.0) 1.0)))
+    >|= Array.map (fun (c, e) ->
+            Array.mapi (fun x v -> cs.(c).(x) +. (noise *. v)) e))
+
 let kmeans_case_print (points, k, max_iters, seed) =
   Printf.sprintf "n=%d dim=%d k=%d iters=%d seed=%d" (Array.length points)
     (Array.length points.(0))
@@ -423,16 +440,56 @@ let kmeans_case_print (points, k, max_iters, seed) =
 
 let prop_kmeans_matches_naive =
   QCheck.Test.make ~name:"pruned k-means bit-identical to unpruned fit"
-    ~count:150
+    ~count:250
     (QCheck.make ~print:kmeans_case_print
        QCheck.Gen.(
-         quad points_gen (int_range 1 14) (oneofl [ 1; 3; 8 ])
+         quad
+           (oneof [ points_gen; clustered_gen ])
+           (int_range 1 20)
+           (oneofl [ 0; 1; 3; 8; 50 ])
            (int_range 0 5)))
     (fun (points, k, max_iters, seed) ->
       let expected = naive_fit ~max_iters ~seed ~k points in
       let got1 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:1 ~k points in
       let got3 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:3 ~k points in
       results_equal expected got1 && results_equal expected got3)
+
+(* centroids for [Kmeans.assign]: copies of points (zero distances),
+   repeats of earlier centroids (duplicates) and vectors over the tiny
+   coordinate pool (exact ties); k runs down to 1 *)
+let assign_case_gen =
+  QCheck.Gen.(
+    oneof [ points_gen; clustered_gen ] >>= fun points ->
+    let n = Array.length points and dim = Array.length points.(0) in
+    int_range 1 20 >>= fun k ->
+    array_repeat k
+      (triple (int_bound 2) (int_bound (n - 1))
+         (array_repeat dim (oneofl [ 0.0; 0.25; 0.5; 1.0 ])))
+    >|= fun specs ->
+    let cents = Array.make k [||] in
+    Array.iteri
+      (fun j (kind, i, fresh) ->
+        cents.(j) <-
+          (match kind with
+          | 0 -> Array.copy points.(i)
+          | 1 when j > 0 -> Array.copy cents.(i mod j)
+          | _ -> fresh))
+      specs;
+    (points, cents))
+
+let prop_assign_matches_naive =
+  QCheck.Test.make ~name:"pruned assign matches exhaustive nearest"
+    ~count:250
+    (QCheck.make
+       ~print:(fun (points, cents) ->
+         Printf.sprintf "n=%d dim=%d k=%d" (Array.length points)
+           (Array.length points.(0))
+           (Array.length cents))
+       assign_case_gen)
+    (fun (points, centroids) ->
+      let expected = Array.map (fun p -> fst (naive_nearest centroids p)) points in
+      Sp_simpoint.Kmeans.assign ~jobs:1 ~centroids points = expected
+      && Sp_simpoint.Kmeans.assign ~jobs:3 ~centroids points = expected)
 
 let test_kmeans_k_exceeds_n () =
   (* k clamps to n; every point becomes its own centroid *)
@@ -494,6 +551,7 @@ let suite =
     Alcotest.test_case "report counters identical across tiers" `Quick
       test_report_counters_identical;
     QCheck_alcotest.to_alcotest prop_kmeans_matches_naive;
+    QCheck_alcotest.to_alcotest prop_assign_matches_naive;
     Alcotest.test_case "k exceeds n" `Quick test_kmeans_k_exceeds_n;
     Alcotest.test_case "identical points" `Quick test_kmeans_identical_points;
     QCheck_alcotest.to_alcotest prop_weighted_pick;

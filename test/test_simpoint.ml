@@ -278,6 +278,37 @@ let test_variance_decreases_with_k () =
         (low_k.Variance.avg_variance > high_k.Variance.avg_variance)
   | _ -> Alcotest.fail "expected two sweep points"
 
+(* an empty cluster must not count in the average: the fitting sample
+   (slices 0, 3, 6, 9 of 12) holds only two distinct BBVs, so at k = 3
+   the seeding duplicates a centroid whose cluster stays empty, and
+   slice 1's third BBV, outside the sample, gives its cluster a
+   nonzero variance *)
+let test_variance_skips_empty_cluster () =
+  let bbv = function
+    | `A -> [| (1, 100) |]
+    | `B -> [| (50, 100) |]
+    | `C -> [| (1, 50); (50, 50) |]
+  in
+  let slices =
+    Array.init 12 (fun i ->
+        mk_slice i (i * 100) 100
+          (bbv (if i = 1 then `C else if i mod 2 = 0 then `A else `B)))
+  in
+  let config = { Simpoints.default_config with sample_cap = 4 } in
+  let sel = Simpoints.select_with_k ~config ~slice_len:100 ~k:3 slices in
+  let sizes = Array.make sel.Simpoints.chosen_k 0 in
+  Array.iter (fun j -> sizes.(j) <- sizes.(j) + 1) sel.Simpoints.assignment;
+  Alcotest.(check bool) "one cluster is empty" true (Array.mem 0 sizes);
+  let v = Variance.at_k ~config ~k:3 slices in
+  let live = List.filter (fun j -> sizes.(j) > 0) (List.init 3 Fun.id) in
+  Alcotest.(check int) "two clusters live" 2 (List.length live);
+  Alcotest.(check bool) "a live cluster has spread" true (v.Variance.max_variance > 0.0);
+  (* one live cluster holds only copies of one BBV (variance 0), so the
+     mean over the live clusters is half the maximum *)
+  Alcotest.(check (float 1e-12))
+    "mean over live clusters" (v.Variance.max_variance /. 2.0)
+    v.Variance.avg_variance
+
 (* ------------------------------------------------------------------ *)
 (* Systematic design bugfixes *)
 
@@ -429,6 +460,76 @@ let test_sampler_simpoint_parity () =
     "bic curve identical" true
     (out.Sampler.bic_curve = direct.Simpoints.bic_curve)
 
+(* one [fits] shared by select and the sweep (the pipeline's select
+   stage) gives bit-for-bit what the two compute independently, at any
+   job count and in either order; the slice count is above the sample
+   cap, so the full-set assign runs too *)
+let bits_of_output (o : Sampler.output) =
+  ( Array.map
+      (fun (p : Simpoints.point) ->
+        (p.cluster, p.slice_index, p.start_icount, p.length,
+         Int64.bits_of_float p.weight))
+      o.Sampler.points,
+    o.Sampler.groups,
+    List.map (fun (k, b) -> (k, Int64.bits_of_float b)) o.Sampler.bic_curve,
+    List.map (fun (n, v) -> (n, Int64.bits_of_float v)) o.Sampler.diagnostics )
+
+let bits_of_sweep =
+  List.map (fun (v : Variance.sweep_point) ->
+      ( v.k,
+        Int64.bits_of_float v.avg_variance,
+        Int64.bits_of_float v.max_variance,
+        Int64.bits_of_float v.distortion ))
+
+let test_shared_fits () =
+  let slices = planted_slices ~phases:6 ~per_phase:40 ~noise:4 () in
+  let ks = [ 2; 5; 9; 35 ] in
+  List.iter
+    (fun jobs ->
+      let config = { Simpoints.default_config with jobs; sample_cap = 150 } in
+      let alone_sel = Sampler.select ~config Sampler.Simpoint ~slice_len:100 slices in
+      let alone_var = Variance.sweep ~config ~ks slices in
+      let fits = Simpoints.fits ~config slices in
+      let sel = Sampler.select ~config ~fits Sampler.Simpoint ~slice_len:100 slices in
+      let var = Variance.sweep ~config ~fits ~ks slices in
+      let msg = Printf.sprintf "jobs %d: " jobs in
+      Alcotest.(check bool) (msg ^ "select shared = alone") true
+        (bits_of_output sel = bits_of_output alone_sel);
+      Alcotest.(check bool) (msg ^ "sweep shared = alone") true
+        (bits_of_sweep var = bits_of_sweep alone_var);
+      (* the other order: the sweep fills the memo, select reads it *)
+      let fits = Simpoints.fits ~config slices in
+      let var' = Variance.sweep ~config ~fits ~ks slices in
+      let sel' = Sampler.select ~config ~fits Sampler.Simpoint ~slice_len:100 slices in
+      Alcotest.(check bool) (msg ^ "sweep first") true
+        (bits_of_sweep var' = bits_of_sweep alone_var
+        && bits_of_output sel' = bits_of_output alone_sel))
+    [ 1; 3 ]
+
+let test_mismatched_fits_rejected () =
+  let slices = planted_slices ~phases:3 ~per_phase:20 () in
+  let config = Simpoints.default_config in
+  let fits = Simpoints.fits ~config slices in
+  let rejects what (other : Simpoints.config) slices =
+    (match Sampler.select ~config:other ~fits Sampler.Simpoint ~slice_len:100 slices with
+    | _ -> Alcotest.failf "Sampler.select accepted fits with another %s" what
+    | exception Invalid_argument _ -> ());
+    match Variance.sweep ~config:other ~fits ~ks:[ 2 ] slices with
+    | _ -> Alcotest.failf "Variance.sweep accepted fits with another %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "seed" { config with seed = config.seed + 1 } slices;
+  rejects "proj_dim" { config with proj_dim = 7 } slices;
+  rejects "sample_cap" { config with sample_cap = 10 } slices;
+  rejects "kmeans_iters" { config with kmeans_iters = 3 } slices;
+  rejects "slice count" config (Array.sub slices 0 10);
+  (* another benchmark's slices with the same count *)
+  rejects "slice array" config (planted_slices ~phases:4 ~per_phase:15 ());
+  (* the knobs that do not change a fit are free to differ *)
+  ignore
+    (Sampler.select ~config:{ config with jobs = 2; max_k = 4; bic_threshold = 0.5 }
+       ~fits Sampler.Simpoint ~slice_len:100 slices)
+
 let test_sampler_names () =
   List.iter
     (fun kind ->
@@ -480,6 +581,8 @@ let suite =
     Alcotest.test_case "aggregate merge" `Quick test_aggregate_merge;
     Alcotest.test_case "aggregate identity" `Quick test_aggregate_identity;
     Alcotest.test_case "variance vs k" `Quick test_variance_decreases_with_k;
+    Alcotest.test_case "variance skips empty cluster" `Quick
+      test_variance_skips_empty_cluster;
     Alcotest.test_case "vli merges stable phases" `Quick test_vli_merges_stable_phases;
     Alcotest.test_case "vli max length" `Quick test_vli_max_len;
     Alcotest.test_case "vli instruction weights" `Quick test_vli_select_weights;
@@ -492,6 +595,9 @@ let suite =
     Alcotest.test_case "sampler jobs invariant" `Quick test_sampler_jobs_invariant;
     Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;
     Alcotest.test_case "sampler simpoint parity" `Quick test_sampler_simpoint_parity;
+    Alcotest.test_case "shared fits bit-identical" `Quick test_shared_fits;
+    Alcotest.test_case "mismatched fits rejected" `Quick
+      test_mismatched_fits_rejected;
     Alcotest.test_case "sampler name round-trip" `Quick test_sampler_names;
     Alcotest.test_case "stratified diagnostics" `Quick test_stratified_diagnostics;
     Alcotest.test_case "rss diagnostics" `Quick test_rss_diagnostics;

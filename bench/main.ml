@@ -115,16 +115,16 @@ let micro ?(gates = []) ?gate_all () =
   in
   (* 40k-instruction kernel with loads, stores and a recorded input
      every iteration, logged once as a whole pinball; 4 points of 2000
-     instructions with 1500-instruction warm prefixes then drive the
-     whole warm-replay stage (prefix capture + prefixed replay) per
-     run — the path [warm_replay_points] parallelises *)
+     instructions with 1500-instruction warm windows then drive the
+     whole warm-replay stage per run: the walk [warm_replay_points]
+     runs, hook-free fast-forwards between the windows included *)
   let warm_whole, warm_points =
     let a = Sp_vm.Asm.create ~name:"warm-replay-4pt" () in
     Sp_vm.Asm.li a 1 0;
     (* init phase: touch one word in each of 32 pages (a 1 MiB image),
-       so the regional snapshots the warm stage captures and restores
-       carry a realistically sized memory image rather than the single
-       page the main loop's working set fits in *)
+       so the machine the warm stage walks carries a realistically
+       sized memory image rather than the single page the main loop's
+       working set fits in *)
     Sp_vm.Asm.li a 6 0;
     Sp_vm.Asm.loop_down a ~counter:7 ~from:256 (fun () ->
         Sp_vm.Asm.store a 7 6 0;
@@ -334,10 +334,11 @@ let micro ?(gates = []) ?gate_all () =
             fun () ->
               walk_addr := (!walk_addr + 4096) land 0x1FF_FFFF;
               Sp_cache.Hierarchy.read hier !walk_addr));
-      (* the full warm-replay stage over the 40k-insn fixture: carve
-         four warm-prefixed regional pinballs, replay each (1500 warm +
-         2000 measured insns) with fresh per-point tools — what the
-         pipeline pays per warm point, capture included *)
+      (* the full warm-replay stage over the 40k-insn fixture: one
+         walk that fast-forwards to each of four windows, warms fresh
+         per-point tools in place over 1500 insns and measures the 2000
+         region insns on the live machine — what the pipeline pays per
+         warm point, fast-forwards included *)
       Test.make ~name:"warm-replay-4pt"
         (Staged.stage (fun () ->
              ignore
@@ -355,7 +356,7 @@ let micro ?(gates = []) ?gate_all () =
              | Ok _ -> ()
              | Error _ -> assert false));
       (* restore the 64-page snapshot and dirty every 10th page (the
-         typical warm-replay write footprint): with copy-on-write
+         typical region-replay write footprint): with copy-on-write
          snapshots the restore costs O(pages written), not O(image) *)
       Test.make ~name:"snapshot-restore-touch10"
         (Staged.stage (fun () ->

@@ -477,8 +477,10 @@ let simpoints_cmd =
             ignore
               (Sp_pinball.Store.save ~dir
                  profile.Pipeline.sweep_whole.Sp_pinball.Logger.pinball);
-            Sp_pinball.Logger.scan_regions profile.Pipeline.sweep_whole
-              sel.Sp_simpoint.Sampler.points (fun pb ->
+            Sp_pinball.Logger.walk ~warmup_insns:0
+              profile.Pipeline.sweep_whole sel.Sp_simpoint.Sampler.points
+              (fun _ c ->
+                let pb = Sp_pinball.Logger.region c in
                 ignore (Sp_pinball.Store.save ~dir pb);
                 incr saved);
             if not json then

@@ -13,7 +13,8 @@ type t = {
   set_shift : int;
   assoc : int;
   tags : int array;  (* sets * assoc; recency/insertion-ordered, slot 0 = MRU *)
-  rng : Sp_util.Rng.t;
+  seed : int;  (* seeds [rng] at creation and on every reset *)
+  mutable rng : Sp_util.Rng.t;
   mutable accesses : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -48,6 +49,7 @@ let validate (cfg : Config.level) =
 let create ?(policy = Lru) ?(seed = 0x5CA1AB1E) cfg =
   validate cfg;
   let sets = Config.num_sets cfg in
+  let seed = seed lxor Sp_util.Rng.hash_string cfg.Config.name in
   {
     cfg;
     pol = policy;
@@ -56,7 +58,8 @@ let create ?(policy = Lru) ?(seed = 0x5CA1AB1E) cfg =
     set_shift = log2 sets;
     assoc = cfg.Config.assoc;
     tags = Array.make (sets * cfg.Config.assoc) (-1);
-    rng = Sp_util.Rng.create (seed lxor Sp_util.Rng.hash_string cfg.Config.name);
+    seed;
+    rng = Sp_util.Rng.create seed;
     accesses = 0;
     misses = 0;
     writebacks = 0;
@@ -170,6 +173,7 @@ let reset_stats t =
 
 let reset_state t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
+  t.rng <- Sp_util.Rng.create t.seed;
   reset_stats t
 
 let resident_lines t =

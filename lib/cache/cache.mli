@@ -59,7 +59,9 @@ val reset_stats : t -> unit
 (** Zero the counters; resident lines are kept. *)
 
 val reset_state : t -> unit
-(** Invalidate every line and zero the counters (a cold cache). *)
+(** Invalidate every line, zero the counters and re-seed the [Random]
+    replacement stream: the cache is then indistinguishable from a
+    freshly created one. *)
 
 val resident_lines : t -> int
 (** Number of currently valid lines. *)

@@ -1258,32 +1258,20 @@ let cpistack results =
     results;
   t
 
-(* a warm scan over an arbitrary timing model (used by [models]) *)
-let warm_cpis_with options ~fresh ~hooks ~set_warming ~reset_state ~cpi whole
-    points =
-  let model = fresh () in
-  let model_hooks = hooks model in
+(* warmed CPIs of an arbitrary timing model (used by [models]): one
+   walk, where each point's fresh model warms over its window and
+   measures its region in place *)
+let warm_cpis_with options ~fresh ~hooks ~set_warming ~cpi whole points =
   let acc = ref [] in
-  let warmup =
-    {
-      Sp_pinball.Logger.length = options.Pipeline.warmup_insns;
-      hooks = model_hooks;
-      on_start =
-        (fun () ->
-          reset_state model;
-          set_warming model true);
-    }
-  in
-  Sp_pinball.Logger.scan_regions ~warmup whole points (fun pb ->
+  Sp_pinball.Logger.walk ~warmup_insns:options.Pipeline.warmup_insns whole
+    points (fun i c ->
+      let model = fresh () in
+      let h = hooks model in
+      set_warming model true;
+      Sp_pinball.Logger.warm c h;
       set_warming model false;
-      let r = Sp_pinball.Replayer.replay ~tools:[ model_hooks ] pb in
-      let weight =
-        match pb.Sp_pinball.Pinball.kind with
-        | Sp_pinball.Pinball.Region x -> x.weight
-        | Sp_pinball.Pinball.Whole -> 1.0
-      in
-      ignore r;
-      acc := (weight, cpi model) :: !acc);
+      ignore (Sp_pinball.Logger.measure c h);
+      acc := (points.(i).Sp_simpoint.Simpoints.weight, cpi model) :: !acc);
   List.rev !acc
 
 let models ?(options = Pipeline.default_options) ?specs () =
@@ -1335,7 +1323,6 @@ let models ?(options = Pipeline.default_options) ?specs () =
             Sp_cpu.Interval_core.create ~config:options.core_config prog)
           ~hooks:Sp_cpu.Interval_core.hooks
           ~set_warming:Sp_cpu.Interval_core.set_warming
-          ~reset_state:Sp_cpu.Interval_core.reset_state
           ~cpi:Sp_cpu.Interval_core.cpi profile.Pipeline.sweep_whole points
       in
       (* in-order *)
@@ -1350,7 +1337,6 @@ let models ?(options = Pipeline.default_options) ?specs () =
             Sp_cpu.Inorder_core.create ~config:options.core_config prog)
           ~hooks:Sp_cpu.Inorder_core.hooks
           ~set_warming:Sp_cpu.Inorder_core.set_warming
-          ~reset_state:Sp_cpu.Inorder_core.reset_state
           ~cpi:Sp_cpu.Inorder_core.cpi profile.Pipeline.sweep_whole points
       in
       let weighted pts =
@@ -1846,17 +1832,15 @@ let samplers ?(options = Pipeline.default_options) ?specs () =
                 prof.Pipeline.sweep_slices
             in
             let pts = sel.Sp_simpoint.Sampler.points in
-            let cold =
-              Runstats.of_points ~label:"cold"
-                (Pipeline.replay_points options prof.Pipeline.sweep_whole pts)
+            let cold, warm =
+              Pipeline.replay_cold_warm options
+                ~warmup_insns:options.Pipeline.warmup_insns
+                prof.Pipeline.sweep_whole pts
             in
-            let warm =
-              Runstats.of_points ~label:"warm"
-                (Pipeline.warm_replay_points options
-                   ~warmup_insns:options.Pipeline.warmup_insns
-                   prof.Pipeline.sweep_whole pts)
-            in
-            (prof, pts, cold, warm))
+            ( prof,
+              pts,
+              Runstats.of_points ~label:"cold" cold,
+              Runstats.of_points ~label:"warm" warm ))
           profiles
       in
       let npts =

@@ -175,134 +175,107 @@ let stage ~bench ~timings name f =
           timings := { stage = name; seconds = dt } :: !timings)
         f)
 
-(* Replay one regional pinball under fresh (cold) pintools and collect
-   its statistics — the paper's Regional-Run methodology, where every
-   pinball is an independent job. *)
+(* The fresh per-point tools every Regional replay measures with, cold
+   or warm: the ldst mix, allcache and the interval timing model. *)
+type tools = {
+  mixt : Ldstmix.t;
+  cache : Allcache_tool.t;
+  core : Sp_cpu.Interval_core.t;
+}
+
+let fresh_tools options prog =
+  {
+    mixt = Ldstmix.create prog;
+    cache =
+      Allcache_tool.create ~config:options.cache_config
+        ~prefetch:options.next_line_prefetch prog;
+    core = Sp_cpu.Interval_core.create ~config:options.core_config prog;
+  }
+
+(* the tools that warm: caches, TLBs and the timing model's state *)
+let warm_hooks t =
+  Sp_vm.Hooks.seq_all
+    [ Allcache_tool.hooks t.cache; Sp_cpu.Interval_core.hooks t.core ]
+
+let region_hooks t =
+  Sp_vm.Hooks.seq_all
+    [
+      Ldstmix.hooks t.mixt;
+      Allcache_tool.hooks t.cache;
+      Sp_cpu.Interval_core.hooks t.core;
+    ]
+
+let point_stats t ~cluster ~weight ~retired =
+  let cache_stats = Allcache_tool.stats t.cache in
+  Sp_cache.Hierarchy.observe_stats cache_stats;
+  {
+    Runstats.cluster;
+    weight;
+    insns = retired;
+    mix = Ldstmix.mix t.mixt;
+    cache = cache_stats;
+    cpi = Sp_cpu.Interval_core.cpi t.core;
+  }
+
+(* Replay one regional pinball under fresh (cold) pintools — the
+   paper's Regional-Run methodology, where every pinball is an
+   independent job. *)
 let replay_point options (pb : Pinball.t) =
-  let prog = pb.Pinball.program in
-  let mixt = Ldstmix.create prog in
-  let cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
-  let result =
-    Replayer.replay
-      ~tools:
-        [
-          Ldstmix.hooks mixt;
-          Allcache_tool.hooks cache;
-          Sp_cpu.Interval_core.hooks core;
-        ]
-      pb
-  in
+  let t = fresh_tools options pb.Pinball.program in
+  let result = Replayer.replay ~tools:[ region_hooks t ] pb in
   let cluster, weight =
     match pb.Pinball.kind with
     | Pinball.Region r -> (r.cluster, r.weight)
     | Pinball.Whole -> (-1, 1.0)
   in
-  let cache_stats = Allcache_tool.stats cache in
-  Sp_cache.Hierarchy.observe_stats cache_stats;
-  {
-    Runstats.cluster;
-    weight;
-    insns = result.Replayer.retired;
-    mix = Ldstmix.mix mixt;
-    cache = cache_stats;
-    cpi = Sp_cpu.Interval_core.cpi core;
-  }
+  point_stats t ~cluster ~weight ~retired:result.Replayer.retired
 
-let replay_points options (whole : Logger.whole) points =
-  if options.jobs <= 1 then begin
-    let acc = ref [] in
-    Logger.scan_regions whole points (fun pb ->
-        acc := replay_point options pb :: !acc);
-    List.rev !acc
-  end
-  else begin
-    (* Each cold replay builds fresh tool state and touches nothing
-       shared, so once the regions are captured (one sequential
-       uninstrumented fast-forward over the whole pinball) they fan out
-       across the domain pool.  Points are pre-sorted by start so both
-       the capture scan and the result list match the sequential path's
-       order exactly. *)
-    let sorted = Array.copy points in
-    Array.sort
-      (fun (a : Sp_simpoint.Simpoints.point) b ->
-        compare a.start_icount b.start_icount)
-      sorted;
-    let regions = Logger.capture_regions whole sorted in
-    Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_point options) regions
-    |> Array.to_list
-  end
-
-(* Replay one warm-prefixed regional pinball under fresh per-point
-   tools: the prefix runs with the cache and timing tools warming
-   (state trains, statistics stay zero), the flag flips at the
-   prefix/region boundary, and the region runs measured with a fresh
-   per-point ldst-mix attached.  Fresh tools are exactly equivalent to
-   the shared scan's [reset_state] at each window start — construction
-   and reset produce identical state under the pipeline's replacement
-   policies (LRU/FIFO; [Random] keeps a replacement RNG that a reset
-   does not re-seed) — so per-point statistics are bit-identical to
-   the shared-scan reference the equivalence suite keeps, while every
-   point becomes an independent job for the domain pool. *)
-let replay_warm_point options (wr : Logger.warm_region) =
-  Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
-  let pb = wr.Logger.warm_pinball in
-  let prog = pb.Pinball.program in
-  let mixt = Ldstmix.create prog in
-  let cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
-  let warm_hooks =
-    [ Allcache_tool.hooks cache; Sp_cpu.Interval_core.hooks core ]
-  in
-  Allcache_tool.set_warming cache true;
-  Sp_cpu.Interval_core.set_warming core true;
-  let result =
-    Replayer.replay_prefixed ~prefix_tools:warm_hooks
-      ~tools:(Ldstmix.hooks mixt :: warm_hooks)
-      ~prefix:wr.Logger.warm_prefix
-      ~on_region:(fun () ->
-        Allcache_tool.set_warming cache false;
-        Sp_cpu.Interval_core.set_warming core false)
-      pb
-  in
-  let cluster, weight =
-    match pb.Pinball.kind with
-    | Pinball.Region r -> (r.cluster, r.weight)
-    | Pinball.Whole -> (-1, 1.0)
-  in
-  let cache_stats = Allcache_tool.stats cache in
-  Sp_cache.Hierarchy.observe_stats cache_stats;
-  Sp_obs.Metrics.incr M.warm_points;
-  {
-    Runstats.cluster;
-    weight;
-    insns = result.Replayer.retired;
-    mix = Ldstmix.mix mixt;
-    cache = cache_stats;
-    cpi = Sp_cpu.Interval_core.cpi core;
-  }
-
-let warm_replay_points options ~warmup_insns (whole : Logger.whole) points =
-  (* pre-sort by start so the capture scan and the result list match
-     the sequential shared-scan reference's order exactly *)
-  let sorted = Array.copy points in
-  Array.sort
-    (fun (a : Sp_simpoint.Simpoints.point) b ->
-      compare a.start_icount b.start_icount)
-    sorted;
-  let regions =
-    Sp_obs.Tracer.with_span ~cat:"warm" "warm-capture" (fun () ->
-        Logger.capture_warm_regions ~warmup_insns whole sorted)
-  in
-  Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_warm_point options)
-    regions
+(* Cold replays share no state, so they fan out across the domain pool;
+   results come back in region order. *)
+let replay_regions options regions =
+  Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_point options) regions
   |> Array.to_list
+
+(* The Warmup Regional Run as one forward walk of the whole pinball
+   ({!Logger.walk}): at each point, fresh cache and timing tools warm in
+   place over its clamped window, the region runs measured on the live
+   machine, and with [~cold] the region start is snapshotted for the
+   cold replays.  Fresh tools at each window start are exactly the
+   shared-tool reference's [reset_state] (DESIGN §5i).  Returns the
+   region pinballs and the warm statistics, both in start order. *)
+let walk options ~warmup_insns ~cold (whole : Logger.whole) points =
+  let prog = whole.Logger.pinball.Pinball.program in
+  let regions = ref [] and warm = ref [] in
+  Logger.walk ~warmup_insns whole points (fun i c ->
+      Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
+      let p = points.(i) in
+      let t = fresh_tools options prog in
+      Allcache_tool.set_warming t.cache true;
+      Sp_cpu.Interval_core.set_warming t.core true;
+      Logger.warm c (warm_hooks t);
+      if cold then regions := Logger.region c :: !regions;
+      Allcache_tool.set_warming t.cache false;
+      Sp_cpu.Interval_core.set_warming t.core false;
+      let retired = Logger.measure c (region_hooks t) in
+      Sp_obs.Metrics.incr M.warm_points;
+      warm :=
+        point_stats t ~cluster:p.Sp_simpoint.Simpoints.cluster
+          ~weight:p.Sp_simpoint.Simpoints.weight ~retired
+        :: !warm);
+  (Array.of_list (List.rev !regions), List.rev !warm)
+
+let replay_points options whole points =
+  let regions = ref [] in
+  Logger.walk ~warmup_insns:0 whole points (fun _ c ->
+      regions := Logger.region c :: !regions);
+  replay_regions options (Array.of_list (List.rev !regions))
+
+let warm_replay_points options ~warmup_insns whole points =
+  snd (walk options ~warmup_insns ~cold:false whole points)
+
+let replay_cold_warm options ~warmup_insns whole points =
+  let regions, warm = walk options ~warmup_insns ~cold:true whole points in
+  (replay_regions options regions, warm)
 
 (* The pinball-cache skeleton: produce the whole pinball by logging
    ([log]), unless a cache directory is configured and holds a valid
@@ -486,6 +459,12 @@ let log_and_profile ~options ~slice_insns ~(spec : Benchspec.t) prog =
   Sp_cache.Hierarchy.observe_stats data.prof_cache_stats;
   (whole, data)
 
+(* the order [run_report.stages] lists the stages in: warm replay runs
+   before cold replay, since its walk snapshots the regions cold replay
+   fans out over *)
+let stage_order =
+  [ "build"; "log+profile"; "select"; "variance"; "cold-replay"; "warm-replay" ]
+
 let run_benchmark ?(options = default_options) spec =
   let options = normalize options in
   let bench = spec.Benchspec.name in
@@ -545,16 +524,17 @@ let run_benchmark ?(options = default_options) spec =
   in
   progressf options "[%s] %d simulation points; replaying regions...\n" bench
     (Array.length sel.Sp_simpoint.Sampler.points);
-  (* cold regional replays (Regional / Reduced Regional) *)
+  (* one walk replays the warmed points (Section IV-D's mitigation) and
+     snapshots every region start; the cold Regional / Reduced Regional
+     replays then fan out over those snapshots *)
+  let regions, warm =
+    stage ~bench ~timings "warm-replay" (fun () ->
+        walk options ~warmup_insns:options.warmup_insns ~cold:true whole
+          sel.Sp_simpoint.Sampler.points)
+  in
   let cold =
     stage ~bench ~timings "cold-replay" (fun () ->
-        replay_points options whole sel.Sp_simpoint.Sampler.points)
-  in
-  (* warmed regional replays: Section IV-D's mitigation *)
-  let warm =
-    stage ~bench ~timings "warm-replay" (fun () ->
-        warm_replay_points options ~warmup_insns:options.warmup_insns whole
-          sel.Sp_simpoint.Sampler.points)
+        replay_regions options regions)
   in
   let wall = Unix.gettimeofday () -. t0 in
   progressf options "[%s] done in %.1fs\n" bench wall;
@@ -584,7 +564,10 @@ let run_benchmark ?(options = default_options) spec =
         jobs_used = options.jobs;
         warmup_insns_used = options.warmup_insns;
         sampler_used = Sp_simpoint.Sampler.name options.sampler;
-        stages = List.rev !timings;
+        stages =
+          List.filter_map
+            (fun name -> List.find_opt (fun t -> t.stage = name) !timings)
+            stage_order;
       };
   }
 

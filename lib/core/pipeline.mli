@@ -3,9 +3,10 @@
     compile (build the synthetic benchmark) -> log a Whole Pinball while
     profiling (BBVs, instruction mix, [allcache], the Sniper-model
     timing and the native-hardware counters all piggyback on the single
-    logging pass) -> select simulation points -> capture Regional
-    Pinballs -> replay them cold (Regional / Reduced Regional) and with
-    cache warming (Warmup Regional).
+    logging pass) -> select simulation points -> one forward walk that
+    replays them with cache warming (Warmup Regional) and captures
+    Regional Pinballs -> replay those cold (Regional / Reduced
+    Regional).
 
     [run_benchmark] does all of the above for one workload and returns
     every statistic the evaluation section consumes; [run_suite] maps it
@@ -93,9 +94,11 @@ type selection_summary = {
 type stage_timing = { stage : string; seconds : float }
 
 (** Machine-readable account of where a benchmark's wall time went:
-    one entry per pipeline stage (build, log+profile, select, variance,
-    cold-replay, warm-replay), in execution order.  Collected
-    unconditionally — it does not require tracing to be enabled. *)
+    one entry per pipeline stage, always in this order: build,
+    log+profile, select, variance, cold-replay, warm-replay.  (Warm
+    replay executes first: its walk snapshots the regions cold replay
+    fans out over.)  Collected unconditionally — it does not require
+    tracing to be enabled. *)
 type run_report = {
   jobs_used : int;  (** the effective [options.jobs] for this run *)
   warmup_insns_used : int;
@@ -187,17 +190,26 @@ val profile_for_sweep :
 val replay_points :
   options -> Sp_pinball.Logger.whole -> Sp_simpoint.Simpoints.point array ->
   Runstats.point_stats list
-(** Cold Regional replays of the given points (fresh tools each). *)
+(** Cold Regional replays of the given points, in start order: one
+    {!Sp_pinball.Logger.walk} snapshots every region start, then each
+    region replays under fresh tools, fanned out across the domain pool
+    ([options.jobs]). *)
 
 val warm_replay_points :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
   Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
-(** Warmup Regional replays with the given warmup window.  Each point
-    is carved as a self-contained warm-prefixed regional pinball
-    ({!Sp_pinball.Logger.capture_warm_regions}) and replayed with fresh
-    per-point tool state ({!Sp_pinball.Replayer.replay_prefixed}), so
-    the replays fan out across the domain pool ([options.jobs]);
-    results are bit-identical at every job count to the sequential
-    shared scan this replaced (one forward pass, shared warm tools
-    reset at each window start), which the equivalence suite keeps as
-    its reference. *)
+(** Warmup Regional replays with the given warmup window, in start
+    order, from one forward {!Sp_pinball.Logger.walk}: at each point,
+    fresh cache and timing tools warm in place over its clamped window
+    and the region runs measured on the live machine.  Sequential
+    within the benchmark; bit-identical to the shared-scan reference
+    (one set of warm tools reset at each window start) that the
+    equivalence suite keeps. *)
+
+val replay_cold_warm :
+  options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
+  Sp_simpoint.Simpoints.point array ->
+  Runstats.point_stats list * Runstats.point_stats list
+(** [(replay_points, warm_replay_points)] of the same points from a
+    single walk, as {!run_benchmark} computes them: the warm walk
+    snapshots the region starts the cold replays fan out over. *)

@@ -34,9 +34,53 @@ let log_whole ?(syscall = Interp.default_syscall) ?(extra_tools = [])
   in
   { pinball; total_insns = machine.Interp.icount }
 
-let capture_regions (w : whole) points =
+
+type cursor = {
+  pb : Pinball.t;
+  machine : Interp.machine;
+  syscall : int -> int;
+  point : Sp_simpoint.Simpoints.point;
+  prefix : int;
+}
+
+(* advance the live machine to instruction [target]; a no-op at or past it *)
+let run_to ?hooks c target =
+  let fuel = target - c.machine.Interp.icount in
+  if fuel > 0 then
+    ignore
+      (Interp.run ?hooks ~syscall:c.syscall ~fuel c.pb.Pinball.program
+         c.machine)
+
+(* the machine as it stands, as the point's Regional Pinball of [len]
+   instructions *)
+let carve c len =
+  let start = c.machine.Interp.icount in
+  {
+    Pinball.benchmark = c.pb.Pinball.benchmark;
+    kind =
+      Pinball.Region { cluster = c.point.cluster; weight = c.point.weight };
+    program = c.pb.Pinball.program;
+    snapshot = Snapshot.capture c.machine;
+    length = Some len;
+    syscalls = Pinball.syscalls_in_range c.pb ~start ~len;
+  }
+
+let warm c hooks = run_to ~hooks c c.point.start_icount
+
+let region c =
+  run_to c c.point.start_icount;
+  carve c c.point.length
+
+let measure c hooks =
+  let start = c.point.start_icount in
+  run_to c start;
+  run_to ~hooks c (start + c.point.length);
+  c.machine.Interp.icount - start
+
+let walk ~warmup_insns (w : whole) points f =
+  if warmup_insns < 0 then invalid_arg "Logger.walk: negative warmup";
   let pb = w.pinball in
-  let order = Array.init (Array.length points) (fun i -> i) in
+  let order = Array.init (Array.length points) Fun.id in
   Array.sort
     (fun a b ->
       compare points.(a).Sp_simpoint.Simpoints.start_icount
@@ -44,99 +88,38 @@ let capture_regions (w : whole) points =
     order;
   let machine = Snapshot.restore pb.Pinball.snapshot in
   let syscall = Replayer.recorded_syscall pb in
-  let out = Array.make (Array.length points) None in
+  (* end of the previous region: the warm window is clamped against it
+     (0 initially, so a window reaching before program start clamps to
+     it), and the machine never stands past it between visits *)
+  let prev_end = ref 0 in
   Array.iter
-    (fun idx ->
-      let p = points.(idx) in
-      let start = p.Sp_simpoint.Simpoints.start_icount in
-      if start > w.total_insns then
-        invalid_arg "Logger.capture_regions: point beyond execution";
-      let gap = start - machine.Interp.icount in
-      if gap < 0 then
-        invalid_arg "Logger.capture_regions: overlapping points";
-      if gap > 0 then
-        ignore (Interp.run ~syscall ~fuel:gap pb.Pinball.program machine);
-      let snapshot = Snapshot.capture machine in
-      let region =
-        {
-          Pinball.benchmark = pb.Pinball.benchmark;
-          kind =
-            Pinball.Region
-              {
-                cluster = p.Sp_simpoint.Simpoints.cluster;
-                weight = p.Sp_simpoint.Simpoints.weight;
-              };
-          program = pb.Pinball.program;
-          snapshot;
-          length = Some p.Sp_simpoint.Simpoints.length;
-          syscalls =
-            Pinball.syscalls_in_range pb ~start
-              ~len:p.Sp_simpoint.Simpoints.length;
-        }
-      in
-      out.(idx) <- Some region)
-    order;
-  Array.map
-    (function Some r -> r | None -> assert false)
-    out
+    (fun i ->
+      let point = points.(i) in
+      let start = point.Sp_simpoint.Simpoints.start_icount in
+      if start + point.length > w.total_insns then
+        invalid_arg "Logger.walk: point beyond execution";
+      if start < !prev_end then invalid_arg "Logger.walk: overlapping points";
+      let prefix = min warmup_insns (start - !prev_end) in
+      let c = { pb; machine; syscall; point; prefix } in
+      run_to c (start - prefix);
+      f i c;
+      prev_end := start + point.length)
+    order
+
+(* one walk, one value per point, returned in the order given *)
+let collect ~warmup_insns w points visit =
+  let out = Array.make (Array.length points) None in
+  walk ~warmup_insns w points (fun i c -> out.(i) <- Some (visit c));
+  Array.map Option.get out
+
+let capture_regions w points = collect ~warmup_insns:0 w points region
 
 type warm_region = { warm_prefix : int; warm_pinball : Pinball.t }
 
-let capture_warm_regions ~warmup_insns (w : whole) points =
-  if warmup_insns < 0 then
-    invalid_arg "Logger.capture_warm_regions: negative warmup";
-  let pb = w.pinball in
-  let order = Array.init (Array.length points) (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      compare points.(a).Sp_simpoint.Simpoints.start_icount
-        points.(b).Sp_simpoint.Simpoints.start_icount)
-    order;
-  let machine = Snapshot.restore pb.Pinball.snapshot in
-  let syscall = Replayer.recorded_syscall pb in
-  let out = Array.make (Array.length points) None in
-  (* end of the previous region: the warmup prefix is clamped against
-     it, exactly as [scan_regions ~warmup] clamps its warm window to the
-     gap left after advancing over the previous region (0 initially, so
-     a prefix that would fall before program start clamps to it) *)
-  let prev_end = ref 0 in
-  Array.iter
-    (fun idx ->
-      let p = points.(idx) in
-      let start = p.Sp_simpoint.Simpoints.start_icount in
-      if start > w.total_insns then
-        invalid_arg "Logger.capture_warm_regions: point beyond execution";
-      let gap = start - !prev_end in
-      if gap < 0 then
-        invalid_arg "Logger.capture_warm_regions: overlapping points";
-      let wlen = min warmup_insns gap in
-      let ff = start - wlen - machine.Interp.icount in
-      (* ff >= 0: wlen <= gap puts this snapshot point at or after the
-         previous region's end, which is at or after the previous
-         snapshot point *)
-      if ff > 0 then
-        ignore (Interp.run ~syscall ~fuel:ff pb.Pinball.program machine);
-      let length = wlen + p.Sp_simpoint.Simpoints.length in
-      let region =
-        {
-          Pinball.benchmark = pb.Pinball.benchmark;
-          kind =
-            Pinball.Region
-              {
-                cluster = p.Sp_simpoint.Simpoints.cluster;
-                weight = p.Sp_simpoint.Simpoints.weight;
-              };
-          program = pb.Pinball.program;
-          snapshot = Snapshot.capture machine;
-          length = Some length;
-          syscalls =
-            Pinball.syscalls_in_range pb ~start:(start - wlen) ~len:length;
-        }
-      in
-      out.(idx) <- Some { warm_prefix = wlen; warm_pinball = region };
-      prev_end := start + p.Sp_simpoint.Simpoints.length)
-    order;
-  Array.map (function Some r -> r | None -> assert false) out
+let capture_warm_regions ~warmup_insns w points =
+  collect ~warmup_insns w points (fun c ->
+      let warm_pinball = carve c (c.prefix + c.point.length) in
+      { warm_prefix = c.prefix; warm_pinball })
 
 type warmup = {
   length : int;
@@ -144,54 +127,11 @@ type warmup = {
   on_start : unit -> unit;
 }
 
-let scan_regions ?warmup (w : whole) points f =
-  let pb = w.pinball in
-  let sorted = Array.copy points in
-  Array.sort
-    (fun a b ->
-      compare a.Sp_simpoint.Simpoints.start_icount
-        b.Sp_simpoint.Simpoints.start_icount)
-    sorted;
-  let machine = Snapshot.restore pb.Pinball.snapshot in
-  let syscall = Replayer.recorded_syscall pb in
-  let last = Array.length sorted - 1 in
-  Array.iteri
-    (fun i (p : Sp_simpoint.Simpoints.point) ->
-      let start = p.start_icount in
-      if start > w.total_insns then
-        invalid_arg "Logger.scan_regions: point beyond execution";
-      let gap = start - machine.Interp.icount in
-      if gap < 0 then invalid_arg "Logger.scan_regions: overlapping points";
-      (match warmup with
-      | Some wu when wu.length > 0 ->
-          let wlen = min wu.length gap in
-          let ff = gap - wlen in
-          if ff > 0 then
-            ignore (Interp.run ~syscall ~fuel:ff pb.Pinball.program machine);
+let scan_regions ?warmup w points f =
+  match warmup with
+  | Some wu when wu.length > 0 ->
+      walk ~warmup_insns:wu.length w points (fun _ c ->
           wu.on_start ();
-          if wlen > 0 then
-            ignore
-              (Interp.run ~hooks:wu.hooks ~syscall ~fuel:wlen
-                 pb.Pinball.program machine)
-      | Some _ | None ->
-          if gap > 0 then
-            ignore (Interp.run ~syscall ~fuel:gap pb.Pinball.program machine));
-      let region =
-        {
-          Pinball.benchmark = pb.Pinball.benchmark;
-          kind = Pinball.Region { cluster = p.cluster; weight = p.weight };
-          program = pb.Pinball.program;
-          snapshot = Snapshot.capture machine;
-          length = Some p.length;
-          syscalls = Pinball.syscalls_in_range pb ~start ~len:p.length;
-        }
-      in
-      f region;
-      (* advance the forward pass over the region itself, positioning
-         for the next point; after the final region the advance would
-         be pure waste — and skipping it keeps the instructions this
-         scan retires identical to what [capture_regions] retires, so
-         execution metrics match across the two replay strategies *)
-      if i < last then
-        ignore (Interp.run ~syscall ~fuel:p.length pb.Pinball.program machine))
-    sorted
+          warm c wu.hooks;
+          f (region c))
+  | Some _ | None -> walk ~warmup_insns:0 w points (fun _ c -> f (region c))

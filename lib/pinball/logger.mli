@@ -17,19 +17,53 @@ val log_whole :
     during the same pass — logging is the slowest step of the paper's
     pipeline, so piggybacking avoids a second whole-program run. *)
 
+type cursor
+(** A {!walk}'s live machine, stopped inside one point's window. *)
+
+val walk :
+  warmup_insns:int ->
+  whole ->
+  Sp_simpoint.Simpoints.point array ->
+  (int -> cursor -> unit) ->
+  unit
+(** The one scanning loop every region consumer runs on: a single
+    forward replay of the whole pinball that visits the points in start
+    order.  [f i c] is called for [points.(i)] with the machine stopped,
+    after a hook-free fast-forward, at the point's warm-window start:
+    [warmup_insns] before the point, clamped to the gap since the
+    previous point's end (and so to program start).  Within the visit
+    [f] drives the machine forward with {!warm}, {!region} and
+    {!measure}, in that order, each optional; whatever it leaves unrun
+    is fast-forwarded before the next visit.  Nothing runs past the
+    last visit, so a walk retires the furthest position its visits
+    reach.
+    @raise Invalid_argument if [warmup_insns] is negative, a point
+    reaches beyond the execution, or points overlap. *)
+
+val warm : cursor -> Hooks.t -> unit
+(** Run the rest of the warm window, up to the point's start, with the
+    given hooks attached: the paper's Warmup Regional Run warms its
+    caches over exactly these instructions. *)
+
+val region : cursor -> Pinball.t
+(** Snapshot the machine at the point's start (fast-forwarding any
+    unrun warm window) as a self-contained Regional Pinball of the
+    point's length. *)
+
+val measure : cursor -> Hooks.t -> int
+(** Run the point's region on the live machine with the given hooks
+    attached and return the instructions it retired: the in-place
+    equivalent of replaying {!region}'s pinball. *)
+
 val capture_regions :
   whole -> Sp_simpoint.Simpoints.point array -> Pinball.t array
-(** Replay the whole pinball once, snapshotting the machine at the start
-    of each simulation point; returns one Regional Pinball per point, in
-    the order given.  Points must lie within the execution and be
-    non-overlapping (simulation points always are: they are distinct
-    slices). *)
+(** One Regional Pinball per point, in the order given: a {!walk} that
+    snapshots each point's start. *)
 
 type warm_region = {
   warm_prefix : int;
       (** warmup instructions at the front of [warm_pinball]: the
-          effective window, after clamping against the previous region's
-          end (and program start) *)
+          walk's clamped window *)
   warm_pinball : Pinball.t;
       (** self-contained [(warmup, region)] pinball of length
           [warm_prefix + point.length], snapshotted [warm_prefix]
@@ -42,16 +76,10 @@ val capture_warm_regions :
   whole ->
   Sp_simpoint.Simpoints.point array ->
   warm_region array
-(** Like {!capture_regions}, but each region is extended backwards by up
-    to [warmup_insns] instructions, making every warm point a
-    self-contained pinball replayable with fresh per-point tool state
-    ({!Replayer.replay_prefixed}).  The prefix is clamped exactly as the
-    {!scan_regions} warm window is: to the gap since the previous
-    point's end, and to program start — so prefix lengths (and therefore
-    warm statistics) match the shared-scan reference bit for bit.
-    Returns regions in the order given.
-    @raise Invalid_argument if [warmup_insns] is negative, a point lies
-    beyond the execution, or points overlap. *)
+(** Like {!capture_regions}, but each region is extended backwards over
+    its clamped warm window: a {!walk} that snapshots each window start
+    instead of each point's start.  Returns regions in the order given.
+    @raise Invalid_argument as {!walk} does. *)
 
 type warmup = {
   length : int;             (** instructions to warm before each point *)
@@ -66,13 +94,11 @@ val scan_regions :
   Sp_simpoint.Simpoints.point array ->
   (Pinball.t -> unit) ->
   unit
-(** Streaming variant of {!capture_regions}: one forward replay of the
-    whole pinball; at each simulation point the Regional Pinball is
-    materialised, handed to the callback and then dropped, so at most one
-    region snapshot is live at a time (regions can be tens of MB).
+(** Streaming variant of {!capture_regions}: at each point, in start
+    order, the Regional Pinball is handed to the callback and then
+    dropped, so at most one region snapshot is live at a time.
 
-    [warmup] reproduces the paper's Warmup Regional Run: the [length]
-    instructions *preceding* each point are executed with [hooks]
-    attached (clamped to the gap since the previous point), so a cache
-    tool can warm its state exactly as Sniper's 500M-cycle warmup does
-    before measurement starts. *)
+    [warmup] runs the [length] instructions preceding each point
+    (clamped as {!walk} clamps) with [hooks] attached, after
+    [on_start]: one set of tools warmed point after point, as the
+    shared-tool reference of the Warmup Regional Run does. *)

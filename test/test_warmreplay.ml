@@ -1,17 +1,23 @@
-(* Differential tests for the parallel warm-replay stage.
+(* Differential tests for the replay walk.
 
-   The pipeline replays warm points as self-contained warm-prefixed
-   regional pinballs with fresh per-point tool state
-   (Pipeline.warm_replay_points); the pre-parallel implementation — one
-   shared forward scan with shared warm tools reset at each window
-   start — is kept below as [warm_replay_points_scan].  Random halting
-   programs (counted Asm loops with randomised load/store/ALU/syscall
-   bodies) are run through both over warmup windows that exercise every
-   clamping edge: zero, tiny, larger than the first region's start
-   (clamped to program start), and windows straddling recorded-input
-   instructions.  Point statistics must match bit for bit, for any job
-   count, and the stable metrics fingerprint must be identical across
-   job counts. *)
+   The pipeline replays warm points in one forward walk of the whole
+   pinball (Logger.walk): each point's fresh tools warm in place over
+   its clamped window and measure its region on the live machine, and
+   the same walk snapshots the region starts the cold replays fan out
+   over.  The references are rebuilt here from public APIs:
+   - warm: the shared scan the pipeline once ran, one set of warm tools
+     reset at each window start ([warm_replay_points_scan]);
+   - cold: the two paths cold replay took before the walk, a streaming
+     scan ([cold_scan]) and a capture of every region followed by one
+     replay per region ([cold_capture]).
+   Random halting programs (counted Asm loops with randomised
+   load/store/ALU/syscall bodies) run through all of them over warmup
+   windows that exercise every clamping edge: zero, tiny, larger than
+   the first region's start (clamped to program start), and windows
+   straddling recorded-input instructions.  Point statistics must match
+   bit for bit at any job count, and so must the stable metrics
+   fingerprint; on a warm profile cache a whole benchmark retires
+   exactly the walk plus the cold replays. *)
 
 open Specrepro
 open Sp_pin
@@ -98,10 +104,9 @@ let points_of_spec total spec =
 let options = { Pipeline.default_options with progress = false }
 
 (* ------------------------------------------------------------------ *)
-(* The reference: warm replay as the pipeline ran it before it went
-   parallel — one shared forward scan with shared warm tools, reset at
-   each window start (metric observation inside the loop so per-point
-   cache metrics match the parallel path's).  Public APIs only. *)
+(* The warm reference: one shared forward scan with shared warm tools,
+   reset at each window start (metric observation inside the loop so
+   per-point cache metrics match the walk's).  Public APIs only. *)
 
 let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
     (whole : Logger.whole) points =
@@ -158,47 +163,123 @@ let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
         :: !acc);
   List.rev !acc
 
+(* The cold references: one Regional replay under fresh tools, and the
+   two ways the pipeline fed it regions before the walk, in start order:
+   streaming ([Logger.scan_regions], at most one region live) and
+   capture-then-replay ([Logger.capture_regions]). *)
+let cold_replay (options : Pipeline.options) (pb : Pinball.t) =
+  let prog = pb.Pinball.program in
+  let mixt = Ldstmix.create prog in
+  let cache =
+    Allcache_tool.create ~config:options.cache_config
+      ~prefetch:options.next_line_prefetch prog
+  in
+  let core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
+  let result =
+    Replayer.replay
+      ~tools:
+        [
+          Ldstmix.hooks mixt;
+          Allcache_tool.hooks cache;
+          Sp_cpu.Interval_core.hooks core;
+        ]
+      pb
+  in
+  let cluster, weight =
+    match pb.Pinball.kind with
+    | Pinball.Region r -> (r.cluster, r.weight)
+    | Pinball.Whole -> (-1, 1.0)
+  in
+  {
+    Runstats.cluster;
+    weight;
+    insns = result.Replayer.retired;
+    mix = Ldstmix.mix mixt;
+    cache = Allcache_tool.stats cache;
+    cpi = Sp_cpu.Interval_core.cpi core;
+  }
+
+let cold_scan options whole points =
+  let acc = ref [] in
+  Logger.scan_regions whole points (fun pb ->
+      acc := cold_replay options pb :: !acc);
+  List.rev !acc
+
+let cold_capture options whole points =
+  let sorted = Array.copy points in
+  Array.sort
+    (fun (a : Sp_simpoint.Simpoints.point) b ->
+      compare a.start_icount b.start_icount)
+    sorted;
+  Array.to_list
+    (Array.map (cold_replay options) (Logger.capture_regions whole sorted))
+
 (* warmup windows covering every clamping edge: none, tiny, and one
    far larger than any region start (clamped against program start and
    the previous region's end); bodies emit Sys instructions, so the
    nonzero windows routinely straddle recorded inputs *)
 let warmups = [ 0; 7; 10_000 ]
 
+let random_case (iters, ops, spec) =
+  let prog = build_program ~iters ops in
+  let whole = Logger.log_whole ~benchmark:"warm-diff" prog in
+  (whole, Array.of_list (points_of_spec whole.Logger.total_insns spec))
+
 (* ------------------------------------------------------------------ *)
-(* parallel pinball path ≡ shared-scan reference, and jobs-invariant *)
+(* warm: walk ≡ shared-scan reference, and jobs-invariant *)
 
 let prop_parallel_matches_scan =
   QCheck.Test.make ~name:"warm replay: parallel = scan reference, any jobs"
-    ~count:60 (QCheck.make case_gen) (fun (iters, ops, spec) ->
-      let prog = build_program ~iters ops in
-      let whole = Logger.log_whole ~benchmark:"warm-diff" prog in
-      let points =
-        Array.of_list (points_of_spec whole.Logger.total_insns spec)
-      in
+    ~count:60 (QCheck.make case_gen) (fun case ->
+      let whole, points = random_case case in
       List.for_all
         (fun wu ->
           let scan =
-            warm_replay_points_scan options ~warmup_insns:wu whole
-              points
+            warm_replay_points_scan options ~warmup_insns:wu whole points
           in
-          let par1 =
-            Pipeline.warm_replay_points
-              { options with jobs = 1 }
-              ~warmup_insns:wu whole points
-          in
-          let par3 =
-            Pipeline.warm_replay_points
-              { options with jobs = 3 }
+          let walk jobs =
+            Pipeline.warm_replay_points { options with jobs }
               ~warmup_insns:wu whole points
           in
           (* structural compare: bit-equal floats (and NaN-safe) *)
-          Stdlib.compare scan par1 = 0 && Stdlib.compare par1 par3 = 0)
+          Stdlib.compare scan (walk 1) = 0 && Stdlib.compare scan (walk 3) = 0)
         warmups)
 
 (* ------------------------------------------------------------------ *)
+(* cold: walk-captured regions ≡ both pre-walk paths, any jobs, and the
+   one walk's warm half ≡ the warm-only walk *)
+
+let prop_cold_walk_matches_references =
+  QCheck.Test.make
+    ~name:"cold replay: walk regions = scan and capture references"
+    ~count:40 (QCheck.make case_gen) (fun case ->
+      let whole, points = random_case case in
+      let scan = cold_scan options whole points in
+      Stdlib.compare scan (cold_capture options whole points) = 0
+      && List.for_all
+           (fun jobs ->
+             let options = { options with jobs } in
+             Stdlib.compare scan (Pipeline.replay_points options whole points)
+             = 0
+             && List.for_all
+                  (fun wu ->
+                    let cold, warm =
+                      Pipeline.replay_cold_warm options ~warmup_insns:wu whole
+                        points
+                    in
+                    Stdlib.compare scan cold = 0
+                    && Stdlib.compare warm
+                         (Pipeline.warm_replay_points options ~warmup_insns:wu
+                            whole points)
+                       = 0)
+                  warmups)
+           [ 1; 3 ])
+
+(* ------------------------------------------------------------------ *)
 (* tool-level equivalence, including the TLB statistics that point
-   stats do not surface: capture_warm_regions + replay_prefixed with
-   per-point fresh tools vs scan_regions with shared reset tools *)
+   stats do not surface, under every replacement policy: fresh
+   per-point tools (in place on the walk, and over the carved warm
+   windows) vs one set of shared tools reset at each window start *)
 
 let fixture_ops =
   [
@@ -223,56 +304,122 @@ let fixture_points specs =
          })
        specs)
 
+(* 1-4 KiB levels: the churn program below overflows the L1D within one
+   window, so [Random] replacement draws victims from its stream *)
+let tiny_hierarchy =
+  let level name size_kb assoc =
+    Sp_cache.Config.level ~name ~size_kb ~assoc ~line_bytes:32
+  in
+  {
+    Sp_cache.Config.l1i = level "L1I" 1 2;
+    l1d = level "L1D" 1 2;
+    l2 = level "L2" 2 2;
+    l3 = level "L3" 4 4;
+  }
+
+(* a 1.5 KiB working set, half again [tiny_hierarchy]'s L1D, revisited
+   every ~26 iterations: each window evicts lines it reuses later, so
+   the replacement policy's decisions shape the statistics *)
+let churn_program () =
+  let a = Sp_vm.Asm.create ~name:"warm-churn" () in
+  Sp_vm.Asm.li a 1 0;
+  Sp_vm.Asm.loop_down a ~counter:5 ~from:200 (fun () ->
+      Sp_vm.Asm.store a 2 1 0;
+      Sp_vm.Asm.load a 3 1 512;
+      Sp_vm.Asm.alui a Sp_isa.Isa.Add 1 1 40;
+      Sp_vm.Asm.alui a Sp_isa.Isa.And 1 1 0x3FF;
+      Sp_vm.Asm.sys a 1 6;
+      Sp_vm.Asm.alu a Sp_isa.Isa.Xor 4 4 6);
+  Sp_vm.Asm.halt a;
+  Sp_vm.Asm.assemble a
+
+(* a carved (warmup, region) pinball replayed in two legs over one
+   machine and one recorded-input cursor, warming then measuring *)
+let replay_window (wr : Logger.warm_region) ~set_warming hooks =
+  let pb = wr.Logger.warm_pinball in
+  let m = Sp_vm.Snapshot.restore pb.Pinball.snapshot in
+  let syscall = Replayer.recorded_syscall pb in
+  let run fuel =
+    if fuel > 0 then
+      ignore (Sp_vm.Interp.run ~hooks ~syscall ~fuel pb.Pinball.program m)
+  in
+  set_warming true;
+  run wr.Logger.warm_prefix;
+  set_warming false;
+  run (Option.get pb.Pinball.length - wr.Logger.warm_prefix)
+
 let test_tool_level_equivalence () =
-  let prog = build_program ~iters:200 fixture_ops in
-  let whole = Logger.log_whole ~benchmark:"warm-tlb" prog in
   let points = fixture_points [ (100, 80); (400, 120); (520, 60) ] in
   let wu = 150 in
-  (* shared-scan reference *)
-  let shared = Allcache_tool.create prog in
-  let scan_stats = ref [] in
-  let warmup =
-    {
-      Logger.length = wu;
-      hooks = Sp_vm.Hooks.seq_all [ Allcache_tool.hooks shared ];
-      on_start =
-        (fun () ->
-          Allcache_tool.reset_state shared;
-          Allcache_tool.set_warming shared true);
-    }
+  let stats t =
+    ( Allcache_tool.stats t,
+      Allcache_tool.itlb_stats t,
+      Allcache_tool.dtlb_stats t )
   in
-  Logger.scan_regions ~warmup whole points (fun pb ->
-      Allcache_tool.set_warming shared false;
-      ignore (Replayer.replay ~tools:[ Allcache_tool.hooks shared ] pb);
-      scan_stats :=
-        ( Allcache_tool.stats shared,
-          Allcache_tool.itlb_stats shared,
-          Allcache_tool.dtlb_stats shared )
-        :: !scan_stats);
-  let scan_stats = List.rev !scan_stats in
-  (* fresh per-point tools over the warm-prefixed pinballs *)
-  let regions = Logger.capture_warm_regions ~warmup_insns:wu whole points in
-  let fresh_stats =
-    Array.to_list
-      (Array.map
-         (fun (wr : Logger.warm_region) ->
-           let t = Allcache_tool.create prog in
-           let hooks = [ Allcache_tool.hooks t ] in
-           Allcache_tool.set_warming t true;
-           ignore
-             (Replayer.replay_prefixed ~prefix_tools:hooks ~tools:hooks
-                ~prefix:wr.Logger.warm_prefix
-                ~on_region:(fun () -> Allcache_tool.set_warming t false)
-                wr.Logger.warm_pinball);
-           ( Allcache_tool.stats t,
-             Allcache_tool.itlb_stats t,
-             Allcache_tool.dtlb_stats t ))
-         regions)
+  let programs =
+    [
+      ("stream", build_program ~iters:200 fixture_ops);
+      ("churn", churn_program ());
+    ]
   in
-  Alcotest.(check int) "one result per point" (Array.length points)
-    (List.length fresh_stats);
-  Alcotest.(check bool) "hierarchy + TLB stats bit-identical" true
-    (Stdlib.compare scan_stats fresh_stats = 0)
+  List.iter
+    (fun ((name, policy), (pname, prog)) ->
+      let name = pname ^ "/" ^ name in
+      let whole = Logger.log_whole ~benchmark:"warm-tlb" prog in
+      let create () =
+        Allcache_tool.create ~config:tiny_hierarchy ~policy prog
+      in
+      (* shared-scan reference *)
+      let shared = create () in
+      let scan_stats = ref [] in
+      let warmup =
+        {
+          Logger.length = wu;
+          hooks = Allcache_tool.hooks shared;
+          on_start =
+            (fun () ->
+              Allcache_tool.reset_state shared;
+              Allcache_tool.set_warming shared true);
+        }
+      in
+      Logger.scan_regions ~warmup whole points (fun pb ->
+          Allcache_tool.set_warming shared false;
+          ignore (Replayer.replay ~tools:[ Allcache_tool.hooks shared ] pb);
+          scan_stats := stats shared :: !scan_stats);
+      (* fresh tools warmed and measured in place on the walk *)
+      let walk_stats = ref [] in
+      Logger.walk ~warmup_insns:wu whole points (fun _ c ->
+          let t = create () in
+          Allcache_tool.set_warming t true;
+          Logger.warm c (Allcache_tool.hooks t);
+          Allcache_tool.set_warming t false;
+          ignore (Logger.measure c (Allcache_tool.hooks t));
+          walk_stats := stats t :: !walk_stats);
+      (* fresh tools over the carved warm windows *)
+      let carved_stats =
+        Array.to_list
+          (Array.map
+             (fun wr ->
+               let t = create () in
+               replay_window wr ~set_warming:(Allcache_tool.set_warming t)
+                 (Allcache_tool.hooks t);
+               stats t)
+             (Logger.capture_warm_regions ~warmup_insns:wu whole points))
+      in
+      let scan_stats = List.rev !scan_stats in
+      Alcotest.(check int) (name ^ ": one result per point")
+        (Array.length points) (List.length carved_stats);
+      Alcotest.(check bool) (name ^ ": walk = shared scan") true
+        (Stdlib.compare scan_stats (List.rev !walk_stats) = 0);
+      Alcotest.(check bool) (name ^ ": carved windows = shared scan") true
+        (Stdlib.compare scan_stats carved_stats = 0))
+    (List.concat_map
+       (fun policy -> List.map (fun prog -> (policy, prog)) programs)
+       [
+         ("LRU", Sp_cache.Cache.Lru);
+         ("FIFO", Sp_cache.Cache.Fifo);
+         ("Random", Sp_cache.Cache.Random);
+       ])
 
 (* the warm prefix of the first point reaches before program start and
    must clamp to it; adjacent points leave no gap and must clamp to
@@ -322,13 +469,72 @@ let test_stable_metrics_jobs_invariant () =
   Alcotest.(check bool) "stable counters identical across jobs" true
     (seq = par)
 
+(* ------------------------------------------------------------------ *)
+(* instruction budget: on a warm profile cache no whole-program run
+   happens, so a benchmark retires exactly its walk (up to the last
+   region's end) plus one cold replay per region *)
+
+let test_walk_instruction_budget () =
+  let dir = Filename.temp_file "spwalk" "" in
+  Sys.remove dir;
+  let rm_dir () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:rm_dir @@ fun () ->
+  let spec = Sp_workloads.Suite.find "657.xz_s" in
+  let options jobs =
+    {
+      options with
+      slices_scale = 0.05;
+      collect_variance = false;
+      profile_cache = Some dir;
+      jobs;
+    }
+  in
+  ignore (Pipeline.run_benchmark ~options:(options 1) spec);
+  List.iter
+    (fun jobs ->
+      Sp_obs.Metrics.reset ();
+      let r = Pipeline.run_benchmark ~options:(options jobs) spec in
+      let retired =
+        Sp_obs.Metrics.counter_value
+          (Sp_obs.Metrics.stable_snapshot ())
+          "vm.instructions"
+      in
+      Sp_obs.Metrics.reset ();
+      let points = r.Pipeline.selection.Pipeline.points in
+      let walk =
+        Array.fold_left
+          (fun acc (p : Sp_simpoint.Simpoints.point) ->
+            max acc (p.start_icount + p.length))
+          0 points
+      in
+      let cold =
+        Array.fold_left
+          (fun acc (p : Sp_simpoint.Simpoints.point) -> acc + p.length)
+          0 points
+      in
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "jobs %d: walk + cold replays" jobs)
+        (Some (float_of_int (walk + cold)))
+        retired)
+    [ 1; 3 ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parallel_matches_scan;
+    QCheck_alcotest.to_alcotest prop_cold_walk_matches_references;
     Alcotest.test_case "tool-level equivalence (caches + TLBs)" `Quick
       test_tool_level_equivalence;
     Alcotest.test_case "capture prefix clamping" `Quick
       test_capture_prefix_clamping;
     Alcotest.test_case "stable metrics jobs-invariant" `Quick
       test_stable_metrics_jobs_invariant;
+    Alcotest.test_case "walk instruction budget" `Quick
+      test_walk_instruction_budget;
   ]

@@ -196,15 +196,14 @@ let micro ?(gates = []) ?gate_all () =
              ignore
                (Sp_vm.Interp.run ~engine:Sp_vm.Interp.Reference ~fuel:10_000
                   prog m)));
-      (* same replay on the compiled-block tier: straight-line closures,
-         no per-instruction decode (program compilation is cached, so
-         only the first run pays it) *)
+      (* same replay on the compiled-block tier, where [Auto] sends nil
+         hooks: straight-line closures, no per-instruction decode
+         (program compilation is cached, so only the first run pays
+         it) *)
       Test.make ~name:"interp-10k-compiled"
         (Staged.stage (fun () ->
              let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
-             ignore
-               (Sp_vm.Interp.run ~engine:Sp_vm.Interp.Compiled ~fuel:10_000
-                  prog m)));
+             ignore (Sp_vm.Interp.run ~fuel:10_000 prog m)));
       (* hook-dispatch cost in isolation: a seq_all of nil hook sets must
          collapse onto the interpreter's zero-dispatch fast path... *)
       Test.make ~name:"hook-dispatch-nil-10k"
@@ -260,7 +259,7 @@ let micro ?(gates = []) ?gate_all () =
               ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
       (* the block-level timing model alone: leader fetches, per-segment
          dispatch cycles and data references, branch outcomes, all on
-         the fused engine *)
+         the block stepper *)
       Test.make ~name:"interp-10k-insns+timing"
         (Staged.stage
            (let core =
@@ -273,7 +272,7 @@ let micro ?(gates = []) ?gate_all () =
               ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
       (* the tool set of a cold regional replay — ldst mix, allcache and
          the timing model, at the pipeline's configurations — as one
-         fused run *)
+         block-stepped run *)
       Test.make ~name:"interp-10k-region-tools"
         (Staged.stage
            (let o = Pipeline.default_options in

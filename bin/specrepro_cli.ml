@@ -668,6 +668,7 @@ let trace_cmd =
             ~slice_insns:options.Pipeline.slice_insns
             ~slices_scale:options.Pipeline.slices_scale spec
         in
+        let prog = built.Sp_workloads.Benchspec.program in
         let oc = open_out_bin out in
         let w = Sp_pin.Trace_io.Writer.create ~limit oc in
         Fun.protect
@@ -675,8 +676,8 @@ let trace_cmd =
           (fun () ->
             ignore
               (Sp_pin.Pin.run_fresh
-                 ~tools:[ Sp_pin.Trace_io.Writer.hooks w ]
-                 built.Sp_workloads.Benchspec.program));
+                 ~tools:[ Sp_pin.Trace_io.Writer.hooks w prog ]
+                 prog));
         Printf.printf "%s: wrote %d events to %s%s\n"
           spec.Sp_workloads.Benchspec.name
           (Sp_pin.Trace_io.Writer.events_written w)

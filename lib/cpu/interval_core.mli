@@ -32,10 +32,10 @@ val hooks : t -> Hooks.t
 (** The block-level hook set: the leader fetch on [on_block], each
     segment's dispatch cycles and data references on [on_block_mems],
     the predictor on [on_branch].  With no per-instruction callback
-    live it runs on the fused block-stepping engine, and it keeps the
-    engine there when seq'd with other block-level tools.  The core's
-    own L1I/L1D apply the fused [allcache] tool's exact same-line
-    repeat filters.  Statistics are bit-identical to
+    live it runs on the block stepper, and it keeps the engine there
+    when seq'd with other block-level tools.  The core's own L1I/L1D
+    apply the fused [allcache] tool's exact same-line repeat
+    filters.  Statistics are bit-identical to
     {!hooks_per_instr} (enforced by the differential suite). *)
 
 val hooks_per_instr : t -> Hooks.t

@@ -25,15 +25,17 @@ let close t len =
    block-level set would charge it only after the instruction's
    [on_instr] — one instruction late. *)
 let hooks t =
-  Hooks.seq
-    (Interval_core.hooks_per_instr t.core)
-    {
-      Hooks.nil with
-      on_instr =
-        (fun _pc _kind ->
-          t.count <- t.count + 1;
-          if t.count >= t.slice_len then close t t.slice_len);
-    }
+  Hooks.seq_all
+    [
+      Interval_core.hooks_per_instr t.core;
+      {
+        Hooks.nil with
+        on_instr =
+          (fun _pc _kind ->
+            t.count <- t.count + 1;
+            if t.count >= t.slice_len then close t t.slice_len);
+      };
+    ]
 
 let finish t = if t.count >= t.slice_len / 2 then close t t.count
 

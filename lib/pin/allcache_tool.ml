@@ -26,9 +26,8 @@ open Sp_cache
 
    Misses — and only misses — reach the shared L2/L3 in exactly the
    per-instruction order, so every statistic (including TLB walks,
-   prefetches and writebacks) is bit-identical to the per-instruction
-   tier.  [hooks_per_instr] keeps the pre-fusion callback set alive for
-   the differential suite that enforces this. *)
+   prefetches and writebacks) is bit-identical to a simulator walking
+   the hierarchy once per event (the differential suite's reference). *)
 
 type t = {
   hier : Hierarchy.t;
@@ -145,32 +144,6 @@ let hooks t =
     Hooks.nil with
     Hooks.on_block_mems =
       (fun pc0 n offs addrs nrefs -> process t pc0 n offs addrs nrefs);
-  }
-
-(* The pre-fusion per-instruction callback set: one TLB access and one
-   hierarchy walk per event.  The differential suite replays identical
-   programs under both hook sets and requires identical statistics. *)
-let hooks_per_instr t =
-  let hier = t.hier in
-  let code_base = t.code_base in
-  let data t addr =
-    if t.warming then Tlb.warm t.dtlb addr else Tlb.access t.dtlb addr
-  in
-  {
-    Hooks.nil with
-    Hooks.on_instr =
-      (fun pc _kind ->
-        let addr = code_base + (pc * Sp_isa.Isa.bytes_per_instr) in
-        if t.warming then Tlb.warm t.itlb addr else Tlb.access t.itlb addr;
-        Hierarchy.fetch hier addr);
-    on_read =
-      (fun addr ->
-        data t addr;
-        Hierarchy.read hier addr);
-    on_write =
-      (fun addr ->
-        data t addr;
-        Hierarchy.write hier addr);
   }
 
 let hierarchy t = t.hier

@@ -22,16 +22,9 @@ val hooks : t -> Hooks.t
 (** The fused hook set: a single {!Hooks.on_block_mems} consumer that
     replays each delivered segment's i-fetch grid and data references
     in one pass, with exact same-line/same-page repeat filters.  Under
-    a block-capable engine this runs on the fused block-stepping tier;
-    statistics are bit-identical to {!hooks_per_instr} (enforced by the
-    differential suite). *)
-
-val hooks_per_instr : t -> Hooks.t
-(** The pre-fusion per-instruction callback set ([on_instr]/[on_read]/
-    [on_write], one TLB access and one hierarchy walk per event).  Kept
-    as the reference implementation for differential testing; both hook
-    sets drive the same [t] and may be used interchangeably (not
-    simultaneously). *)
+    a block-capable engine this runs on the block stepper; statistics
+    are bit-identical to one TLB access and one hierarchy walk per
+    fetch and data reference (enforced by the differential suite). *)
 
 val hierarchy : t -> Sp_cache.Hierarchy.t
 
@@ -49,5 +42,5 @@ val set_warming : t -> bool -> unit
 val reset_stats : t -> unit
 
 val reset_state : t -> unit
-(** Clears cache/TLB contents and the fused tier's repeat-filter memos
+(** Clears cache/TLB contents and the fused hooks' repeat-filter memos
     (which are only valid while the lines they name stay resident). *)

@@ -9,6 +9,7 @@ type slice = {
 
 type t = {
   slice_len : int;
+  bb_of_pc : int array;
   counts : int array;          (* per block, current slice *)
   mutable touched : int list;  (* blocks with non-zero count *)
   mutable cur_len : int;
@@ -21,6 +22,7 @@ let create ~slice_len (prog : Program.t) =
   if slice_len <= 0 then invalid_arg "Bbv_tool.create: slice_len <= 0";
   {
     slice_len;
+    bb_of_pc = prog.bb_of_pc;
     counts = Array.make (Program.num_blocks prog) 0;
     touched = [];
     cur_len = 0;
@@ -78,7 +80,11 @@ let rec add t bb n =
     if n > room then add t bb (n - room)
   end
 
-let hooks t = { Hooks.nil with on_block_exec = (fun bb n -> add t bb n) }
+let hooks t =
+  {
+    Hooks.nil with
+    on_block_span = (fun pc0 n -> add t (Array.unsafe_get t.bb_of_pc pc0) n);
+  }
 
 let finish t = if t.cur_len > 0 then close_slice t
 

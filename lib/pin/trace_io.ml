@@ -25,12 +25,14 @@ module Writer = struct
     end
     else t.truncated <- true
 
-  let hooks t =
+  let hooks t (prog : Program.t) =
+    let bb_of_pc = prog.bb_of_pc in
     {
       Hooks.nil with
       Hooks.on_block = (fun bb -> emit t (fun oc -> Printf.fprintf oc "L %d\n" bb));
-      on_block_exec =
-        (fun bb len -> emit t (fun oc -> Printf.fprintf oc "X %d %d\n" bb len));
+      on_block_span =
+        (fun pc0 len ->
+          emit t (fun oc -> Printf.fprintf oc "X %d %d\n" bb_of_pc.(pc0) len));
       on_instr =
         (fun pc kind -> emit t (fun oc -> Printf.fprintf oc "I %d %d\n" pc kind));
       on_read = (fun a -> emit t (fun oc -> Printf.fprintf oc "R %d\n" a));

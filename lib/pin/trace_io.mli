@@ -32,7 +32,9 @@ module Writer : sig
   (** Stop recording after [limit] events (unlimited by default); the
       channel is not closed by this module. *)
 
-  val hooks : t -> Hooks.t
+  val hooks : t -> Program.t -> Hooks.t
+  (** Write the events of a run of the given program; [X] lines name
+      the block of each retired span. *)
 
   val events_written : t -> int
 

@@ -23,11 +23,13 @@ let push t e =
   t.next <- (t.next + 1) mod Array.length t.buf;
   t.total <- t.total + 1
 
-let hooks t =
+let hooks t (prog : Program.t) =
+  let bb_of_pc = prog.bb_of_pc in
   {
     Hooks.nil with
     Hooks.on_block = (fun bb -> push t (Block bb));
-    on_block_exec = (fun bb len -> push t (Block_exec { bb; len }));
+    on_block_span =
+      (fun pc0 len -> push t (Block_exec { bb = bb_of_pc.(pc0); len }));
     on_instr = (fun pc kind -> push t (Instr { pc; kind = Sp_isa.Isa.kind_of_code kind }));
     on_read = (fun addr -> push t (Read addr));
     on_write = (fun addr -> push t (Write addr));

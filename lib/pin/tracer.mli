@@ -19,7 +19,9 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] is the number of most-recent events retained
     (default 4096). *)
 
-val hooks : t -> Hooks.t
+val hooks : t -> Program.t -> Hooks.t
+(** Record the events of a run of the given program; [Block_exec]
+    names the block of each retired span. *)
 
 val events : t -> event list
 (** Oldest first. *)

@@ -154,8 +154,14 @@ let decode_body data : Pinball.t =
   let progr = section data r "PROG" in
   let program = Program.read progr in
   Binio.expect_end progr "PROG";
+  let code_len = Array.length program.Program.instrs in
+  (* the engines fetch unchecked: a replay must never fall or return
+     past the last instruction *)
+  (match program.Program.instrs.(code_len - 1) with
+  | Sp_isa.Isa.Jump _ | Ret | Halt -> ()
+  | _ -> Binio.fail "PROG: the last instruction can run past the end");
   let snapr = section data r "SNAP" in
-  let snapshot = Snapshot.read snapr in
+  let snapshot = Snapshot.read ~code_len snapr in
   Binio.expect_end snapr "SNAP";
   let sysr = section data r "SYSC" in
   let n = Binio.r_count sysr ~elem_bytes:16 "syscall log" in

@@ -1,6 +1,5 @@
 type t = {
   on_block : int -> unit;
-  on_block_exec : int -> int -> unit;
   on_block_span : int -> int -> unit;
   on_block_mems : int -> int -> int array -> int array -> int -> unit;
   on_instr : int -> int -> unit;
@@ -19,7 +18,6 @@ let ignore_mems (_ : int) (_ : int) (_ : int array) (_ : int array) (_ : int) =
 let nil =
   {
     on_block = ignore1;
-    on_block_exec = ignore2;
     on_block_span = ignore2;
     on_block_mems = ignore_mems;
     on_instr = ignore2;
@@ -34,82 +32,26 @@ let nil =
    the interpreter uses it to skip hook dispatch entirely. *)
 let is_nil h =
   h == nil
-  || (h.on_block == ignore1 && h.on_block_exec == ignore2
-      && h.on_block_span == ignore2
+  || (h.on_block == ignore1 && h.on_block_span == ignore2
       && h.on_block_mems == ignore_mems && h.on_instr == ignore2
       && h.on_read == ignore1 && h.on_write == ignore1
       && h.on_branch == ignore_branch)
 
 (* A hook set is block-level when every per-instruction callback is the
-   sentinel.  [on_block], [on_block_exec] and [on_branch] all fire at
-   most once per basic block, so the interpreter may run such a set on
-   its block-stepping path: enter the block, fire the aggregates, then
-   execute the straight-line body with zero dispatch.
-
-   [on_block_exec bb n] means "n instructions of block [bb] retired".
-   It conveys multiplicity only, not position: the block-stepping engine
-   fires it once per block entry (n = straight-line length, or less at a
-   fuel boundary / mid-block resume), while the per-instruction engine
-   fires it with n = 1 per retired instruction.  Tools attached to it
-   must therefore be insensitive to batching — pure counters like BBV
-   collection, not position-dependent watchers.
-
-   [on_block_span pc0 n] is the positional sibling of [on_block_exec]:
-   "n consecutive instructions starting at pc0 retired".  Spans
-   partition the retirement stream exactly, so a tool can classify
-   every retired instruction (kind, memory class) from the static
-   program without per-instruction dispatch.  It is still a block-level
-   aggregate — at most one call per block entry on the block-stepping
-   engines — so a live callback keeps the set block-level. *)
+   sentinel.  The block engines fire the rest — [on_block], [on_branch]
+   and the aggregates [on_block_span] and [on_block_mems] — per block
+   entry rather than per instruction, so the interpreter may run such a
+   set there: enter the block, fire the aggregates, then execute the
+   straight-line body with zero dispatch. *)
 let block_level h =
   h.on_instr == ignore2 && h.on_read == ignore1 && h.on_write == ignore1
 
-let has_block_span h = h.on_block_span != ignore2
-
-(* [on_block_mems] is an aggregate like [on_block_exec]: the fused
-   engine delivers one segment per block entry, the per-instruction
-   engines deliver one single-instruction segment per retirement.  A
-   live callback here does not disqualify a set from block-stepping —
-   it selects the fused engine variant instead. *)
 let has_block_mems h = h.on_block_mems != ignore_mems
 
-let seq a b =
-  let pick1 fa fb =
-    if fa == ignore1 then fb
-    else if fb == ignore1 then fa
-    else fun x -> fa x; fb x
-  in
-  let pick2 fa fb =
-    if fa == ignore2 then fb
-    else if fb == ignore2 then fa
-    else fun x y -> fa x y; fb x y
-  in
-  {
-    on_block = pick1 a.on_block b.on_block;
-    on_block_exec = pick2 a.on_block_exec b.on_block_exec;
-    on_block_span = pick2 a.on_block_span b.on_block_span;
-    on_block_mems =
-      (if a.on_block_mems == ignore_mems then b.on_block_mems
-       else if b.on_block_mems == ignore_mems then a.on_block_mems
-       else
-         fun pc n offs addrs nrefs ->
-           a.on_block_mems pc n offs addrs nrefs;
-           b.on_block_mems pc n offs addrs nrefs);
-    on_instr = pick2 a.on_instr b.on_instr;
-    on_read = pick1 a.on_read b.on_read;
-    on_write = pick1 a.on_write b.on_write;
-    on_branch =
-      (if a.on_branch == ignore_branch then b.on_branch
-       else if b.on_branch == ignore_branch then a.on_branch
-       else fun x y -> a.on_branch x y; b.on_branch x y);
-  }
-
-(* Fuse a whole chain per field.  Folding [seq] over a list builds a
-   tree of pairwise closures — [((a;b);c);d] — whose inner nodes are
-   re-entered on every event.  Here each field's live callbacks are
+(* Fuse a whole chain per field: each field's live callbacks are
    collected once and dispatched from a flat array, so an n-tool chain
-   costs one closure plus n direct calls instead of n-1 nested
-   closures. *)
+   costs one closure plus n direct calls instead of a tree of n-1
+   nested pair closures. *)
 let fuse1 sentinel fs =
   match List.filter (fun f -> f != sentinel) fs with
   | [] -> sentinel
@@ -160,7 +102,6 @@ let seq_all = function
   | hs ->
       {
         on_block = fuse1 ignore1 (List.map (fun h -> h.on_block) hs);
-        on_block_exec = fuse2 ignore2 (List.map (fun h -> h.on_block_exec) hs);
         on_block_span = fuse2 ignore2 (List.map (fun h -> h.on_block_span) hs);
         on_block_mems = fuse_mems (List.map (fun h -> h.on_block_mems) hs);
         on_instr = fuse2 ignore2 (List.map (fun h -> h.on_instr) hs);

@@ -41,9 +41,7 @@ module M = struct
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
   let runs_plain = Sp_obs.Metrics.counter ~stable:false "vm.runs.plain"
   let runs_block = Sp_obs.Metrics.counter ~stable:false "vm.runs.block"
-  let runs_fused = Sp_obs.Metrics.counter ~stable:false "vm.runs.fused"
   let runs_hooked = Sp_obs.Metrics.counter ~stable:false "vm.runs.hooked"
-  let runs_mixed = Sp_obs.Metrics.counter ~stable:false "vm.runs.mixed"
   let runs_compiled = Sp_obs.Metrics.counter ~stable:false "vm.runs.compiled"
 end
 
@@ -76,11 +74,11 @@ let eval_cond c a b =
   | Gt -> a > b
   | Ge -> a >= b
 
-(* The uninstrumented fast path: the same walk as [run_hooked] below
-   with every hook site deleted.  Replay fast-forwarding (region
-   capture, warmup positioning) spends billions of instructions here,
-   so the duplication buys a loop with zero closure calls — keep the
-   two copies in lockstep when touching either. *)
+(* The nil-hook reference: the same walk as [run_hooked] below with
+   every hook site deleted.  Nil runs pinned to [Reference] and the
+   compiled tier's nil fuel tails run here, so the duplication buys a
+   loop with zero closure calls — keep the two copies in lockstep when
+   touching either. *)
 let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
   let instrs = prog.instrs in
   let regs = m.regs in
@@ -169,14 +167,16 @@ let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
   !status
 [@@inline never]
 
-(* The block-stepping tier: hooks are block-level ([Hooks.block_level]),
-   so all dispatch happens once per basic-block entry.  The block's
-   extent comes from [Program.block_end]; the straight-line body then
-   executes with no leader tests, no per-instruction fuel checks and no
-   closure calls.  Only the final instruction of a block can transfer
-   control, so the body match never sees one.
+(* The block stepper: all hook dispatch happens once per basic-block
+   entry.  The block's extent comes from [Program.block_end]; the
+   straight-line body then executes with no leader tests, no
+   per-instruction fuel checks and no closure calls, collecting its
+   data references into per-run buffers that reach [on_block_mems] as
+   one aggregate segment per block entry (the no-op sentinel when no
+   consumer is attached).  Only the final instruction of a block can
+   transfer control, so the body match never sees one.
 
-   Invariants kept in lockstep with the per-instruction engines:
+   Invariants kept in lockstep with the per-instruction engine:
    - [m.icount] is bulk-advanced at block entry, but any [Sys]
      instruction observes the exact per-instruction count (pinball
      logging records syscalls as [icount - 1]) and [m.pc] is set to the
@@ -185,9 +185,25 @@ let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
      and leaves [m.pc] at the next unexecuted one, so resumed runs are
      bit-identical to uninterrupted ones;
    - [on_block] fires only when entering through the leader (a resume
-     mid-block does not re-announce the block), [on_block_exec] fires on
-     every entry with the retired count, and [on_branch] fires at the
-     terminator exactly as the per-instruction engines do. *)
+     mid-block does not re-announce the block), [on_block_span] fires on
+     every entry with the retired extent, and [on_branch] fires at the
+     terminator exactly as the per-instruction engine does;
+   - segments partition the retirement stream: every retired
+     instruction belongs to exactly one segment, in order, so a
+     consumer's reconstructed fetch stream is the per-instruction one;
+   - a [Sys] in the body flushes the segment up to and including the
+     syscall instruction *before* invoking the handler — the
+     per-instruction engine delivers each instruction before executing
+     the next, so a raising handler must leave the consumer having seen
+     exactly the same prefix;
+   - the terminator's references are collected (addresses are
+     computable before any state change) and the whole segment flushed
+     before the terminator's effect runs, so a [Call]/[Ret] stack
+     error also leaves the consumer exactly one instruction ahead of
+     the machine, as the per-instruction engine does;
+   - reference buffers are reused across segments; offsets are relative
+     to the segment start and addresses carry the write bit in bit 0
+     (see [Hooks.on_block_mems]). *)
 let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let instrs = prog.instrs in
   let is_leader = prog.is_leader in
@@ -197,191 +213,6 @@ let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let fregs = m.fregs in
   let mem = m.mem in
   let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_branch = hooks.Hooks.on_branch in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  let blocks = ref 0 in
-  while !running do
-    incr blocks;
-    let pc0 = m.pc in
-    let bb = Array.unsafe_get bb_of_pc pc0 in
-    if Array.unsafe_get is_leader pc0 then on_block bb;
-    let stop = Array.unsafe_get block_end bb in
-    let avail = stop - pc0 in
-    let n = if avail <= !remaining then avail else !remaining in
-    on_block_exec bb n;
-    if has_span then on_block_span pc0 n;
-    m.icount <- m.icount + n;
-    remaining := !remaining - n;
-    let last = pc0 + n - 1 in
-    for pc = pc0 to last - 1 do
-      match Array.unsafe_get instrs pc with
-      | Alu (op, rd, r1, r2) ->
-          Array.unsafe_set regs rd
-            (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2))
-      | Alui (op, rd, r1, imm) ->
-          Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm)
-      | Li (rd, imm) -> Array.unsafe_set regs rd imm
-      | Mov (rd, rs) -> Array.unsafe_set regs rd (Array.unsafe_get regs rs)
-      | Load (rd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          Array.unsafe_set regs rd (Memory.load mem a)
-      | Store (rv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          Memory.store mem a (Array.unsafe_get regs rv)
-      | Movs (rdst, rsrc) ->
-          let src = Array.unsafe_get regs rsrc in
-          let dst = Array.unsafe_get regs rdst in
-          Memory.store mem dst (Memory.load mem src)
-      | Falu (op, fd, f1, f2) ->
-          Array.unsafe_set fregs fd
-            (exec_falu op (Array.unsafe_get fregs f1)
-               (Array.unsafe_get fregs f2))
-      | Fload (fd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          Array.unsafe_set fregs fd (Memory.loadf mem a)
-      | Fstore (fv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          Memory.storef mem a (Array.unsafe_get fregs fv)
-      | Fmovi (fd, x) -> Array.unsafe_set fregs fd x
-      | Cvtif (fd, rs) ->
-          Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs))
-      | Cvtfi (rd, fs) ->
-          Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs))
-      | Sys (num, rd) ->
-          (* expose the exact retirement index to the handler *)
-          let bulk = m.icount in
-          m.icount <- bulk - (last - pc);
-          m.pc <- pc;
-          Array.unsafe_set regs rd (syscall num);
-          m.icount <- bulk
-      | Branch _ | Jump _ | Call _ | Ret | Halt ->
-          (* control instructions end their block *)
-          assert false
-    done;
-    let pc = last in
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Sys (num, rd) ->
-        m.pc <- pc;
-        Array.unsafe_set regs rd (syscall num);
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc))
-        end;
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc))
-        end;
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Halt ->
-        m.pc <- pc;
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  Sp_obs.Metrics.add M.blocks !blocks;
-  !status
-[@@inline never]
-
-(* The fused block-stepping tier: [run_block] plus collection of the
-   straight-line body's data references into per-run buffers, delivered
-   to [on_block_mems] as one aggregate segment per block entry.  The
-   cache tool then walks the block's i-fetch line/page grid and its
-   data stream in one pass instead of being called back per
-   instruction.
-
-   Segment invariants (the exactness contract with the tool):
-   - segments partition the retirement stream: every retired
-     instruction belongs to exactly one segment, in order, so the
-     tool's reconstructed fetch stream is the per-instruction one;
-   - a [Sys] in the body flushes the segment up to and including the
-     syscall instruction *before* invoking the handler — the
-     per-instruction tier fires the fetch hook before executing, so a
-     raising handler must leave the tool having seen exactly the same
-     prefix;
-   - the terminator's references are collected (addresses are
-     computable before any state change) and the whole segment flushed
-     before the terminator's effect runs, so a [Call]/[Ret] stack
-     error also leaves the tool exactly one instruction ahead of the
-     machine, as the per-instruction tier does;
-   - reference buffers are reused across segments; offsets are relative
-     to the segment start and addresses carry the write bit in bit 0
-     (see [Hooks.on_block_mems]). *)
-let run_fused ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let block_end = prog.block_end in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
   let on_block_span = hooks.Hooks.on_block_span in
   let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
   let on_block_mems = hooks.Hooks.on_block_mems in
@@ -402,7 +233,6 @@ let run_fused ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
     let stop = Array.unsafe_get block_end bb in
     let avail = stop - pc0 in
     let n = if avail <= !remaining then avail else !remaining in
-    on_block_exec bb n;
     if has_span then on_block_span pc0 n;
     m.icount <- m.icount + n;
     remaining := !remaining - n;
@@ -602,6 +432,15 @@ let run_fused ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   !status
 [@@inline never]
 
+(* The per-instruction engine: every hook dispatched per retirement.
+   Block-level callbacks seq'd with per-instruction ones still see
+   every retirement, as one [n = 1] span each; a live [on_block_mems]
+   consumer gets one single-instruction segment per retirement, flushed
+   after execution for ordinary instructions but *before* a syscall
+   handler runs and before a [Call]/[Ret] stack error is raised — the
+   visibility the block stepper gives its consumers.  Both aggregates
+   are guarded by flags hoisted out of the loop, so hook sets without
+   them pay one predictable branch per retirement. *)
 let run_hooked ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let instrs = prog.instrs in
   let kinds = prog.kinds in
@@ -611,133 +450,10 @@ let run_hooked ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let fregs = m.fregs in
   let mem = m.mem in
   let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let has_block_exec = on_block_exec != Hooks.nil.Hooks.on_block_exec in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_instr = hooks.Hooks.on_instr in
-  let on_read = hooks.Hooks.on_read in
-  let on_write = hooks.Hooks.on_write in
-  let on_branch = hooks.Hooks.on_branch in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  while !running do
-    let pc = m.pc in
-    if Array.unsafe_get is_leader pc then on_block (Array.unsafe_get bb_of_pc pc);
-    (* block-level tools seq'd with per-instruction ones still see every
-       retirement, one block-credit at a time *)
-    if has_block_exec then on_block_exec (Array.unsafe_get bb_of_pc pc) 1;
-    if has_span then on_block_span pc 1;
-    on_instr pc (Array.unsafe_get kinds pc);
-    m.icount <- m.icount + 1;
-    decr remaining;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        on_read src;
-        on_write dst;
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Sys (n, rd) ->
-        Array.unsafe_set regs rd (syscall n);
-        m.pc <- pc + 1
-    | Halt ->
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  !status
-[@@inline never]
-
-(* [run_hooked] plus [on_block_mems] delivery: when a fused (segment
-   consuming) tool is seq'd with genuinely per-instruction hooks, the
-   set cannot block-step, but the fused tool must still see every
-   retirement exactly once.  This copy delivers one single-instruction
-   segment per retired instruction — flushed after execution for
-   ordinary instructions, but *before* a syscall handler runs and
-   before a [Call]/[Ret] stack error is raised, matching the fetch
-   visibility of the per-instruction hooks.  Kept separate from
-   [run_hooked] so hook sets without a fused tool pay nothing. *)
-let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let kinds = prog.kinds in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let has_block_exec = on_block_exec != Hooks.nil.Hooks.on_block_exec in
   let on_block_span = hooks.Hooks.on_block_span in
   let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
   let on_block_mems = hooks.Hooks.on_block_mems in
+  let has_mems = Hooks.has_block_mems hooks in
   let on_instr = hooks.Hooks.on_instr in
   let on_read = hooks.Hooks.on_read in
   let on_write = hooks.Hooks.on_write in
@@ -751,7 +467,6 @@ let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   while !running do
     let pc = m.pc in
     if Array.unsafe_get is_leader pc then on_block (Array.unsafe_get bb_of_pc pc);
-    if has_block_exec then on_block_exec (Array.unsafe_get bb_of_pc pc) 1;
     if has_span then on_block_span pc 1;
     on_instr pc (Array.unsafe_get kinds pc);
     m.icount <- m.icount + 1;
@@ -760,33 +475,37 @@ let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
     | Alu (op, rd, r1, r2) ->
         Array.unsafe_set regs rd
           (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Alui (op, rd, r1, imm) ->
         Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Li (rd, imm) ->
         Array.unsafe_set regs rd imm;
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Mov (rd, rs) ->
         Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Load (rd, rs, off) ->
         let a = Array.unsafe_get regs rs + off in
         on_read a;
         Array.unsafe_set regs rd (Memory.load mem a);
-        Array.unsafe_set addrs 0 (a lsl 1);
-        on_block_mems pc 1 offs addrs 1;
+        if has_mems then begin
+          Array.unsafe_set addrs 0 (a lsl 1);
+          on_block_mems pc 1 offs addrs 1
+        end;
         m.pc <- pc + 1
     | Store (rv, rb, off) ->
         let a = Array.unsafe_get regs rb + off in
         on_write a;
         Memory.store mem a (Array.unsafe_get regs rv);
-        Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 1;
+        if has_mems then begin
+          Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
+          on_block_mems pc 1 offs addrs 1
+        end;
         m.pc <- pc + 1
     | Movs (rdst, rsrc) ->
         let src = Array.unsafe_get regs rsrc in
@@ -794,72 +513,76 @@ let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
         on_read src;
         on_write dst;
         Memory.store mem dst (Memory.load mem src);
-        Array.unsafe_set addrs 0 (src lsl 1);
-        Array.unsafe_set addrs 1 ((dst lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 2;
+        if has_mems then begin
+          Array.unsafe_set addrs 0 (src lsl 1);
+          Array.unsafe_set addrs 1 ((dst lsl 1) lor 1);
+          on_block_mems pc 1 offs addrs 2
+        end;
         m.pc <- pc + 1
     | Falu (op, fd, f1, f2) ->
         Array.unsafe_set fregs fd
           (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Fload (fd, rs, off) ->
         let a = Array.unsafe_get regs rs + off in
         on_read a;
         Array.unsafe_set fregs fd (Memory.loadf mem a);
-        Array.unsafe_set addrs 0 (a lsl 1);
-        on_block_mems pc 1 offs addrs 1;
+        if has_mems then begin
+          Array.unsafe_set addrs 0 (a lsl 1);
+          on_block_mems pc 1 offs addrs 1
+        end;
         m.pc <- pc + 1
     | Fstore (fv, rb, off) ->
         let a = Array.unsafe_get regs rb + off in
         on_write a;
         Memory.storef mem a (Array.unsafe_get fregs fv);
-        Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 1;
+        if has_mems then begin
+          Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
+          on_block_mems pc 1 offs addrs 1
+        end;
         m.pc <- pc + 1
     | Fmovi (fd, x) ->
         Array.unsafe_set fregs fd x;
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Cvtif (fd, rs) ->
         Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Cvtfi (rd, fs) ->
         Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Branch (c, r1, r2, target) ->
         let taken =
           eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
         in
         on_branch pc taken;
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- (if taken then target else pc + 1)
     | Jump target ->
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         m.pc <- target
     | Call target ->
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         if m.sp >= stack_depth then
           raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
         m.callstack.(m.sp) <- pc + 1;
         m.sp <- m.sp + 1;
         m.pc <- target
     | Ret ->
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         if m.sp <= 0 then
           raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
         m.sp <- m.sp - 1;
         m.pc <- m.callstack.(m.sp)
     | Sys (n, rd) ->
-        (* flush before the handler: a raising handler must leave the
-           fused tool having seen this instruction's fetch *)
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         Array.unsafe_set regs rd (syscall n);
         m.pc <- pc + 1
     | Halt ->
-        on_block_mems pc 1 offs addrs 0;
+        if has_mems then on_block_mems pc 1 offs addrs 0;
         status := Halted;
         running := false);
     if !remaining <= 0 then running := false
@@ -891,17 +614,17 @@ let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
 
    Contracts kept in lockstep with the other engines:
    - hook events: each block's closure chain starts with a prologue
-     firing [on_block]/[on_block_exec]/[on_block_span] exactly as
-     [run_block] does at a block entry; mid-block resume entries fire
-     the partial aggregates without [on_block];
+     firing [on_block]/[on_block_span] exactly as [run_block] does at a
+     block entry; mid-block resume entries fire the partial span
+     without [on_block];
    - [m.icount] is bulk-advanced for the whole chain at dispatch, and
      every [Sys] closure rolls it back to the exact per-instruction
      value (the remainder of its chain is a compile-time constant), so
      pinball syscall logging stays tier-independent; a [Call] overflow
      rolls back the same way before raising;
    - fuel: a chain is dispatched only when the remaining fuel covers it
-     entirely; otherwise the run tail is delegated to the
-     block-stepping tier (or the plain tier when nothing is hooked),
+     entirely; otherwise the run tail is delegated to the block
+     stepper (or the plain tier when nothing is hooked),
      which lands the fuel boundary on exactly the same instruction with
      identical partial-block events and machine state. *)
 
@@ -912,7 +635,6 @@ type cenv = {
   cmem : Memory.t;
   csyscall : int -> int;
   c_block : int -> unit;
-  c_block_exec : int -> int -> unit;
   c_span : int -> int -> unit;
   c_branch : int -> bool -> unit;
   c_hooked : bool;
@@ -1331,23 +1053,19 @@ let compile (prog : Program.t) : compiled =
       (fun e ->
         if e.c_hooked then begin
           e.c_block b;
-          e.c_block_exec b len;
           e.c_span start len
         end;
         plain_start e);
     entry_code.(start) <- code.(start);
     entry_blocks.(start) <- blocks_from.(b);
-    (* mid-block resume entries: partial aggregates, no [on_block] —
+    (* mid-block resume entries: a partial span, no [on_block] —
        matching [run_block] resuming inside a block *)
     for pc = start + 1 to term_pc do
       let npart = term_pc + 1 - pc in
       let body = code.(pc) in
       entry_code.(pc) <-
         (fun e ->
-          if e.c_hooked then begin
-            e.c_block_exec b npart;
-            e.c_span pc npart
-          end;
+          if e.c_hooked then e.c_span pc npart;
           body e);
       entry_blocks.(pc) <- blocks_from.(b)
     done
@@ -1399,7 +1117,6 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       cmem = m.mem;
       csyscall = syscall;
       c_block = hooks.Hooks.on_block;
-      c_block_exec = hooks.Hooks.on_block_exec;
       c_span = hooks.Hooks.on_block_span;
       c_branch = hooks.Hooks.on_branch;
       c_hooked = not (Hooks.is_nil hooks);
@@ -1428,8 +1145,8 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       else if !remaining <= 0 then running := false
     end
     else begin
-      (* Not enough fuel for the whole chain: the block-stepping tier
-         (or the plain tier when nothing is hooked) retires exactly
+      (* Not enough fuel for the whole chain: the block stepper (or
+         the plain tier when nothing is hooked) retires exactly
          [remaining] instructions from here, landing the fuel boundary
          on the same instruction with identical partial-block events
          and machine state. *)
@@ -1449,72 +1166,44 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   !status
 [@@inline never]
 
-type engine = Auto | Reference | Block_step | Compiled
+type engine = Auto | Reference | Block_step
 
-(* Engine tiers, fastest applicable wins under [Auto]:
-   - nil hooks                     -> [run_compiled]: one closure call
-     per instruction, chained per superblock, zero decode
-   - block-level only              -> [run_compiled] with the block
+(* Engine tiers, one counter each; under [Auto] the fastest tier the
+   hook set admits wins:
+   - nil, or block-level with no [on_block_mems] consumer
+                                   -> [run_compiled]: one closure call
+     per instruction, chained per superblock, zero decode, block
      prologues firing the aggregates
-   - block-level + fused tool      -> [run_fused]: per-block dispatch,
+   - block-level with a consumer   -> [run_block]: per-block dispatch,
      data references delivered as one aggregate segment per block
-   - per-instr hooks               -> [run_hooked]: dispatch per retirement
-   - per-instr hooks + fused tool  -> [run_mixed]: [run_hooked] plus
-     single-instruction segment delivery
+   - any per-instruction hook      -> [run_hooked]: dispatch per
+     retirement, single-instruction segments when a consumer is live
    [engine] pins the run at (at most) a given tier for differential
-   testing: [Reference] forces the per-instruction family, [Block_step]
-   the block-stepping family.  A pin never changes what the hook set
-   can observe — sets needing per-instruction or fused delivery keep
-   their engine regardless.  All tiers retire identical instruction
-   streams and leave identical machine state for any fuel split. *)
+   testing: [Block_step] caps it at [run_block], [Reference] at the
+   per-instruction loops ([run_plain] for nil hooks).  A pin never
+   changes what the hook set can observe — sets with per-instruction
+   hooks keep [run_hooked] regardless.  All tiers retire identical
+   instruction streams and leave identical machine state for any fuel
+   split. *)
 let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
     ?(fuel = max_int) (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
+  let block_level = Hooks.block_level hooks in
   let status =
-    if Hooks.is_nil hooks then begin
-      match engine with
-      | Auto | Compiled ->
-          Sp_obs.Metrics.incr M.runs_compiled;
-          run_compiled ~hooks:Hooks.nil ~syscall ~fuel prog m
-      | Block_step ->
-          Sp_obs.Metrics.incr M.runs_block;
-          run_block ~hooks:Hooks.nil ~syscall ~fuel prog m
-      | Reference ->
-          Sp_obs.Metrics.incr M.runs_plain;
-          run_plain ~syscall ~fuel prog m
-    end
-    else if Hooks.block_level hooks then begin
-      if Hooks.has_block_mems hooks then begin
-        match engine with
-        | Reference ->
-            Sp_obs.Metrics.incr M.runs_mixed;
-            run_mixed ~hooks ~syscall ~fuel prog m
-        | Auto | Block_step | Compiled ->
-            Sp_obs.Metrics.incr M.runs_fused;
-            run_fused ~hooks ~syscall ~fuel prog m
-      end
-      else begin
-        match engine with
-        | Auto | Compiled ->
-            Sp_obs.Metrics.incr M.runs_compiled;
-            run_compiled ~hooks ~syscall ~fuel prog m
-        | Block_step ->
-            Sp_obs.Metrics.incr M.runs_block;
-            run_block ~hooks ~syscall ~fuel prog m
-        | Reference ->
-            Sp_obs.Metrics.incr M.runs_hooked;
-            run_hooked ~hooks ~syscall ~fuel prog m
-      end
-    end
-    else if Hooks.has_block_mems hooks then begin
-      Sp_obs.Metrics.incr M.runs_mixed;
-      run_mixed ~hooks ~syscall ~fuel prog m
-    end
-    else begin
-      Sp_obs.Metrics.incr M.runs_hooked;
-      run_hooked ~hooks ~syscall ~fuel prog m
-    end
+    match engine with
+    | Reference when Hooks.is_nil hooks ->
+        Sp_obs.Metrics.incr M.runs_plain;
+        run_plain ~syscall ~fuel prog m
+    | Auto when block_level && not (Hooks.has_block_mems hooks) ->
+        Sp_obs.Metrics.incr M.runs_compiled;
+        run_compiled ~hooks ~syscall ~fuel prog m
+    | (Auto | Block_step) when block_level ->
+        Sp_obs.Metrics.incr M.runs_block;
+        run_block ~hooks ~syscall ~fuel prog m
+    | Auto | Block_step | Reference ->
+        Sp_obs.Metrics.incr M.runs_hooked;
+        run_hooked ~hooks ~syscall ~fuel prog m
   in
   Sp_obs.Metrics.add M.instructions (m.icount - icount0);
   Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);

@@ -29,15 +29,13 @@ val default_syscall : int -> int
 type engine =
   | Auto
       (** fastest tier the hook set admits: the compiled-block tier for
-          nil and plain block-level sets, the fused block-stepper when
-          an [on_block_mems] consumer is live, the per-instruction
-          engines when per-instruction hooks are. *)
+          nil and plain block-level sets, the block stepper when an
+          [on_block_mems] consumer is live, the per-instruction engine
+          when per-instruction hooks are. *)
   | Reference
-      (** pin to the per-instruction reference family — the engines the
+      (** pin to the per-instruction loops — the engines the
           differential suites compare everything else against. *)
-  | Block_step
-      (** pin to (at most) the block-stepping family. *)
-  | Compiled  (** explicit request for the compiled tier; same as [Auto]. *)
+  | Block_step  (** pin to (at most) the block stepper. *)
 
 val run :
   ?engine:engine ->
@@ -54,11 +52,15 @@ val run :
     observable behaviour — every tier retires the same instruction
     stream, fires equivalent hook events and leaves bit-identical
     machine state for any fuel split — only how fast it happens.  A pin
-    is a ceiling, not a demand: a hook set that needs per-instruction
-    or fused delivery keeps the engine that can provide it.
+    is a ceiling, not a demand: a hook set with per-instruction hooks
+    keeps the per-instruction engine under any pin.
 
     Semantics notes: integer division/remainder by zero yields 0 (the
     machine never traps); shift counts are masked to 6 bits; call-stack
     depth is bounded (overflow raises [Stack_error]). *)
 
 exception Stack_error of string
+
+val stack_depth : int
+(** Call-stack slots of every machine {!create} makes; a [Call] past
+    this depth raises [Stack_error]. *)

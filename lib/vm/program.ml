@@ -34,7 +34,7 @@ type t = {
      straight-line extent of the current block with one load. *)
   block_end : int array;
   (* longest straight-line block body, in instructions — sizes the
-     reference buffers of the fused cache-simulation engine *)
+     block stepper's reference buffers *)
   max_block_len : int;
   entry : int;
   code_base : int;

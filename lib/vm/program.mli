@@ -43,7 +43,7 @@ type t = private {
   block_end : int array;    (** exclusive end pc per block id, for the
                                 block-stepping interpreter *)
   max_block_len : int;      (** longest straight-line block body, in
-                                instructions — sizes the fused engine's
+                                instructions — sizes the block stepper's
                                 reference buffers *)
   entry : int;
   code_base : int;          (** byte address of pc 0, for i-fetch addresses *)

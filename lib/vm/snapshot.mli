@@ -35,7 +35,9 @@ val mem_bytes : t -> int
 val write : Buffer.t -> t -> unit
 (** Deterministic encoding of the full architectural state. *)
 
-val read : Sp_util.Binio.reader -> t
-(** Decode a snapshot written by {!write}, validating register-file
-    sizes, the stack pointer and the memory image.
+val read : code_len:int -> Sp_util.Binio.reader -> t
+(** Decode a snapshot written by {!write} for a program of [code_len]
+    instructions, validating register-file sizes, the memory image, the
+    call stack's depth ({!Interp.stack_depth}) and stack pointer, and
+    that the pc and every live return address lie in [[0, code_len)].
     @raise Sp_util.Binio.Corrupt on malformed input. *)

@@ -289,8 +289,12 @@ let run_engine ~hooks ~syscall ~fuel p m =
     | Interp.Out_of_fuel -> R_fuel
   with Interp.Stack_error msg -> R_stack msg
 
-let expand_block_exec entries =
-  List.concat_map (fun (bb, n) -> List.init n (fun _ -> bb)) entries
+(* expand a span trace to the per-retirement pc stream it names *)
+let pcs_of_spans spans =
+  List.concat_map (fun (pc0, n) -> List.init n (fun i -> pc0 + i)) spans
+
+let pc_stream_of_events events =
+  List.filter_map (function E_instr (pc, _) -> Some pc | _ -> None) events
 
 let retire_stream_of_events bb_of_pc events =
   List.filter_map
@@ -355,7 +359,6 @@ let prop_engines_agree =
       let p = Program.of_instrs instrs in
       if not (metadata_consistent instrs p) then false
       else begin
-        let _, bb_of_pc = ref_structure instrs in
         (* reference *)
         let st = ref_create 0 in
         let ref_events = ref [] in
@@ -369,17 +372,17 @@ let prop_engines_agree =
             ~fuel:test_fuel instrs st
         in
         let ref_events = List.rev !ref_events in
-        let ref_retires = retire_stream_of_events bb_of_pc ref_events in
+        let ref_pcs = pc_stream_of_events ref_events in
         (* per-instruction engine, full hooks *)
         let h_events = ref [] in
-        let h_bx = ref [] in
+        let h_spans = ref [] in
         let h_sys = ref [] in
         let mh = Interp.create ~entry:0 () in
         let full_hooks =
           {
             Hooks.nil with
             Hooks.on_block = (fun bb -> h_events := E_block bb :: !h_events);
-            on_block_exec = (fun bb n -> h_bx := (bb, n) :: !h_bx);
+            on_block_span = (fun pc0 n -> h_spans := (pc0, n) :: !h_spans);
             on_instr = (fun pc k -> h_events := E_instr (pc, k) :: !h_events);
             on_read = (fun a -> h_events := E_read a :: !h_events);
             on_write = (fun a -> h_events := E_write a :: !h_events);
@@ -396,7 +399,7 @@ let prop_engines_agree =
         in
         (* block-stepping engine *)
         let b_blocks = ref [] in
-        let b_bx = ref [] in
+        let b_spans = ref [] in
         let b_branches = ref [] in
         let b_sys = ref [] in
         let mb = Interp.create ~entry:0 () in
@@ -404,7 +407,7 @@ let prop_engines_agree =
           {
             Hooks.nil with
             Hooks.on_block = (fun bb -> b_blocks := bb :: !b_blocks);
-            on_block_exec = (fun bb n -> b_bx := (bb, n) :: !b_bx);
+            on_block_span = (fun pc0 n -> b_spans := (pc0, n) :: !b_spans);
             on_branch = (fun pc t -> b_branches := (pc, t) :: !b_branches);
           }
         in
@@ -419,7 +422,7 @@ let prop_engines_agree =
         (* full-hook engine vs reference: exact trace *)
         && h_out = ref_out
         && List.rev !h_events = ref_events
-        && expand_block_exec (List.rev !h_bx) = ref_retires
+        && pcs_of_spans (List.rev !h_spans) = ref_pcs
         && List.rev !h_sys = List.rev !ref_sys
         && state_matches st mh ref_events
         (* block engine vs reference: block-level view *)
@@ -428,7 +431,7 @@ let prop_engines_agree =
            = List.filter_map
                (function E_block bb -> Some bb | _ -> None)
                ref_events
-        && expand_block_exec (List.rev !b_bx) = ref_retires
+        && pcs_of_spans (List.rev !b_spans) = ref_pcs
         && List.rev !b_branches
            = List.filter_map
                (function E_branch (pc, t) -> Some (pc, t) | _ -> None)
@@ -449,13 +452,13 @@ let prop_fuel_split =
       let run_chunked () =
         let m = Interp.create ~entry:0 () in
         let blocks = ref [] in
-        let bx = ref [] in
+        let spans = ref [] in
         let sys = ref [] in
         let hooks =
           {
             Hooks.nil with
             Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
-            on_block_exec = (fun bb n -> bx := (bb, n) :: !bx);
+            on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
           }
         in
         let syscall n =
@@ -475,19 +478,19 @@ let prop_fuel_split =
              | Interp.Out_of_fuel -> ()
            done
          with Interp.Stack_error msg -> outcome := R_stack msg);
-        (m, !outcome, List.rev !blocks, expand_block_exec (List.rev !bx),
+        (m, !outcome, List.rev !blocks, pcs_of_spans (List.rev !spans),
          List.rev !sys)
       in
       let run_oneshot () =
         let m = Interp.create ~entry:0 () in
         let blocks = ref [] in
-        let bx = ref [] in
+        let spans = ref [] in
         let sys = ref [] in
         let hooks =
           {
             Hooks.nil with
             Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
-            on_block_exec = (fun bb n -> bx := (bb, n) :: !bx);
+            on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
           }
         in
         let syscall n =
@@ -504,12 +507,12 @@ let prop_fuel_split =
             | Interp.Out_of_fuel -> R_fuel
           with Interp.Stack_error msg -> R_stack msg
         in
-        (m, outcome, List.rev !blocks, expand_block_exec (List.rev !bx),
+        (m, outcome, List.rev !blocks, pcs_of_spans (List.rev !spans),
          List.rev !sys)
       in
-      let mc, oc, blc, bxc, sysc = run_chunked () in
-      let m1, o1, bl1, bx1, sys1 = run_oneshot () in
-      oc = o1 && blc = bl1 && bxc = bx1 && sysc = sys1
+      let mc, oc, blc, pcsc, sysc = run_chunked () in
+      let m1, o1, bl1, pcs1, sys1 = run_oneshot () in
+      oc = o1 && blc = bl1 && pcsc = pcs1 && sysc = sys1
       && Array.for_all2 ( = ) mc.Interp.regs m1.Interp.regs
       && mc.Interp.pc = m1.Interp.pc
       && mc.Interp.sp = m1.Interp.sp
@@ -591,8 +594,11 @@ let prop_bbv_slices =
       (* per-instruction engine, forced by a live on_instr hook *)
       let via_instr =
         run (fun bbv ->
-            Hooks.seq (Bbv_tool.hooks bbv)
-              { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) })
+            Hooks.seq_all
+              [
+                Bbv_tool.hooks bbv;
+                { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
+              ])
       in
       Array.length via_block = Array.length expected
       && Array.length via_instr = Array.length expected

@@ -15,18 +15,10 @@ open Sp_vm
 open Sp_pin
 module B = Test_blockstep
 
-(* expand a span trace to the per-retirement pc stream it names *)
-let pcs_of_spans spans =
-  List.concat_map (fun (pc0, n) -> List.init n (fun i -> pc0 + i)) spans
-
-let pc_stream_of_events events =
-  List.filter_map (function B.E_instr (pc, _) -> Some pc | _ -> None) events
-
 (* one run on a chosen engine with the full block-level hook set *)
 type obs = {
   o_out : B.ref_outcome;
   o_blocks : int list;
-  o_bx : (int * int) list;
   o_spans : (int * int) list;
   o_branches : (int * bool) list;
   o_sys : (int * int) list;
@@ -35,21 +27,21 @@ type obs = {
 
 let observe ~engine ?(extra = Hooks.nil) ~fuel p =
   let blocks = ref [] in
-  let bx = ref [] in
   let spans = ref [] in
   let branches = ref [] in
   let sys = ref [] in
   let m = Interp.create ~entry:0 () in
   let hooks =
-    Hooks.seq
-      {
-        Hooks.nil with
-        Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
-        on_block_exec = (fun bb n -> bx := (bb, n) :: !bx);
-        on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
-        on_branch = (fun pc t -> branches := (pc, t) :: !branches);
-      }
-      extra
+    Hooks.seq_all
+      [
+        {
+          Hooks.nil with
+          Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
+          on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
+          on_branch = (fun pc t -> branches := (pc, t) :: !branches);
+        };
+        extra;
+      ]
   in
   let syscall n =
     sys := (n, m.Interp.icount) :: !sys;
@@ -65,7 +57,6 @@ let observe ~engine ?(extra = Hooks.nil) ~fuel p =
   {
     o_out;
     o_blocks = List.rev !blocks;
-    o_bx = List.rev !bx;
     o_spans = List.rev !spans;
     o_branches = List.rev !branches;
     o_sys = List.rev !sys;
@@ -93,7 +84,6 @@ let prop_compiled_agrees =
   QCheck.Test.make ~name:"compiled engine agrees with reference" ~count:400
     (QCheck.make B.prog_gen) (fun instrs ->
       let p = Program.of_instrs instrs in
-      let _, bb_of_pc = B.ref_structure instrs in
       (* independent reference *)
       let st = B.ref_create 0 in
       let ref_events = ref [] in
@@ -108,8 +98,7 @@ let prop_compiled_agrees =
       in
       let ref_events = List.rev !ref_events in
       let ref_sys = List.rev !ref_sys in
-      let ref_pcs = pc_stream_of_events ref_events in
-      let ref_retires = B.retire_stream_of_events bb_of_pc ref_events in
+      let ref_pcs = B.pc_stream_of_events ref_events in
       let ref_blocks =
         List.filter_map
           (function B.E_block bb -> Some bb | _ -> None)
@@ -122,20 +111,19 @@ let prop_compiled_agrees =
       in
       let agrees (o : obs) =
         o.o_out = ref_out && o.o_blocks = ref_blocks
-        && B.expand_block_exec o.o_bx = ref_retires
         (* spans carry positions: expanding them must reproduce the
-           exact per-retirement pc stream, not just block ids *)
-        && pcs_of_spans o.o_spans = ref_pcs
+           exact per-retirement pc stream *)
+        && B.pcs_of_spans o.o_spans = ref_pcs
         && o.o_branches = ref_branches
         && o.o_sys = ref_sys
         && B.state_matches st o.o_m ref_events
       in
-      let oc = observe ~engine:Interp.Compiled ~fuel:B.test_fuel p in
+      let oc = observe ~engine:Interp.Auto ~fuel:B.test_fuel p in
       let ob = observe ~engine:Interp.Block_step ~fuel:B.test_fuel p in
       let oh = observe ~engine:Interp.Reference ~fuel:B.test_fuel p in
       (* same hook set forced onto the per-instruction family *)
       let oi =
-        observe ~engine:Interp.Compiled
+        observe ~engine:Interp.Auto
           ~extra:{ Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
           ~fuel:B.test_fuel p
       in
@@ -144,7 +132,7 @@ let prop_compiled_agrees =
       let out0 =
         try
           match
-            Interp.run ~engine:Interp.Compiled ~syscall:B.test_syscall
+            Interp.run ~engine:Interp.Auto ~syscall:B.test_syscall
               ~fuel:B.test_fuel p m0
           with
           | Interp.Halted -> B.R_halted
@@ -173,7 +161,6 @@ let prop_compiled_fuel_split =
       let p = Program.of_instrs instrs in
       let chunked engine =
         let blocks = ref [] in
-        let bx = ref [] in
         let spans = ref [] in
         let sys = ref [] in
         let m = Interp.create ~entry:0 () in
@@ -181,7 +168,6 @@ let prop_compiled_fuel_split =
           {
             Hooks.nil with
             Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
-            on_block_exec = (fun bb n -> bx := (bb, n) :: !bx);
             on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
           }
         in
@@ -202,21 +188,19 @@ let prop_compiled_fuel_split =
          with Interp.Stack_error msg -> outcome := B.R_stack msg);
         ( !outcome,
           List.rev !blocks,
-          B.expand_block_exec (List.rev !bx),
-          pcs_of_spans (List.rev !spans),
+          B.pcs_of_spans (List.rev !spans),
           List.rev !sys,
           m )
       in
-      let oc = observe ~engine:Interp.Compiled ~fuel:B.test_fuel p in
-      let check (out, blocks, retires, pcs, sys, m) =
+      let oc = observe ~engine:Interp.Auto ~fuel:B.test_fuel p in
+      let check (out, blocks, pcs, sys, m) =
         out = oc.o_out && blocks = oc.o_blocks
-        && retires = B.expand_block_exec oc.o_bx
-        && pcs = pcs_of_spans oc.o_spans
+        && pcs = B.pcs_of_spans oc.o_spans
         && sys = oc.o_sys
         && machines_match m oc.o_m
         && snapshot_bytes m = snapshot_bytes oc.o_m
       in
-      check (chunked Interp.Compiled) && check (chunked Interp.Block_step))
+      check (chunked Interp.Auto) && check (chunked Interp.Block_step))
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handlers that raise: the exception must escape every tier at
@@ -255,7 +239,7 @@ let prop_syscall_raise =
         in
         (out, List.rev !sys, m)
       in
-      let out_c, sys_c, m_c = run Interp.Compiled in
+      let out_c, sys_c, m_c = run Interp.Auto in
       let out_b, sys_b, m_b = run Interp.Block_step in
       let out_r, sys_r, m_r = run Interp.Reference in
       out_c = out_b && out_c = out_r && sys_c = sys_b && sys_c = sys_r
@@ -283,7 +267,7 @@ let prop_profile_combined =
       in
       (* one combined replay on the compiled tier *)
       let prof = Profile_tool.create ~slice_len p in
-      replay ~engine:Interp.Compiled (Profile_tool.hooks prof);
+      replay ~engine:Interp.Auto (Profile_tool.hooks prof);
       Profile_tool.finish prof;
       (* three dedicated replays, each on its natural tier *)
       let bbv = Bbv_tool.create ~slice_len p in
@@ -333,7 +317,7 @@ let test_cache_reuse_and_eviction () =
     Array.iteri
       (fun i p ->
         let m = Interp.create ~entry:p.Program.entry () in
-        (match Interp.run ~engine:Interp.Compiled p m with
+        (match Interp.run ~engine:Interp.Auto p m with
         | Interp.Halted -> ()
         | Interp.Out_of_fuel -> Alcotest.fail "unexpected out-of-fuel");
         Alcotest.(check int)

@@ -298,7 +298,8 @@ let test_trace_roundtrip () =
   let path = Filename.temp_file "trace" ".txt" in
   let oc = open_out path in
   let w = Sp_pin.Trace_io.Writer.create oc in
-  ignore (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Trace_io.Writer.hooks w ] prog);
+  ignore
+    (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Trace_io.Writer.hooks w prog ] prog);
   close_out oc;
   let ic = open_in path in
   let events = Sp_pin.Trace_io.Reader.read_all ic in
@@ -331,7 +332,8 @@ let test_trace_limit () =
   let path = Filename.temp_file "trace" ".txt" in
   let oc = open_out path in
   let w = Sp_pin.Trace_io.Writer.create ~limit:10 oc in
-  ignore (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Trace_io.Writer.hooks w ] prog);
+  ignore
+    (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Trace_io.Writer.hooks w prog ] prog);
   close_out oc;
   Sys.remove path;
   Alcotest.(check int) "limited" 10 (Sp_pin.Trace_io.Writer.events_written w);

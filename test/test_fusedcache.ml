@@ -3,15 +3,15 @@
 
    The fused allcache hook set ([Allcache_tool.hooks]) consumes
    [on_block_mems] segments and applies same-line / same-page repeat
-   filters; the per-instruction set ([hooks_per_instr]) walks the
-   hierarchy once per event.  Random memory-heavy programs are executed
-   under both (and under the mixed engine, where a live per-instruction
-   callback forces single-instruction segments); every cache level's
-   statistics, both TLBs, prefetch and write-back counters and the
-   retired instruction count must be bit-identical — across
-   replacement policies, with and without the next-line prefetcher,
-   across fuel-split boundaries landing mid-block, and across a
-   warming prefix.
+   filters; the per-instruction reference below walks the hierarchy
+   once per event.  Random memory-heavy programs are executed under
+   both (and on the per-instruction engine, where a live
+   per-instruction callback forces single-instruction segments); every
+   cache level's statistics, both TLBs, prefetch and write-back
+   counters and the retired instruction count must be bit-identical —
+   across replacement policies, with and without the next-line
+   prefetcher, across fuel-split boundaries landing mid-block, and
+   across a warming prefix.
 
    The k-means half ports the original unpruned implementation
    (nested-array Lloyd iterations, linear-scan seeding draw) and
@@ -83,6 +83,51 @@ let mem_prog_gen =
       (list_repeat body_len instr_gen))
 
 (* ------------------------------------------------------------------ *)
+(* The per-instruction reference: one TLB access and one hierarchy walk
+   per fetch and data reference, on the same geometry as
+   [Allcache_tool.create] *)
+
+type reference = {
+  r_hier : Hierarchy.t;
+  r_itlb : Tlb.t;
+  r_dtlb : Tlb.t;
+  mutable r_warming : bool;
+}
+
+let reference_create ~policy ~prefetch =
+  {
+    r_hier =
+      Hierarchy.create ~policy ~next_line_prefetch:prefetch
+        Config.allcache_table1;
+    r_itlb = Tlb.create ~level2:Tlb.stlb_default Tlb.itlb_default;
+    r_dtlb = Tlb.create ~level2:Tlb.stlb_default Tlb.dtlb_default;
+    r_warming = false;
+  }
+
+let reference_set_warming r b =
+  r.r_warming <- b;
+  Hierarchy.set_warming r.r_hier b
+
+let reference_hooks r p =
+  let tlb t addr = if r.r_warming then Tlb.warm t addr else Tlb.access t addr in
+  {
+    Hooks.nil with
+    Hooks.on_instr =
+      (fun pc _kind ->
+        let addr = Program.fetch_addr p pc in
+        tlb r.r_itlb addr;
+        Hierarchy.fetch r.r_hier addr);
+    on_read =
+      (fun addr ->
+        tlb r.r_dtlb addr;
+        Hierarchy.read r.r_hier addr);
+    on_write =
+      (fun addr ->
+        tlb r.r_dtlb addr;
+        Hierarchy.write r.r_hier addr);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* One run of a program under one engine tier, with optional warming
    prefix and fuel-chunked resumption; everything observable about the
    cache simulation comes back in one comparable record *)
@@ -103,27 +148,42 @@ let warm_fuel = 60
 
 let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
   let p = Program.of_instrs instrs in
-  let tool = Allcache_tool.create ~policy ~prefetch p in
-  let hooks =
+  (* the hooks, the warming switch, and the hierarchy and TLB stats read
+     after the run *)
+  let hooks, set_warming, observe =
     match tier with
-    | Fused -> Allcache_tool.hooks tool
-    | Per_instr -> Allcache_tool.hooks_per_instr tool
-    | Mixed ->
-        (* a live on_instr keeps the set off the block tier, forcing
-           single-instruction segment delivery of on_block_mems *)
-        Hooks.seq (Allcache_tool.hooks tool)
-          { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
+    | Per_instr ->
+        let r = reference_create ~policy ~prefetch in
+        ( reference_hooks r p,
+          reference_set_warming r,
+          fun () -> (r.r_hier, Tlb.stats r.r_itlb, Tlb.stats r.r_dtlb) )
+    | Fused | Mixed ->
+        let tool = Allcache_tool.create ~policy ~prefetch p in
+        ( (if tier = Fused then Allcache_tool.hooks tool
+           else
+             (* a live on_instr keeps the set off the block tier, forcing
+                single-instruction segment delivery of on_block_mems *)
+             Hooks.seq_all
+               [
+                 Allcache_tool.hooks tool;
+                 { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
+               ]),
+          Allcache_tool.set_warming tool,
+          fun () ->
+            ( Allcache_tool.hierarchy tool,
+              Allcache_tool.itlb_stats tool,
+              Allcache_tool.dtlb_stats tool ) )
   in
   let m = Interp.create ~entry:0 () in
   let outcome = ref 0 in
   (if warm then begin
-     Allcache_tool.set_warming tool true;
+     set_warming true;
      (try
         match Interp.run ~hooks ~syscall:test_syscall ~fuel:warm_fuel p m with
         | Interp.Halted -> outcome := 1
         | Interp.Out_of_fuel -> ()
       with Interp.Stack_error _ -> outcome := 2);
-     Allcache_tool.set_warming tool false
+     set_warming false
    end);
   let left = ref test_fuel in
   (try
@@ -135,12 +195,13 @@ let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
        | Interp.Out_of_fuel -> ()
      done
    with Interp.Stack_error _ -> outcome := 2);
+  let hier, itlb, dtlb = observe () in
   {
-    o_hier = Allcache_tool.stats tool;
-    o_itlb = Allcache_tool.itlb_stats tool;
-    o_dtlb = Allcache_tool.dtlb_stats tool;
-    o_prefetches = Allcache_tool.prefetches tool;
-    o_writebacks = Hierarchy.writebacks (Allcache_tool.hierarchy tool);
+    o_hier = Hierarchy.stats hier;
+    o_itlb = itlb;
+    o_dtlb = dtlb;
+    o_prefetches = Hierarchy.prefetches hier;
+    o_writebacks = Hierarchy.writebacks hier;
     o_icount = m.Interp.icount;
     o_outcome = !outcome;
   }

@@ -108,7 +108,7 @@ let test_bbv_deterministic () =
 let test_tracer () =
   let prog = mix_program ~iters:5 in
   let t = Tracer.create ~capacity:16 () in
-  ignore (Pin.run_fresh ~tools:[ Tracer.hooks t ] prog);
+  ignore (Pin.run_fresh ~tools:[ Tracer.hooks t prog ] prog);
   let events = Tracer.events t in
   Alcotest.(check int) "bounded" 16 (List.length events);
   Alcotest.(check bool) "counted all" true (Tracer.total_events t > 16);

@@ -361,6 +361,88 @@ let test_store_fuzz_region () =
     (List.filter (fun i -> i < n)
        (boundaries @ strided))
 
+(* Cross-section consistency.  Every engine fetches unchecked at the
+   snapshot's pc and at each return address it pops, so a pinball whose
+   sections all carry valid checksums must still be rejected unless it
+   resumes inside its program and can never fall or return past its
+   end. *)
+let encode_state program (m : Interp.machine) =
+  Store.encode
+    {
+      Pinball.benchmark = "state";
+      kind = Pinball.Whole;
+      program;
+      snapshot = Snapshot.capture m;
+      length = None;
+      syscalls = [||];
+    }
+
+let expect_corrupt what data =
+  match Store.of_bytes data with
+  | Error (Store.Corrupt _) -> ()
+  | Ok _ -> Alcotest.failf "%s: decoded successfully" what
+  | Error e ->
+      Alcotest.failf "%s: expected Corrupt, got %s" what (Store.error_message e)
+
+let expect_decodes what data =
+  match Store.of_bytes data with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s: %s" what (Store.error_message e)
+
+let test_store_pc_range () =
+  let prog = sys_program ~iters:5 in
+  let n = Array.length prog.Program.instrs in
+  let at pc =
+    let m = Interp.create ~entry:0 () in
+    m.Interp.pc <- pc;
+    encode_state prog m
+  in
+  expect_decodes "last pc" (at (n - 1));
+  expect_corrupt "pc = program length" (at n);
+  expect_corrupt "pc far past the end" (at 50_000_000)
+
+let test_store_stack_depth () =
+  let prog = sys_program ~iters:5 in
+  expect_decodes "interpreter depth"
+    (encode_state prog (Interp.create ~entry:0 ()));
+  List.iter
+    (fun depth ->
+      let m = Interp.create ~entry:0 () in
+      expect_corrupt
+        (Printf.sprintf "%d-slot call stack" depth)
+        (encode_state prog { m with Interp.callstack = Array.make depth 0 }))
+    [ 0; 16; Interp.stack_depth + 1 ]
+
+let test_store_return_addresses () =
+  let prog = sys_program ~iters:5 in
+  let n = Array.length prog.Program.instrs in
+  let with_stack slots sp =
+    let m = Interp.create ~entry:0 () in
+    List.iteri (fun i a -> m.Interp.callstack.(i) <- a) slots;
+    m.Interp.sp <- sp;
+    encode_state prog m
+  in
+  (* only live slots (below sp) are ever popped *)
+  expect_decodes "dead slot past the end" (with_stack [ 1; n - 1; 50_000_000 ] 2);
+  expect_corrupt "live slot = program length" (with_stack [ 1; n ] 2);
+  expect_corrupt "negative live slot" (with_stack [ -1 ] 1)
+
+let test_store_program_end () =
+  List.iter
+    (fun (what, last, ok) ->
+      let prog = Program.of_instrs [| Isa.Li (1, 0); last |] in
+      let data = encode_state prog (Interp.create ~entry:0 ()) in
+      if ok then expect_decodes what data else expect_corrupt what data)
+    [
+      ("ends in jump", Isa.Jump 0, true);
+      ("ends in ret", Isa.Ret, true);
+      ("ends in halt", Isa.Halt, true);
+      ("ends in branch", Isa.Branch (Isa.Eq, 1, 1, 0), false);
+      ("ends in call", Isa.Call 0, false);
+      ("ends in alu", Isa.Alui (Isa.Add, 1, 1, 1), false);
+      ("ends in sys", Isa.Sys (0, 1), false);
+    ]
+
 let test_store_concurrent_save () =
   (* 4 pool domains saving into the same fresh (nested) directory: the
      old Sys.file_exists/Sys.mkdir pair could throw EEXIST here *)
@@ -500,6 +582,14 @@ let suite =
     Alcotest.test_case "store typed errors" `Quick test_store_errors;
     Alcotest.test_case "store fuzz whole (exhaustive)" `Quick test_store_fuzz_whole;
     Alcotest.test_case "store fuzz region (boundaries)" `Quick test_store_fuzz_region;
+    Alcotest.test_case "store rejects pc outside program" `Quick
+      test_store_pc_range;
+    Alcotest.test_case "store rejects wrong stack depth" `Quick
+      test_store_stack_depth;
+    Alcotest.test_case "store rejects return past program" `Quick
+      test_store_return_addresses;
+    Alcotest.test_case "store rejects fall-off program end" `Quick
+      test_store_program_end;
     Alcotest.test_case "store concurrent save" `Quick test_store_concurrent_save;
     Alcotest.test_case "artifact cache" `Quick test_artifact_cache;
     Alcotest.test_case "golden encoder bytes" `Quick test_golden_bytes;

@@ -6,16 +6,17 @@
    [Interval_core.hooks_per_instr] takes one callback per retired
    instruction and data reference.  Random memory-heavy programs (the
    fused cache suite's generator) run under the block-level set on the
-   fused engine and, pinned to the reference family, on the mixed
-   engine; seq'd with a per-instruction tool on the mixed engine; and
-   as the per-instruction set on the hooked engine.  Fuel splits land
-   mid-block, warming flips and state resets happen at fuel boundaries,
-   syscall handlers raise and recursion overflows the call stack; every
-   [stats] field must match, floats to the bit.
+   block stepper and, pinned to [Reference], on the per-instruction
+   engine's single-instruction segments; seq'd with a per-instruction
+   tool, on the same engine; and as the per-instruction set.  Fuel
+   splits land mid-block, warming flips and state resets happen at fuel
+   boundaries, syscall handlers raise and recursion overflows the call
+   stack; every [stats] field must match, floats to the bit.
 
-   The rest pins the engine tier the pipeline's tool sets select and
-   the [Ldstmix] span counter against a per-instruction reference on
-   every engine. *)
+   The rest pins the engine tier each kind of hook set selects under
+   each pin, the tier the pipeline's tool sets select, and the
+   [Ldstmix] span counter against a per-instruction reference on every
+   engine. *)
 
 open Sp_isa
 open Sp_vm
@@ -88,8 +89,11 @@ let run_tier tier ~config ~warm ~flip_every ~reset_every ~chunk ~fatal ~fuel
     match tier with
     | Block | Block_ref -> Interval_core.hooks core
     | Mixed ->
-        Hooks.seq (Interval_core.hooks core)
-          { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
+        Hooks.seq_all
+          [
+            Interval_core.hooks core;
+            { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
+          ]
     | Per_instr -> Interval_core.hooks_per_instr core
   in
   let engine =
@@ -229,19 +233,57 @@ let test_reset_clears_filters () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection: the pipeline's tool sets are block-level with a
-   fused consumer, so none of its replays reaches the per-instruction
-   engines *)
+(* Engine selection: every hook set lands on exactly one tier under each
+   pin (the DESIGN §5d table), and the pipeline's tool sets, block-level
+   with a segment consumer, never reach the per-instruction engine *)
 
 let counter name =
   Option.value ~default:0.0
     (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ()) name)
 
+let tier_names =
+  [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.hooked"; "vm.runs.plain" ]
+
 let runs_delta f =
-  let names = [ "vm.runs.fused"; "vm.runs.hooked"; "vm.runs.mixed" ] in
-  let before = List.map counter names in
+  let before = List.map counter tier_names in
   f ();
-  List.map2 (fun n b -> (n, int_of_float (counter n -. b))) names before
+  List.map2 (fun n b -> (n, int_of_float (counter n -. b))) tier_names before
+
+let test_tier_map () =
+  let p =
+    Program.of_instrs
+      [| Isa.Li (1, 64); Isa.Load (2, 1, 0); Isa.Store (2, 1, 8); Isa.Halt |]
+  in
+  let span = { Hooks.nil with Hooks.on_block_span = (fun _ _ -> ()) } in
+  let mems = { span with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) } in
+  let instr = { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) } in
+  let instr_mems = Hooks.seq_all [ instr; mems ] in
+  List.iter
+    (fun (name, hooks, by_pin) ->
+      List.iter2
+        (fun engine expected ->
+          let delta =
+            runs_delta (fun () ->
+                ignore (Interp.run ~engine ~hooks p (Interp.create ~entry:0 ())))
+          in
+          Alcotest.(check (list (pair string int)))
+            (name ^ " lands on " ^ expected)
+            (List.map (fun n -> (n, if n = expected then 1 else 0)) tier_names)
+            delta)
+        [ Interp.Auto; Interp.Block_step; Interp.Reference ]
+        by_pin)
+    [
+      ("nil", Hooks.nil,
+       [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.plain" ]);
+      ("block-level", span,
+       [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.hooked" ]);
+      ("block-level + mems", mems,
+       [ "vm.runs.block"; "vm.runs.block"; "vm.runs.hooked" ]);
+      ("per-instruction", instr,
+       [ "vm.runs.hooked"; "vm.runs.hooked"; "vm.runs.hooked" ]);
+      ("per-instruction + mems", instr_mems,
+       [ "vm.runs.hooked"; "vm.runs.hooked"; "vm.runs.hooked" ]);
+    ]
 
 let test_pipeline_tool_sets_block_level () =
   let spec = Sp_workloads.Suite.find "557.xz_r" in
@@ -279,9 +321,8 @@ let test_pipeline_tool_sets_block_level () =
         ignore (Specrepro.Pipeline.run_benchmark ~options spec);
         ignore (Sp_perf.Native.run built.Sp_workloads.Benchspec.program))
   in
-  Alcotest.(check bool) "fused runs" true (List.assoc "vm.runs.fused" delta > 0);
-  Alcotest.(check int) "hooked runs" 0 (List.assoc "vm.runs.hooked" delta);
-  Alcotest.(check int) "mixed runs" 0 (List.assoc "vm.runs.mixed" delta)
+  Alcotest.(check bool) "block runs" true (List.assoc "vm.runs.block" delta > 0);
+  Alcotest.(check int) "hooked runs" 0 (List.assoc "vm.runs.hooked" delta)
 
 (* ------------------------------------------------------------------ *)
 (* Ldstmix: the span counter against a port of the per-instruction
@@ -326,7 +367,7 @@ let prop_ldstmix_engines =
             (fun cls ->
               Ldstmix.count t cls = reference.(Isa.mem_class_code cls))
             Isa.all_mem_classes)
-        [ Interp.Reference; Interp.Block_step; Interp.Compiled ])
+        [ Interp.Reference; Interp.Block_step; Interp.Auto ])
 
 let suite =
   [
@@ -335,6 +376,7 @@ let suite =
     Alcotest.test_case "straight-line cycles" `Quick test_straightline_cycles;
     Alcotest.test_case "reset clears the repeat filters" `Quick
       test_reset_clears_filters;
+    Alcotest.test_case "engine tier map" `Quick test_tier_map;
     Alcotest.test_case "pipeline tool sets are block-level" `Quick
       test_pipeline_tool_sets_block_level;
     QCheck_alcotest.to_alcotest prop_ldstmix_engines;

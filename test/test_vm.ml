@@ -301,7 +301,7 @@ let test_hooks_fire () =
     {
       Hooks.nil with
       Hooks.on_block = (fun _ -> incr blocks);
-      on_block_exec = (fun _ n -> block_insns := !block_insns + n);
+      on_block_span = (fun _ n -> block_insns := !block_insns + n);
       on_instr = (fun _ _ -> incr instr_count);
       on_read = (fun a -> reads := a :: !reads);
       on_write = (fun a -> writes := a :: !writes);
@@ -322,7 +322,7 @@ let test_hooks_fire () =
   let m = Interp.create ~entry:0 () in
   ignore (Interp.run ~hooks p m);
   Alcotest.(check int) "instr hook count" m.Interp.icount !instr_count;
-  Alcotest.(check int) "block_exec multiplicity" m.Interp.icount !block_insns;
+  Alcotest.(check int) "block_span multiplicity" m.Interp.icount !block_insns;
   Alcotest.(check (list int)) "read addrs" [ 0x10 ] !reads;
   Alcotest.(check (list int)) "write addrs" [ 0x10 ] !writes;
   Alcotest.(check (list bool)) "branch taken" [ true ] !branches;
@@ -343,7 +343,7 @@ let test_hooks_seq_all_flat_order () =
     {
       Hooks.nil with
       Hooks.on_block = (fun _ -> log := ("b" ^ tag) :: !log);
-      on_block_exec = (fun _ _ -> log := ("x" ^ tag) :: !log);
+      on_block_span = (fun _ _ -> log := ("x" ^ tag) :: !log);
       on_instr = (fun _ _ -> log := ("i" ^ tag) :: !log);
       on_read = (fun _ -> log := ("r" ^ tag) :: !log);
       on_write = (fun _ -> log := ("w" ^ tag) :: !log);
@@ -361,15 +361,15 @@ let test_hooks_seq_all_flat_order () =
 
 let test_hooks_nil_detection () =
   Alcotest.(check bool) "nil is nil" true (Hooks.is_nil Hooks.nil);
-  Alcotest.(check bool) "seq of nils is nil" true
-    (Hooks.is_nil (Hooks.seq Hooks.nil Hooks.nil));
+  Alcotest.(check bool) "seq_all of two nils is nil" true
+    (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; Hooks.nil ]));
   Alcotest.(check bool) "seq_all of nils is nil" true
     (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; Hooks.nil; Hooks.nil ]));
   Alcotest.(check bool) "seq_all [] is nil" true (Hooks.is_nil (Hooks.seq_all []));
   let live = { Hooks.nil with Hooks.on_read = (fun _ -> ()) } in
   Alcotest.(check bool) "live hook is not nil" false (Hooks.is_nil live);
-  Alcotest.(check bool) "seq keeps live hook" false
-    (Hooks.is_nil (Hooks.seq Hooks.nil live))
+  Alcotest.(check bool) "seq_all keeps live hook" false
+    (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; live ]))
 
 let test_interp_fast_path_equivalent () =
   (* the uninstrumented fast path must leave the machine in exactly the

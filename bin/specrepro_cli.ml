@@ -908,30 +908,25 @@ let report_cmd =
 (* pinballs: inspect / verify / gc a store or cache directory *)
 
 let pinballs_cmd =
+  let module Cache = Sp_pinball.Artifact_cache in
   let dir_arg =
     let doc = "Pinball store or cache directory." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
   in
-  let describe_file path =
-    match Sp_pinball.Store.load path with
-    | Error e -> Error (Sp_pinball.Store.error_message e)
-    | Ok pb ->
-        let kind =
-          match pb.Sp_pinball.Pinball.kind with
-          | Sp_pinball.Pinball.Whole -> "whole"
-          | Sp_pinball.Pinball.Region r -> Printf.sprintf "region %d" r.cluster
-        in
-        let length =
-          match pb.Sp_pinball.Pinball.length with
-          | Some l -> string_of_int l
-          | None -> "to halt"
-        in
-        Ok (pb.Sp_pinball.Pinball.benchmark, kind, length)
-  in
+  let plural n = if n = 1 then "entry" else "entries" in
   let list_cmd =
     let run dir json =
-      let files = Sp_pinball.Store.list_dir ~dir in
-      let manifest = Sp_pinball.Artifact_cache.read_manifest ~dir in
+      let rows =
+        List.map
+          (fun path ->
+            let size =
+              try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> -1
+            in
+            match Cache.inspect path with
+            | Ok i -> (path, size, i.benchmark, i.kind, i.length, "ok")
+            | Error e -> (path, size, "-", "-", "-", e))
+          (Cache.entries ~dir)
+      in
       if json then
         emit_json ~command:"pinballs-list" ~options:Api.no_options
           ~result:
@@ -939,45 +934,23 @@ let pinballs_cmd =
                [
                  ("dir", str dir);
                  ( "pinballs",
-              Sp_obs.Json.List
-                (List.map
-                   (fun path ->
-                     let size =
-                       try (Unix.stat path).Unix.st_size
-                       with Unix.Unix_error _ -> -1
-                     in
-                     let benchmark, kind, length, status =
-                       match describe_file path with
-                       | Ok (b, k, l) -> (b, k, l, "ok")
-                       | Error e -> ("-", "-", "-", e)
-                     in
-                     Sp_obs.Json.Obj
-                       [
-                         ("file", str (Filename.basename path));
-                         ("bytes", numi size);
-                         ("benchmark", str benchmark);
-                         ("kind", str kind);
-                         ("length", str length);
-                         ("status", str status);
-                       ])
-                   files) );
-            ( "manifest",
-              Sp_obs.Json.List
-                (List.map
-                   (fun (e : Sp_pinball.Artifact_cache.entry) ->
-                     Sp_obs.Json.Obj
-                       [
-                         ("key", str e.key);
-                         ("benchmark", str e.benchmark);
-                         ("slice_insns", numi e.slice_insns);
-                         ("scale", num e.slices_scale);
-                         ("file", str e.file);
-                       ])
-                   manifest) );
+                   Sp_obs.Json.List
+                     (List.map
+                        (fun (path, size, benchmark, kind, length, status) ->
+                          Sp_obs.Json.Obj
+                            [
+                              ("file", str (Filename.basename path));
+                              ("bytes", numi size);
+                              ("benchmark", str benchmark);
+                              ("kind", str kind);
+                              ("length", str length);
+                              ("status", str status);
+                            ])
+                        rows) );
                ])
       else begin
         let t =
-          Sp_util.Table.create ~title:(Printf.sprintf "Pinballs under %s" dir)
+          Sp_util.Table.create ~title:(Printf.sprintf "Entries under %s" dir)
             [
               ("File", Sp_util.Table.Left);
               ("Bytes", Sp_util.Table.Right);
@@ -988,90 +961,64 @@ let pinballs_cmd =
             ]
         in
         List.iter
-          (fun path ->
-            let size =
-              try string_of_int (Unix.stat path).Unix.st_size
-              with Unix.Unix_error _ -> "?"
-            in
-            let benchmark, kind, length, status =
-              match describe_file path with
-              | Ok (b, k, l) -> (b, k, l, "ok")
-              | Error e -> ("-", "-", "-", e)
-            in
+          (fun (path, size, benchmark, kind, length, status) ->
             Sp_util.Table.add_row t
-              [ Filename.basename path; size; benchmark; kind; length; status ])
-          files;
-        Sp_util.Table.print t;
-        if manifest <> [] then begin
-          let m =
-            Sp_util.Table.create ~title:"Cache manifest"
               [
-                ("Key", Sp_util.Table.Left);
-                ("Benchmark", Sp_util.Table.Left);
-                ("Slice insns", Sp_util.Table.Right);
-                ("Scale", Sp_util.Table.Right);
-                ("File", Sp_util.Table.Left);
-              ]
-          in
-          List.iter
-            (fun (e : Sp_pinball.Artifact_cache.entry) ->
-              Sp_util.Table.add_row m
-                [
-                  e.key;
-                  e.benchmark;
-                  string_of_int e.slice_insns;
-                  Printf.sprintf "%g" e.slices_scale;
-                  e.file;
-                ])
-            manifest;
-          Sp_util.Table.print m
-        end
+                Filename.basename path;
+                (if size < 0 then "?" else string_of_int size);
+                benchmark;
+                kind;
+                length;
+                status;
+              ])
+          rows;
+        Sp_util.Table.print t
       end
     in
     Cmd.v
       (Cmd.info "list"
-         ~doc:"List the pinballs (and any cache manifest) in a directory.")
+         ~doc:"List the pinballs and profile entries in a directory.")
       Term.(const run $ dir_arg $ json_arg)
   in
   let verify_cmd =
     let run dir =
-      let files = Sp_pinball.Store.list_dir ~dir in
+      let files = Cache.entries ~dir in
       let bad =
         List.fold_left
           (fun bad path ->
-            match Sp_pinball.Store.verify path with
-            | Ok () ->
+            match Cache.inspect path with
+            | Ok _ ->
                 Printf.printf "%s: ok\n" path;
                 bad
             | Error e ->
-                Printf.printf "%s\n" (Sp_pinball.Store.error_message e);
+                Printf.printf "%s\n" e;
                 bad + 1)
           0 files
       in
-      Printf.printf "%d pinball(s), %d corrupt\n" (List.length files) bad;
+      Printf.printf "%d %s, %d corrupt\n" (List.length files)
+        (plural (List.length files))
+        bad;
       if bad > 0 then exit 1
     in
     Cmd.v
       (Cmd.info "verify"
-         ~doc:"Fully validate every pinball in a directory (framing, \
-               checksums, all fields); exits 1 if any is corrupt.")
+         ~doc:"Fully validate every pinball and profile entry in a directory \
+               (framing, checksums, all fields); exits 1 if any is corrupt.")
       Term.(const run $ dir_arg)
   in
   let gc_cmd =
     let run dir =
-      let r = Sp_pinball.Artifact_cache.gc ~dir in
-      Printf.printf
-        "%s: kept %d pinball(s); removed %d corrupt, %d quarantined, %d \
-         temporary; pruned %d manifest entr%s\n"
-        dir r.Sp_pinball.Artifact_cache.kept r.removed_corrupt
-        r.removed_quarantined r.removed_tmp r.manifest_pruned
-        (if r.manifest_pruned = 1 then "y" else "ies")
+      let r = Cache.gc ~dir in
+      Printf.printf "%s: kept %d %s; removed %d corrupt, %d quarantined, %d \
+                     temporary\n"
+        dir r.Cache.kept (plural r.Cache.kept) r.removed_corrupt
+        r.removed_quarantined r.removed_tmp
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Garbage-collect a directory: drop corrupt pinballs, \
-               quarantined entries, stale temporaries and dead manifest \
-               entries.  Valid pinballs are never touched.")
+         ~doc:"Garbage-collect a directory: drop corrupt pinballs and profile \
+               entries, quarantined entries and stale temporaries.  Valid \
+               entries are never touched.")
       Term.(const run $ dir_arg)
   in
   Cmd.group

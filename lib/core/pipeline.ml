@@ -294,9 +294,7 @@ let whole_cached ~options ~slice_insns ~(spec : Benchspec.t) ~log ~on_hit =
       let log_and_store () =
         let whole = log () in
         (try
-           ignore
-             (Artifact_cache.store_whole ~dir ~key ~slice_insns
-                ~slices_scale:options.slices_scale whole)
+           ignore (Artifact_cache.store_whole ~dir ~key whole)
          with Sys_error m | Failure m ->
            Sp_obs.Log.printf "[%s] pinball cache: could not store entry (%s)\n"
              spec.Benchspec.name m);

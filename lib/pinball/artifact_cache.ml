@@ -1,16 +1,5 @@
-(* Content-addressed cache of whole pinballs.
-
-   Logging a whole pinball is the most expensive stage of the pipeline,
-   and the artifact is reusable by construction: it replays bit-for-bit
-   on any machine.  The cache keys a stored whole pinball by a digest of
-   everything that determines the logged execution — benchmark name,
-   slice length, run scale and the format generation — so a later run
-   with the same parameters replays the stored artifact instead of
-   re-logging.
-
-   Robustness contract: a cache can only ever help.  Corrupt, stale or
-   version-mismatched entries are quarantined (renamed aside, with a
-   warning) and recomputed; they are never trusted and never fatal. *)
+(* Content-addressed cache of whole pinballs, and the directory table
+   of entry kinds (see the .mli). *)
 
 (* Bump whenever the on-disk format or the meaning of the key inputs
    changes: old entries then miss instead of poisoning new runs. *)
@@ -22,233 +11,123 @@ let key ~benchmark ~slice_insns ~slices_scale =
        (Printf.sprintf "%s|%s|%d|%.17g" generation benchmark slice_insns
           slices_scale))
 
-let whole_file key = key ^ ".whole.pb"
-let whole_path ~dir key = Filename.concat dir (whole_file key)
-
-(* ------------------------------------------------------------------ *)
-(* manifest: a human-readable index mapping each opaque digest back to
-   the parameters that produced it.  Lookups go straight to the
-   content-addressed file; the manifest exists for [pinballs list] and
-   for debugging a cache directory by hand. *)
-
-type entry = {
-  key : string;
-  benchmark : string;
-  slice_insns : int;
-  slices_scale : float;
-  file : string;
-}
-
-let manifest_name = "MANIFEST.tsv"
-let manifest_path ~dir = Filename.concat dir manifest_name
-
-let append_manifest ~dir e =
-  Store.mkdir_p dir;
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 (manifest_path ~dir)
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (* one O_APPEND write per entry: atomic for lines this short, so
-         concurrent pool domains can append safely *)
-      Printf.fprintf oc "%s\t%s\t%d\t%.17g\t%s\n" e.key e.benchmark
-        e.slice_insns e.slices_scale e.file)
-
-let parse_entry line =
-  match String.split_on_char '\t' line with
-  | [ key; benchmark; slice_insns; slices_scale; file ] -> (
-      match
-        (int_of_string_opt slice_insns, float_of_string_opt slices_scale)
-      with
-      | Some slice_insns, Some slices_scale ->
-          Some { key; benchmark; slice_insns; slices_scale; file }
-      | _ -> None)
-  | _ -> None
-
-let read_manifest ~dir =
-  let path = manifest_path ~dir in
-  if not (Sys.file_exists path) then []
-  else
-    let lines =
-      In_channel.with_open_text path In_channel.input_lines
-    in
-    (* later lines win: a re-stored key supersedes its old entry *)
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun line ->
-        match parse_entry line with
-        | Some e ->
-            if not (Hashtbl.mem tbl e.key) then order := e.key :: !order;
-            Hashtbl.replace tbl e.key e
-        | None -> ())
-      lines;
-    List.rev_map (Hashtbl.find tbl) !order
-
-let write_manifest ~dir entries =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" (manifest_path ~dir) (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          Printf.fprintf oc "%s\t%s\t%d\t%.17g\t%s\n" e.key e.benchmark
-            e.slice_insns e.slices_scale e.file)
-        entries);
-  Sys.rename tmp (manifest_path ~dir)
+let whole_path ~dir key = Filename.concat dir (key ^ ".whole.pb")
 
 (* ------------------------------------------------------------------ *)
 (* lookup / store *)
 
-type lookup =
-  | Hit of Logger.whole
+type 'a lookup = 'a Entry_cache.lookup =
+  | Hit of 'a
   | Miss
   | Quarantined of { path : string; reason : string }
 
-(* Cache traffic counters.  Hit/miss splits depend on what earlier
-   processes left on disk, not on this run's scheduling, so they are
-   stable across job counts within one run — but still depend on disk
-   state, which tests control by using fresh cache directories. *)
-module M = struct
-  let hits = Sp_obs.Metrics.counter "pbcache.hits"
-  let misses = Sp_obs.Metrics.counter "pbcache.misses"
-  let quarantined = Sp_obs.Metrics.counter "pbcache.quarantined"
-  let stored = Sp_obs.Metrics.counter "pbcache.stored"
-end
+(* A decoded whole pinball is shared as is: its snapshot is frozen, so
+   handing the same value to concurrent restorers is safe. *)
+let load_whole path =
+  match Store.load path with
+  | Error e -> Error (Store.error_message e)
+  | Ok pb -> (
+      match (pb.Pinball.kind, pb.Pinball.length) with
+      | Pinball.Whole, Some total_insns ->
+          Ok { Logger.pinball = pb; total_insns }
+      | _ ->
+          (* decodes fine but is not a whole pinball: a stale or
+             hand-edited entry, equally untrustworthy *)
+          Error "not a whole pinball")
 
-let quarantine path =
-  let q = path ^ ".quarantined" in
-  (try Sys.rename path q with Sys_error _ -> ());
-  q
+let cache =
+  Entry_cache.create ~hits:"pbcache.hits" ~misses:"pbcache.misses"
+    ~quarantined:"pbcache.quarantined" ~stored:"pbcache.stored"
+    ~load:load_whole
+    ~encode:(fun (w : Logger.whole) -> Store.encode w.Logger.pinball)
 
-(* Decoded whole pinballs, keyed by their on-disk path (which embeds
-   the content key): a mem hit skips the read + CRC + decode.  Entries
-   are charged their serialised size; the snapshot inside a decoded
-   pinball is frozen, so handing the same value to concurrent
-   restorers is safe. *)
-let mem : Logger.whole Mem_cache.t = Mem_cache.create Mem_cache.global
-let clear_mem () = Mem_cache.clear mem
+let find_whole ~dir ~key = Entry_cache.find cache (whole_path ~dir key)
 
-let file_bytes path =
-  match (Unix.stat path).Unix.st_size with
-  | n -> n
-  | exception Unix.Unix_error _ -> 0
-
-let find_whole ~dir ~key =
+let store_whole ~dir ~key w =
   let path = whole_path ~dir key in
-  match Mem_cache.find mem path with
-  | Some whole -> Hit whole
-  | None ->
-      if not (Sys.file_exists path) then begin
-        Sp_obs.Metrics.incr M.misses;
-        Miss
-      end
-      else (
-        match Store.load path with
-        | Error e ->
-            ignore (quarantine path);
-            Sp_obs.Metrics.incr M.quarantined;
-            Quarantined { path; reason = Store.error_message e }
-        | Ok pb -> (
-            match (pb.Pinball.kind, pb.Pinball.length) with
-            | Pinball.Whole, Some total_insns ->
-                Sp_obs.Metrics.incr M.hits;
-                let whole = { Logger.pinball = pb; total_insns } in
-                Mem_cache.add mem path ~bytes:(file_bytes path) whole;
-                Hit whole
-            | _ ->
-                (* decodes fine but is not a whole pinball: a stale or
-                   hand-edited entry, equally untrustworthy *)
-                ignore (quarantine path);
-                Sp_obs.Metrics.incr M.quarantined;
-                Quarantined { path; reason = "not a whole pinball" }))
-
-let store_whole ~dir ~key ~slice_insns ~slices_scale (w : Logger.whole) =
-  let path = Store.save_path ~path:(whole_path ~dir key) w.Logger.pinball in
-  Sp_obs.Metrics.incr M.stored;
-  Mem_cache.add mem path ~bytes:(file_bytes path) w;
-  append_manifest ~dir
-    {
-      key;
-      benchmark = w.Logger.pinball.Pinball.benchmark;
-      slice_insns;
-      slices_scale;
-      file = whole_file key;
-    };
+  Entry_cache.store cache path w;
   path
 
+let clear_mem () = Entry_cache.clear_mem cache
+
 (* ------------------------------------------------------------------ *)
-(* garbage collection *)
+(* the directory: one table of entry kinds drives listing, verification
+   and garbage collection, so all three see the same files *)
+
+type info = { benchmark : string; kind : string; length : string }
+
+let kinds =
+  [
+    ( ".pb",
+      fun path ->
+        Result.map_error Store.error_message (Store.load path)
+        |> Result.map (fun (pb : Pinball.t) ->
+               {
+                 benchmark = pb.benchmark;
+                 kind =
+                   (match pb.kind with
+                   | Pinball.Whole -> "whole"
+                   | Pinball.Region r -> Printf.sprintf "region %d" r.cluster);
+                 length =
+                   (match pb.length with
+                   | Some l -> string_of_int l
+                   | None -> "to halt");
+               }) );
+    ( ".prof",
+      fun path ->
+        Profile_store.load path
+        |> Result.map (fun (d : Profile_store.data) ->
+               {
+                 benchmark = d.benchmark;
+                 kind = "profile";
+                 length = string_of_int d.total_insns;
+               }) );
+  ]
+
+let kind_of name =
+  List.find_opt (fun (suffix, _) -> Filename.check_suffix name suffix) kinds
+
+let entries ~dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun name -> kind_of name <> None)
+    |> List.map (Filename.concat dir)
+    |> List.sort compare
+
+let inspect path =
+  match kind_of path with
+  | Some (_, inspect) -> inspect path
+  | None -> Error (path ^ ": not a pinball or profile entry")
 
 type gc_report = {
   removed_quarantined : int;
   removed_tmp : int;
   removed_corrupt : int;
   kept : int;
-  manifest_pruned : int;
 }
 
-(* "<file>.tmp.<pid>.<domain>" leftovers from an interrupted atomic write *)
-let is_tmp name =
-  let needle = ".tmp." in
-  let n = String.length name and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub name i m = needle || go (i + 1)) in
-  go 0
-
 let gc ~dir =
-  let report =
-    ref
-      {
-        removed_quarantined = 0;
-        removed_tmp = 0;
-        removed_corrupt = 0;
-        kept = 0;
-        manifest_pruned = 0;
-      }
-  in
-  if Sys.file_exists dir then begin
+  let quarantined = ref 0 and tmp = ref 0 in
+  let corrupt = ref 0 and kept = ref 0 in
+  if Sys.file_exists dir then
     Array.iter
       (fun name ->
         let path = Filename.concat dir name in
-        let remove () = try Sys.remove path with Sys_error _ -> () in
-        if Filename.check_suffix name ".quarantined" then begin
-          remove ();
-          report :=
-            { !report with removed_quarantined = !report.removed_quarantined + 1 }
-        end
-        else if is_tmp name then begin
-          remove ();
-          report := { !report with removed_tmp = !report.removed_tmp + 1 }
-        end
-        else if Filename.check_suffix name ".pb" then begin
-          match Store.verify path with
-          | Ok () -> report := { !report with kept = !report.kept + 1 }
-          | Error _ ->
-              remove ();
-              report :=
-                { !report with removed_corrupt = !report.removed_corrupt + 1 }
-        end
-        else if Filename.check_suffix name ".prof" then
-          (* profile-stage entries share the directory (and this GC) *)
-          match Profile_store.verify path with
-          | Ok () -> report := { !report with kept = !report.kept + 1 }
-          | Error _ ->
-              remove ();
-              report :=
-                { !report with removed_corrupt = !report.removed_corrupt + 1 })
+        let remove count =
+          (try Sys.remove path with Sys_error _ -> ());
+          incr count
+        in
+        if Filename.check_suffix name ".quarantined" then remove quarantined
+        else if Sp_util.Frame.is_tmp name then remove tmp
+        else if kind_of name <> None then
+          match inspect path with
+          | Ok _ -> incr kept
+          | Error _ -> remove corrupt)
       (Sys.readdir dir);
-    let entries = read_manifest ~dir in
-    let live, dead =
-      List.partition
-        (fun e -> Sys.file_exists (Filename.concat dir e.file))
-        entries
-    in
-    if dead <> [] then write_manifest ~dir live;
-    report := { !report with manifest_pruned = List.length dead }
-  end;
-  !report
+  {
+    removed_quarantined = !quarantined;
+    removed_tmp = !tmp;
+    removed_corrupt = !corrupt;
+    kept = !kept;
+  }

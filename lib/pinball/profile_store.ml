@@ -4,9 +4,8 @@ open Sp_util
    changes: old entries then miss instead of poisoning new runs. *)
 let generation = "profcache-1"
 
-let magic = "SPREPRO-PROFILE"
-let version = 1
-let header_bytes = String.length magic + 4
+let format : Frame.file =
+  { magic = "SPREPRO-PROFILE"; version = 1; noun = "profile entry" }
 
 type data = {
   benchmark : string;
@@ -27,10 +26,8 @@ let file key = key ^ ".prof"
 let path ~dir ~key = Filename.concat dir (file key)
 
 (* ------------------------------------------------------------------ *)
-(* encoding: same framing as the pinball store — magic, big-endian u32
-   version, then tagged sections (4-byte tag, LE u32 payload length,
-   payload, payload CRC-32), so truncation and bit flips are detected
-   per section before any payload is decoded. *)
+(* encoding: a {!Frame} sectioned file with four sections in fixed
+   order, META, BBVS, MIXK and STAT *)
 
 let encode_meta buf d =
   Binio.w_string buf d.benchmark;
@@ -73,39 +70,38 @@ let encode_stats buf d =
   Binio.w_int_array buf k.level_hits
 
 let encode d =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_be buf (Int32.of_int version);
-  let section tag write_payload =
-    let pbuf = Buffer.create 1024 in
-    write_payload pbuf;
-    let payload = Buffer.contents pbuf in
-    Buffer.add_string buf tag;
-    Binio.w_u32 buf (String.length payload);
-    Buffer.add_string buf payload;
-    Binio.w_u32 buf (Crc32.string payload)
-  in
-  section "META" (fun b -> encode_meta b d);
-  section "BBVS" (fun b -> encode_slices b d);
-  section "MIXK" (fun b -> Binio.w_int_array b d.kind_counts);
-  section "STAT" (fun b -> encode_stats b d);
-  Buffer.contents buf
+  Frame.encode_file format
+    [
+      ("META", fun b -> encode_meta b d);
+      ("BBVS", fun b -> encode_slices b d);
+      ("MIXK", fun b -> Binio.w_int_array b d.kind_counts);
+      ("STAT", fun b -> encode_stats b d);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
-let section data r tag =
-  let t = Binio.r_bytes r 4 in
-  if t <> tag then Binio.fail "expected section %s, found %S" tag t;
-  let len = Binio.r_u32 r in
-  if len + 4 > Binio.remaining r then
-    Binio.fail "section %s: length %d overruns the file" tag len;
-  let pos = Binio.pos r in
-  Binio.skip r len;
-  let stored = Binio.r_u32 r in
-  let actual = Crc32.sub data ~pos ~len in
-  if stored <> actual then Binio.fail "section %s: checksum mismatch" tag;
-  Binio.reader ~pos ~len data
+let decode_meta r =
+  let benchmark = Binio.r_string r in
+  let total_insns = Binio.r_i64 r in
+  if total_insns < 0 then
+    Binio.fail "META: negative instruction count %d" total_insns;
+  (benchmark, total_insns)
+
+let decode_slices r =
+  let nslices = Binio.r_count r ~elem_bytes:28 "slice table" in
+  Array.init nslices (fun _ ->
+      let index = Binio.r_i64 r in
+      let start_icount = Binio.r_i64 r in
+      let length = Binio.r_i64 r in
+      let nbb = Binio.r_count r ~elem_bytes:16 "bbv" in
+      let bbv =
+        Array.init nbb (fun _ ->
+            let bb = Binio.r_i64 r in
+            let n = Binio.r_i64 r in
+            (bb, n))
+      in
+      { Sp_pin.Bbv_tool.index; start_icount; length; bbv })
 
 let decode_level r : Sp_cache.Hierarchy.level_stats =
   let accesses = Binio.r_i64 r in
@@ -113,51 +109,20 @@ let decode_level r : Sp_cache.Hierarchy.level_stats =
   let miss_rate = Binio.r_f64 r in
   { accesses; misses; miss_rate }
 
-let decode_body data : data =
-  let r = Binio.reader ~pos:header_bytes data in
-  let meta = section data r "META" in
-  let benchmark = Binio.r_string meta in
-  let total_insns = Binio.r_i64 meta in
-  if total_insns < 0 then
-    Binio.fail "META: negative instruction count %d" total_insns;
-  Binio.expect_end meta "META";
-  let bbvr = section data r "BBVS" in
-  let nslices = Binio.r_count bbvr ~elem_bytes:28 "slice table" in
-  let slices =
-    Array.init nslices (fun _ ->
-        let index = Binio.r_i64 bbvr in
-        let start_icount = Binio.r_i64 bbvr in
-        let length = Binio.r_i64 bbvr in
-        let nbb = Binio.r_count bbvr ~elem_bytes:16 "bbv" in
-        let bbv =
-          Array.init nbb (fun _ ->
-              let bb = Binio.r_i64 bbvr in
-              let n = Binio.r_i64 bbvr in
-              (bb, n))
-        in
-        { Sp_pin.Bbv_tool.index; start_icount; length; bbv })
-  in
-  Binio.expect_end bbvr "BBVS";
-  let mixr = section data r "MIXK" in
-  let kind_counts = Binio.r_int_array mixr in
-  Binio.expect_end mixr "MIXK";
-  let statr = section data r "STAT" in
-  let l1i = decode_level statr in
-  let l1d = decode_level statr in
-  let l2 = decode_level statr in
-  let l3 = decode_level statr in
-  let cache_stats = { Sp_cache.Hierarchy.l1i; l1d; l2; l3 } in
-  let instructions = Binio.r_i64 statr in
-  let cycles = Binio.r_f64 statr in
-  let base_cycles = Binio.r_f64 statr in
-  let branch_stall_cycles = Binio.r_f64 statr in
-  let memory_stall_cycles = Binio.r_f64 statr in
-  let branch_lookups = Binio.r_i64 statr in
-  let branch_mispredicts = Binio.r_i64 statr in
-  let level_hits = Binio.r_int_array statr in
-  Binio.expect_end statr "STAT";
-  Binio.expect_end r "file";
-  let core_stats =
+let decode_stats r =
+  let l1i = decode_level r in
+  let l1d = decode_level r in
+  let l2 = decode_level r in
+  let l3 = decode_level r in
+  let instructions = Binio.r_i64 r in
+  let cycles = Binio.r_f64 r in
+  let base_cycles = Binio.r_f64 r in
+  let branch_stall_cycles = Binio.r_f64 r in
+  let memory_stall_cycles = Binio.r_f64 r in
+  let branch_lookups = Binio.r_i64 r in
+  let branch_mispredicts = Binio.r_i64 r in
+  let level_hits = Binio.r_int_array r in
+  ( { Sp_cache.Hierarchy.l1i; l1d; l2; l3 },
     {
       Sp_cpu.Interval_core.instructions;
       cycles;
@@ -167,116 +132,44 @@ let decode_body data : data =
       branch_lookups;
       branch_mispredicts;
       level_hits;
-    }
-  in
+    } )
+
+let decode_body s : data =
+  let benchmark, total_insns = Frame.section s "META" decode_meta in
+  let slices = Frame.section s "BBVS" decode_slices in
+  let kind_counts = Frame.section s "MIXK" Binio.r_int_array in
+  let cache_stats, core_stats = Frame.section s "STAT" decode_stats in
   { benchmark; total_insns; slices; kind_counts; cache_stats; core_stats }
 
-let of_bytes ?(path = "<bytes>") data =
-  if String.length data < header_bytes then
-    Error (Printf.sprintf "%s: shorter than the %d-byte header" path
-             header_bytes)
-  else if String.sub data 0 (String.length magic) <> magic then
-    Error (Printf.sprintf "%s: not a profile entry (bad magic)" path)
-  else
-    let found =
-      Int32.to_int (String.get_int32_be data (String.length magic))
-    in
-    if found <> version then
-      Error
-        (Printf.sprintf "%s: profile format version %d, expected %d" path
-           found version)
-    else
-      match decode_body data with
-      | d -> Ok d
-      | exception Binio.Corrupt reason ->
-          Error (Printf.sprintf "%s: corrupt profile entry (%s)" path reason)
-      | exception Invalid_argument reason ->
-          Error (Printf.sprintf "%s: corrupt profile entry (%s)" path reason)
-      | exception Failure reason ->
-          Error (Printf.sprintf "%s: corrupt profile entry (%s)" path reason)
+let of_bytes ?path data =
+  Result.map_error (Frame.error_message format)
+    (Frame.decode_file format ?path decode_body data)
 
 let load path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | data -> of_bytes ~path data
-    | exception Sys_error reason -> Error reason
+  Result.map_error (Frame.error_message format)
+    (Frame.load_file format decode_body path)
 
 let verify path = Result.map ignore (load path)
 
 (* ------------------------------------------------------------------ *)
 (* lookup / store *)
 
-type lookup =
-  | Hit of data
+type 'a lookup = 'a Entry_cache.lookup =
+  | Hit of 'a
   | Miss
   | Quarantined of { path : string; reason : string }
 
-(* Same stability contract as the pbcache counters: hit/miss splits
-   depend on what earlier processes left on disk, not on this run's
-   scheduling, so they are stable across job counts within one run. *)
-module M = struct
-  let hits = Sp_obs.Metrics.counter "profcache.hits"
-  let misses = Sp_obs.Metrics.counter "profcache.misses"
-  let quarantines = Sp_obs.Metrics.counter "profcache.quarantines"
-  let stores = Sp_obs.Metrics.counter "profcache.stores"
-end
+let cache =
+  Entry_cache.create ~hits:"profcache.hits" ~misses:"profcache.misses"
+    ~quarantined:"profcache.quarantines" ~stored:"profcache.stores" ~load
+    ~encode
 
-let quarantine path =
-  let q = path ^ ".quarantined" in
-  (try Sys.rename path q with Sys_error _ -> ());
-  Sp_obs.Metrics.incr M.quarantines;
-  q
-
-(* Decoded profile entries share the artifact mem-cache pool (and its
-   [--mem-cache-mb] budget); keyed by on-disk path, charged their
-   serialised size.  The decoded value is treated as immutable by every
-   consumer. *)
-let mem : data Mem_cache.t = Mem_cache.create Mem_cache.global
-let clear_mem () = Mem_cache.clear mem
-
-let file_bytes path =
-  match (Unix.stat path).Unix.st_size with
-  | n -> n
-  | exception Unix.Unix_error _ -> 0
-
-let find ~dir ~key =
-  let path = path ~dir ~key in
-  match Mem_cache.find mem path with
-  | Some d -> Hit d
-  | None ->
-      if not (Sys.file_exists path) then begin
-        Sp_obs.Metrics.incr M.misses;
-        Miss
-      end
-      else (
-        match load path with
-        | Ok d ->
-            Sp_obs.Metrics.incr M.hits;
-            Mem_cache.add mem path ~bytes:(file_bytes path) d;
-            Hit d
-        | Error reason ->
-            ignore (quarantine path);
-            Quarantined { path; reason })
+let find ~dir ~key = Entry_cache.find cache (path ~dir ~key)
 
 let store ~dir ~key d =
   let path = path ~dir ~key in
-  Store.mkdir_p dir;
-  let data = encode d in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc data)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
-  Sp_obs.Metrics.incr M.stores;
-  Mem_cache.add mem path ~bytes:(String.length data) d;
+  Entry_cache.store cache path d;
   path
+
+let quarantine path = Entry_cache.quarantine cache path
+let clear_mem () = Entry_cache.clear_mem cache

@@ -9,11 +9,13 @@
     reports.  This store memoises them so a re-run with the same
     parameters skips the instrumented whole-program replay entirely.
 
-    Same robustness contract as {!Artifact_cache}: corrupt, truncated
-    or version-mismatched entries are quarantined and recomputed, never
-    trusted and never fatal.  Entries are framed like the pinball store
-    (magic, big-endian version, CRC-32-checksummed sections), so random
-    corruption is detected before any payload is decoded. *)
+    Lookups and stores go through {!Entry_cache}, the same layer as
+    {!Artifact_cache}: corrupt, truncated or version-mismatched entries
+    are quarantined and recomputed, never trusted and never fatal.  A
+    [.prof] file is a {!Sp_util.Frame} sectioned file (magic
+    [SPREPRO-PROFILE], version 1) with four CRC-32-checksummed sections
+    — META, BBVS, MIXK, STAT — so random corruption is detected before
+    any payload is decoded. *)
 
 type data = {
   benchmark : string;
@@ -37,12 +39,12 @@ val key :
 val path : dir:string -> key:string -> string
 (** [<dir>/<key>.prof]. *)
 
-type lookup =
-  | Hit of data
+type 'a lookup = 'a Entry_cache.lookup =
+  | Hit of 'a
   | Miss
   | Quarantined of { path : string; reason : string }
 
-val find : dir:string -> key:string -> lookup
+val find : dir:string -> key:string -> data lookup
 (** Look up an entry; corrupt entries are renamed aside
     ([.quarantined]) and reported, so the caller recomputes.
     Maintains the [profcache.{hits,misses,quarantines}] metrics.
@@ -64,5 +66,15 @@ val quarantine : string -> string
     internally by {!find} and by callers that reject an entry for
     reasons the decoder cannot see (e.g. a stale instruction total). *)
 
+val encode : data -> string
+(** The exact bytes {!store} writes; deterministic for a given entry. *)
+
+val of_bytes : ?path:string -> string -> (data, string) result
+(** Decode from bytes in memory ([path] only labels errors).  Never
+    raises: every malformed input is an [Error]. *)
+
+val load : string -> (data, string) result
+(** {!of_bytes} over a file's contents. *)
+
 val verify : string -> (unit, string) result
-(** Decode a file without using it — for cache GC. *)
+(** {!load}, discarding the entry. *)

@@ -5,17 +5,15 @@
     pinball can be copied to another machine (or another process) and
     replayed without the benchmark's inputs.
 
-    The v2 format is self-describing and defensive: a magic string and
-    big-endian version word (framing-compatible with the v1 header, so
-    legacy files fail with a clean version error), followed by four
-    tagged sections — META, PROG, SNAP, SYSC — each carrying a length
-    and a CRC-32 of its payload.  The payloads use explicit
-    little-endian encoders ({!Sp_vm.Program.write},
+    A [.pb] file is a {!Sp_util.Frame} sectioned file (magic
+    [SPREPRO-PINBALL], version 2) with four sections — META, PROG, SNAP,
+    SYSC — each length-framed and CRC-32-checksummed.  The payloads use
+    explicit little-endian encoders ({!Sp_vm.Program.write},
     {!Sp_vm.Snapshot.write}); nothing on the read path touches
     [Marshal], so arbitrary bytes can never crash the runtime: {!load}
     returns a typed [error] for every malformed input. *)
 
-type error =
+type error = Sp_util.Frame.error =
   | No_such_file of string
   | Short_file of string      (** shorter than the magic+version header *)
   | Bad_magic of string
@@ -27,16 +25,9 @@ val error_message : error -> string
 (** One-line human-readable rendering of an [error]. *)
 
 val save : dir:string -> Pinball.t -> string
-(** Write the pinball under [dir] (created recursively if missing);
-    returns the file path.  File names encode benchmark and kind.  The
-    write is atomic: the encoding goes to a per-(process, domain)
-    temporary file which is then renamed over the destination, so
-    concurrent savers never race and readers never observe a partial
-    file. *)
-
-val save_path : path:string -> Pinball.t -> string
-(** Like {!save} but with an explicit destination path (used by the
-    content-addressed artifact cache). *)
+(** Write the pinball under [dir] (created recursively if missing) with
+    the atomic {!Sp_util.Frame.write_atomic}; returns the file path.
+    File names encode benchmark and kind. *)
 
 val load : string -> (Pinball.t, error) result
 (** Read and fully validate a pinball file.  Never raises on malformed
@@ -71,5 +62,4 @@ val filename : Pinball.t -> string
 (** The basename {!save} would use. *)
 
 val mkdir_p : string -> unit
-(** [mkdir -p]: recursive, and tolerant of concurrent creation by
-    another domain or process. *)
+(** {!Sp_util.Frame.mkdir_p}. *)

@@ -1,13 +1,13 @@
-(* Length-framed, CRC-checksummed JSON frames (see the .mli for the
-   layout).  The reader mirrors the pinball store's defensive
-   discipline: every length is bounds-checked before allocation, every
-   payload is checksummed before parsing, and every failure is a typed
-   [error] — arbitrary bytes can never raise. *)
+(* Length-framed, CRC-checksummed JSON frames: {!Sp_util.Frame}
+   self-framed records (see the .mli).  Every failure is a typed
+   [error]; arbitrary bytes can never raise. *)
 
-let magic = "SPRF"
-let version = 1
-let header_bytes = 4 + 1 + 4 + 4 (* magic, version, len, crc *)
-let max_payload = 16 * 1024 * 1024
+module Frame = Sp_util.Frame
+
+let format : Frame.record =
+  { magic = "SPRF"; version = 1; max_payload = 16 * 1024 * 1024 }
+
+let max_payload = format.max_payload
 
 type error =
   | Closed
@@ -23,9 +23,10 @@ let error_message = function
   | Closed -> "connection closed"
   | Truncated what -> Printf.sprintf "truncated frame (%s)" what
   | Bad_magic got ->
-      Printf.sprintf "bad frame magic %S (want %S)" got magic
+      Printf.sprintf "bad frame magic %S (want %S)" got format.magic
   | Bad_version v ->
-      Printf.sprintf "unsupported protocol version %d (want %d)" v version
+      Printf.sprintf "unsupported protocol version %d (want %d)" v
+        format.version
   | Oversized n ->
       Printf.sprintf "oversized frame: %d bytes declared (max %d)" n
         max_payload
@@ -44,52 +45,33 @@ let recoverable = function
 (* ------------------------------------------------------------------ *)
 (* pure codec *)
 
-let encode json =
-  let payload = Sp_obs.Json.to_string json in
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Buffer.add_string b magic;
-  Sp_util.Binio.w_u8 b version;
-  Sp_util.Binio.w_u32 b (String.length payload);
-  Sp_util.Binio.w_u32 b (Sp_util.Crc32.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+let encode json = Frame.encode_record format (Sp_obs.Json.to_string json)
 
-(* Validate a complete header; [payload] fetches [len] bytes (from a
-   string or a socket) or reports what ran short. *)
-let decode_header header =
-  let got_magic = String.sub header 0 4 in
-  if got_magic <> magic then Error (Bad_magic got_magic)
-  else
-    let r = Sp_util.Binio.reader ~pos:4 header in
-    let v = Sp_util.Binio.r_u8 r in
-    if v <> version then Error (Bad_version v)
-    else
-      let len = Sp_util.Binio.r_u32 r in
-      let crc = Sp_util.Binio.r_u32 r in
-      if len > max_payload then Error (Oversized len) else Ok (len, crc)
+(* Every caller has the whole header in hand before it asks, so a short
+   record can only be a short payload. *)
+let of_frame : Frame.record_error -> error = function
+  | Short -> Truncated "payload"
+  | Bad_record_magic got -> Bad_magic got
+  | Bad_record_version v -> Bad_version v
+  | Oversized n -> Oversized n
+  | Bad_crc { expected; found } -> Bad_crc { expected; found }
 
-let decode_payload ~crc payload =
-  let found = Sp_util.Crc32.string payload in
-  if found <> crc then Error (Bad_crc { expected = crc; found })
-  else
-    match Sp_obs.Json.parse payload with
-    | Ok json -> Ok json
-    | Error msg -> Error (Bad_json msg)
+let parse payload =
+  match Sp_obs.Json.parse payload with
+  | Ok json -> Ok json
+  | Error msg -> Error (Bad_json msg)
 
 let decode_stream s ~pos =
   let remaining = String.length s - pos in
   if remaining = 0 then Error Closed
-  else if remaining < header_bytes then Error (Truncated "header")
+  else if remaining < Frame.record_header_bytes then Error (Truncated "header")
   else
-    match decode_header (String.sub s pos header_bytes) with
-    | Error e -> Error e
-    | Ok (len, crc) ->
-        if remaining - header_bytes < len then Error (Truncated "payload")
-        else
-          let payload = String.sub s (pos + header_bytes) len in
-          Result.map
-            (fun json -> (json, pos + header_bytes + len))
-            (decode_payload ~crc payload)
+    match Frame.decode_record format s ~pos with
+    | Error e -> Error (of_frame e)
+    | Ok (body, len) ->
+        Result.map
+          (fun json -> (json, body + len))
+          (parse (String.sub s body len))
 
 let decode s =
   match decode_stream s ~pos:0 with
@@ -133,20 +115,21 @@ let read_exact fd n =
   go 0
 
 let read fd =
-  match read_exact fd header_bytes with
+  match read_exact fd Frame.record_header_bytes with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Transport (Unix.error_message e))
   | `Eof 0 -> Error Closed
   | `Eof _ -> Error (Truncated "header")
   | `Ok header -> (
-      match decode_header header with
-      | Error e -> Error e
+      match Frame.record_header format header ~pos:0 with
+      | Error e -> Error (of_frame e)
       | Ok (len, crc) -> (
           match read_exact fd len with
           | exception Unix.Unix_error (e, _, _) ->
               Error (Transport (Unix.error_message e))
           | `Eof _ -> Error (Truncated "payload")
-          | `Ok payload ->
-              Result.map
-                (fun json -> (payload, json))
-                (decode_payload ~crc payload)))
+          | `Ok payload -> (
+              match Frame.check_crc ~crc payload ~pos:0 ~len with
+              | Error e -> Error (of_frame e)
+              | Ok () ->
+                  Result.map (fun json -> (payload, json)) (parse payload))))

@@ -1,15 +1,11 @@
 (** The [specrepro serve] wire protocol: length-framed, CRC-checksummed
     JSON over a Unix-domain stream socket.
 
-    Each frame is
-
-    {v "SPRF" | u8 version (=1) | u32 len | u32 crc32(payload) | payload v}
-
-    (integers little-endian, the {!Sp_util.Binio} discipline; the
-    payload is one UTF-8 {!Sp_obs.Json} document — in practice a
-    [specrepro/v2] envelope, see {!Specrepro.Api}).  The framing layer
-    follows the pinball-store contract: arbitrary bytes can never crash
-    a reader — every malformed input maps to a typed {!error}.
+    Each frame is a {!Sp_util.Frame} self-framed record, magic [SPRF],
+    version 1, whose payload is one UTF-8 {!Sp_obs.Json} document — in
+    practice a [specrepro/v2] envelope, see {!Specrepro.Api}.
+    Arbitrary bytes can never crash a reader: every malformed input
+    maps to a typed {!error}.
 
     Errors are classified by whether the byte stream is still framed
     afterwards.  A payload-level fault ({!Bad_crc}, {!Bad_json}) was

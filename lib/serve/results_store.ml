@@ -1,11 +1,11 @@
-(* Append-only results log.  Records are individually framed and
-   checksummed (see the .mli); the writer's only mutation beyond
-   appending is dropping a torn final frame left by a crash. *)
+(* Append-only results log.  Records are {!Sp_util.Frame} self-framed
+   records (see the .mli); the writer's only mutation beyond appending
+   is dropping a torn final frame left by a crash. *)
 
-let magic = "SRRC"
-let version = 1
-let header_bytes = 4 + 1 + 4 + 4
-let max_payload = 64 * 1024 * 1024
+module Frame = Sp_util.Frame
+
+let format : Frame.record =
+  { magic = "SRRC"; version = 1; max_payload = 64 * 1024 * 1024 }
 
 let m_appends = Sp_obs.Metrics.counter ~stable:false "results.appends"
 
@@ -28,65 +28,43 @@ let tail_message = function
   | Corrupt { offset; reason } ->
       Some (Printf.sprintf "corrupt record at offset %d: %s" offset reason)
 
-(* Is [s.[pos..]] a prefix of what a valid frame could start with?  A
-   torn single-write append is always such a prefix: up to 4 bytes it
-   must match the magic, past that the header/payload may end early
-   but every complete field must validate.  With [~parse:false] the
-   payloads are only checksummed, not decoded, and no records are
-   returned: enough to classify the tail before an append, since a
-   payload whose CRC matches is exactly what the writer framed. *)
+(* Walk the records.  A torn single-write append is always a prefix of
+   a valid frame ([Short]); anything else that fails is corruption.
+   With [~parse:false] the payloads are only checksummed, not decoded,
+   and no records are returned: enough to classify the tail before an
+   append, since a payload whose CRC matches is exactly what the writer
+   framed. *)
 let scan ?(parse = true) contents =
   let len = String.length contents in
   let rec go pos acc =
     if pos = len then (List.rev acc, Clean, pos)
     else
-      let remaining = len - pos in
-      let torn bytes = (List.rev acc, Torn { offset = pos; bytes }, pos) in
-      let corrupt reason =
-        (List.rev acc, Corrupt { offset = pos; reason }, pos)
-      in
-      let magic_prefix_len = min remaining 4 in
-      if
-        String.sub contents pos magic_prefix_len
-        <> String.sub magic 0 magic_prefix_len
-      then corrupt "bad record magic"
-      else if remaining < header_bytes then torn remaining
-      else
-        let r = Sp_util.Binio.reader ~pos:(pos + 4) contents in
-        let v = Sp_util.Binio.r_u8 r in
-        if v <> version then corrupt (Printf.sprintf "bad version %d" v)
-        else
-          let plen = Sp_util.Binio.r_u32 r in
-          let crc = Sp_util.Binio.r_u32 r in
-          if plen > max_payload then
-            corrupt (Printf.sprintf "oversized record (%d bytes)" plen)
-          else if remaining - header_bytes < plen then
-            torn remaining
+      let stop tail = (List.rev acc, tail, pos) in
+      let corrupt reason = stop (Corrupt { offset = pos; reason }) in
+      match Frame.decode_record format contents ~pos with
+      | Error Short -> stop (Torn { offset = pos; bytes = len - pos })
+      | Error (Bad_record_magic _) -> corrupt "bad record magic"
+      | Error (Bad_record_version v) ->
+          corrupt (Printf.sprintf "bad version %d" v)
+      | Error (Oversized n) ->
+          corrupt (Printf.sprintf "oversized record (%d bytes)" n)
+      | Error (Bad_crc { expected; found }) ->
+          corrupt
+            (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)"
+               expected found)
+      | Ok (body, plen) -> (
+          if not parse then go (body + plen) acc
           else
-            let body = pos + header_bytes in
-            let found = Sp_util.Crc32.sub contents ~pos:body ~len:plen in
-            let next = body + plen in
-            if found <> crc then
-              corrupt
-                (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)"
-                   crc found)
-            else if not parse then go next acc
-            else
-              match Sp_obs.Json.parse (String.sub contents body plen) with
-              | Error msg -> corrupt (Printf.sprintf "bad JSON: %s" msg)
-              | Ok json -> go next (json :: acc)
+            match Sp_obs.Json.parse (String.sub contents body plen) with
+            | Error msg -> corrupt (Printf.sprintf "bad JSON: %s" msg)
+            | Ok json -> go (body + plen) (json :: acc))
   in
   go 0 []
 
 let read_contents path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> Ok contents
   | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          Ok (really_input_string ic n))
 
 let read_file path =
   match read_contents path with
@@ -97,16 +75,6 @@ let read_file path =
       let records, tail, _ = scan contents in
       Ok (records, tail)
 
-let frame json =
-  let payload = Sp_obs.Json.to_string json in
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Buffer.add_string b magic;
-  Sp_util.Binio.w_u8 b version;
-  Sp_util.Binio.w_u32 b (String.length payload);
-  Sp_util.Binio.w_u32 b (Sp_util.Crc32.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 (* Appends from different domains of one process take turns: one
    append's torn-tail recovery must never read another's half-written
    record as a crash leftover and truncate it away. *)
@@ -114,8 +82,7 @@ let append_lock = Mutex.create ()
 
 let append ~path json =
   Mutex.protect append_lock @@ fun () ->
-  let dir = Filename.dirname path in
-  if dir <> "." && dir <> "/" then Sp_pinball.Store.mkdir_p dir;
+  Frame.mkdir_p (Filename.dirname path);
   let recover () =
     if not (Sys.file_exists path) then Ok ()
     else
@@ -152,7 +119,9 @@ let append ~path json =
           Fun.protect
             ~finally:(fun () -> Unix.close fd)
             (fun () ->
-              let s = frame json in
+              let s =
+                Frame.encode_record format (Sp_obs.Json.to_string json)
+              in
               (* one write: a crash can only leave a prefix (a torn
                  tail), never interleave with another record *)
               let n = Unix.write_substring fd s 0 (String.length s) in

@@ -1,9 +1,9 @@
 (** Append-only, checksummed results history.
 
-    Every job the daemon completes is appended as one self-framed
-    record — ["SRRC"], a version byte, a u32 length, a u32 CRC-32,
-    then a JSON payload ({!record_of_result}) — so the file is a log
-    that only ever grows and any prefix of it is a valid store.
+    Every job the daemon completes is appended as one
+    {!Sp_util.Frame} self-framed record, magic [SRRC], version 1, with a
+    JSON payload ({!record_of_result}), so the file is a log that only
+    ever grows and any prefix of it is a valid store.
 
     Crash-recovery semantics: a record is appended with a single
     [write] to an [O_APPEND] descriptor, so the only artifact a crash

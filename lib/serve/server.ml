@@ -350,8 +350,7 @@ let accept_loop t =
 let start config =
   (* a reply to a vanished client must become an error, not a signal *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let dir = Filename.dirname config.socket_path in
-  if dir <> "." && dir <> "/" then Sp_pinball.Store.mkdir_p dir;
+  Sp_util.Frame.mkdir_p (Filename.dirname config.socket_path);
   if Sys.file_exists config.socket_path then (
     try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

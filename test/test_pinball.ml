@@ -478,21 +478,13 @@ let test_artifact_cache () =
     (Artifact_cache.find_whole ~dir ~key = Artifact_cache.Miss);
   let prog = sys_program ~iters:40 in
   let whole = Logger.log_whole ~syscall:(noisy_syscall 21) ~benchmark:"b.x" prog in
-  let path =
-    Artifact_cache.store_whole ~dir ~key ~slice_insns:1000 ~slices_scale:0.5
-      whole
-  in
+  let path = Artifact_cache.store_whole ~dir ~key whole in
   (match Artifact_cache.find_whole ~dir ~key with
   | Artifact_cache.Hit cached ->
       Alcotest.(check int) "total insns" whole.Logger.total_insns
         cached.Logger.total_insns;
       check_pinball_equal "cached" whole.Logger.pinball cached.Logger.pinball
   | _ -> Alcotest.fail "expected Hit");
-  (match Artifact_cache.read_manifest ~dir with
-  | [ e ] ->
-      Alcotest.(check string) "manifest key" key e.Artifact_cache.key;
-      Alcotest.(check string) "manifest bench" "b.x" e.Artifact_cache.benchmark
-  | l -> Alcotest.failf "manifest has %d entries" (List.length l));
   (* corrupt the entry: the next lookup quarantines it, then misses *)
   let data = read_file path in
   let broken = Bytes.of_string data in
@@ -507,9 +499,7 @@ let test_artifact_cache () =
   Alcotest.(check bool) "miss after quarantine" true
     (Artifact_cache.find_whole ~dir ~key = Artifact_cache.Miss);
   (* re-store over the quarantine, then gc sweeps the residue *)
-  ignore
-    (Artifact_cache.store_whole ~dir ~key ~slice_insns:1000 ~slices_scale:0.5
-       whole);
+  ignore (Artifact_cache.store_whole ~dir ~key whole);
   write_file (Filename.concat dir "x.pb.tmp.1.2") "partial";
   let r = Artifact_cache.gc ~dir in
   Alcotest.(check int) "kept" 1 r.Artifact_cache.kept;
@@ -560,6 +550,91 @@ let test_golden_bytes () =
     "900addee133ddfaf35f15181667099de"
     (digest regions.(0))
 
+(* The same pin for the profile-cache encoding: a hand-built entry with
+   two BBV slices, per-kind counts and float statistics that are not
+   round numbers, so every field's byte layout is covered. *)
+let golden_profile : Profile_store.data =
+  let level accesses misses =
+    {
+      Sp_cache.Hierarchy.accesses;
+      misses;
+      miss_rate = float_of_int misses /. float_of_int accesses;
+    }
+  in
+  {
+    Profile_store.benchmark = "golden.prof";
+    total_insns = 2400;
+    slices =
+      [|
+        {
+          Sp_pin.Bbv_tool.index = 0;
+          start_icount = 0;
+          length = 1200;
+          bbv = [| (0, 400); (3, 800) |];
+        };
+        {
+          Sp_pin.Bbv_tool.index = 1;
+          start_icount = 1200;
+          length = 1200;
+          bbv = [| (1, 1000); (3, 150); (7, 50) |];
+        };
+      |];
+    kind_counts = [| 900; 700; 400; 250; 150 |];
+    cache_stats =
+      {
+        Sp_cache.Hierarchy.l1i = level 2400 12;
+        l1d = level 1100 97;
+        l2 = level 109 41;
+        l3 = level 41 29;
+      };
+    core_stats =
+      {
+        Sp_cpu.Interval_core.instructions = 2400;
+        cycles = 3141.592653589793;
+        base_cycles = 600.25;
+        branch_stall_cycles = 1.0 /. 3.0;
+        memory_stall_cycles = 2541.009;
+        branch_lookups = 310;
+        branch_mispredicts = 17;
+        level_hits = [| 1003; 56; 12; 29 |];
+      };
+  }
+
+let test_golden_profile_bytes () =
+  Alcotest.(check string) "profile entry bytes"
+    "2aa6fddc018e89677fa9394811d4812c"
+    (Digest.to_hex (Digest.string (Profile_store.encode golden_profile)));
+  match Profile_store.of_bytes (Profile_store.encode golden_profile) with
+  | Ok d -> Alcotest.(check bool) "decodes back" true (d = golden_profile)
+  | Error e -> Alcotest.fail e
+
+let expect_profile_error what data =
+  match Profile_store.of_bytes data with
+  | Ok _ -> Alcotest.failf "%s: decoded successfully" what
+  | Error _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+let test_profile_fuzz () =
+  (* mirrors the whole-pinball fuzz: every truncation and every
+     single-byte flip of an encoded entry is a typed error *)
+  let data = Profile_store.encode golden_profile in
+  let n = String.length data in
+  for len = 0 to n - 1 do
+    expect_profile_error
+      (Printf.sprintf "truncation to %d" len)
+      (String.sub data 0 len)
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string data in
+        Bytes.set b i (Char.chr (Char.code data.[i] lxor mask));
+        expect_profile_error
+          (Printf.sprintf "xor %02x at byte %d" mask i)
+          (Bytes.to_string b))
+      (0xff :: List.init 8 (fun bit -> 1 lsl bit))
+  done
+
 let test_describe () =
   let prog = sys_program ~iters:5 in
   let whole = Logger.log_whole ~benchmark:"b" prog in
@@ -593,5 +668,9 @@ let suite =
     Alcotest.test_case "store concurrent save" `Quick test_store_concurrent_save;
     Alcotest.test_case "artifact cache" `Quick test_artifact_cache;
     Alcotest.test_case "golden encoder bytes" `Quick test_golden_bytes;
+    Alcotest.test_case "golden profile entry bytes" `Quick
+      test_golden_profile_bytes;
+    Alcotest.test_case "profile entry fuzz (exhaustive)" `Quick
+      test_profile_fuzz;
     Alcotest.test_case "describe" `Quick test_describe;
   ]

@@ -116,6 +116,25 @@ let test_protocol_classification () =
       Alcotest.(check bool) "oversized fatal" false (P.recoverable e)
   | _ -> Alcotest.fail "expected Oversized"
 
+(* Golden-bytes pin for the wire framing: the frame of a fixed document
+   is part of the protocol contract (a client and daemon from different
+   builds must agree), so any legitimate change bumps the version and
+   re-pins this digest. *)
+let golden_doc =
+  J.Obj
+    [
+      ("schema", J.Str "specrepro/v2");
+      ("command", J.Str "submit");
+      ("scale", J.Num 0.05);
+      ("jobs", J.Num 2.0);
+      ("only", J.List [ J.Str "657.xz_s"; J.Null; J.Bool true ]);
+      ("ratio", J.Num (1.0 /. 3.0));
+    ]
+
+let test_protocol_golden_bytes () =
+  Alcotest.(check string) "frame bytes" "82e613f8bfc27a324d79d9d04e2476a8"
+    (Digest.to_hex (Digest.string (P.encode golden_doc)))
+
 let prop_protocol_never_raises =
   QCheck.Test.make ~name:"protocol decode never raises on arbitrary bytes"
     ~count:500
@@ -281,6 +300,16 @@ let test_store_corrupt () =
   (match RS.append ~path (synth_record "505.mcf_r" 3.0) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "append must refuse a corrupt store");
+  rm path
+
+(* the same pin for the results log: the file after appending a fixed
+   record to an empty store *)
+let test_store_golden_bytes () =
+  let path = tmp_path "store-golden.bin" in
+  rm path;
+  append_ok path (synth_record ~client:"golden" ~time:1700000000.25 "505.mcf_r" 12.5);
+  Alcotest.(check string) "results file bytes" "697772ac0ac9a1d2ec7635b283baf0f0"
+    (Digest.to_hex (Digest.file path));
   rm path
 
 let counter name =
@@ -910,6 +939,12 @@ let test_cli_exit_codes () =
   let oc = open_out (Filename.concat pbdir "bad.pb") in
   output_string oc "junk";
   close_out oc;
+  (* a cache directory holding only a corrupt profile entry *)
+  let profdir = tmp_path "cli-profdir" in
+  (try Unix.mkdir profdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let oc = open_out (Filename.concat profdir "bad.prof") in
+  output_string oc "junk";
+  close_out oc;
   let checks =
     [
       (* 0: success *)
@@ -922,6 +957,7 @@ let test_cli_exit_codes () =
       (1, cli ^ " run 999.none --json");
       (1, Printf.sprintf "%s report %s" cli (Filename.quote garbage));
       (1, Printf.sprintf "%s pinballs verify %s" cli (Filename.quote pbdir));
+      (1, Printf.sprintf "%s pinballs verify %s" cli (Filename.quote profdir));
       (1, Printf.sprintf "%s query --results %s" cli
            (Filename.quote (tmp_path "cli-none.bin")));
       (1, Printf.sprintf "%s bench-regress 505.mcf_r --results %s" cli
@@ -943,7 +979,9 @@ let test_cli_exit_codes () =
   rm single;
   rm garbage;
   rm (Filename.concat pbdir "bad.pb");
-  (try Unix.rmdir pbdir with Unix.Unix_error _ -> ())
+  (try Unix.rmdir pbdir with Unix.Unix_error _ -> ());
+  rm (Filename.concat profdir "bad.prof");
+  (try Unix.rmdir profdir with Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -956,6 +994,8 @@ let suite =
     Alcotest.test_case "protocol bit-flip fuzz" `Quick test_protocol_bitflip;
     Alcotest.test_case "protocol error classes" `Quick
       test_protocol_classification;
+    Alcotest.test_case "protocol golden bytes" `Quick
+      test_protocol_golden_bytes;
     QCheck_alcotest.to_alcotest prop_protocol_never_raises;
     Alcotest.test_case "queue round-robin fairness" `Quick
       test_queue_round_robin;
@@ -966,6 +1006,7 @@ let suite =
       test_store_roundtrip;
     Alcotest.test_case "store torn-tail recovery" `Quick test_store_torn_tail;
     Alcotest.test_case "store corrupt is terminal" `Quick test_store_corrupt;
+    Alcotest.test_case "store golden bytes" `Quick test_store_golden_bytes;
     Alcotest.test_case "store concurrent appends" `Quick
       test_store_concurrent_appends;
     Alcotest.test_case "regress verdicts" `Quick test_regress;

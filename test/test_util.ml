@@ -327,6 +327,45 @@ let test_binio_bounds () =
       Binio.skip r 2;
       Binio.expect_end r "test")
 
+(* The shared record framing's classification rules, which both the
+   wire protocol and the results log build on: bytes that could still
+   grow into a record are [Short], anything else fails on the first
+   field that cannot be right. *)
+let test_frame_records () =
+  let f : Frame.record = { magic = "TEST"; version = 3; max_payload = 8 } in
+  let decode s = Frame.decode_record f s ~pos:0 in
+  let rec_ = Frame.encode_record f "abc" in
+  Alcotest.(check int) "record size" (Frame.record_header_bytes + 3)
+    (String.length rec_);
+  Alcotest.(check bool) "decodes" true (decode rec_ = Ok (13, 3));
+  Alcotest.(check bool) "decodes at an offset" true
+    (Frame.decode_record f ("xy" ^ rec_) ~pos:2 = Ok (15, 3));
+  List.iter
+    (fun (what, s, expected) ->
+      Alcotest.(check bool) what true (decode s = Error expected))
+    [
+      ("magic prefix is short", "TE", Frame.Short);
+      ("header prefix is short", String.sub rec_ 0 9, Frame.Short);
+      ("payload prefix is short", String.sub rec_ 0 14, Frame.Short);
+      ("short junk is bad magic", "TX", Frame.Bad_record_magic "TX");
+      ( "version",
+        "TEST\x04" ^ String.sub rec_ 5 11,
+        Frame.Bad_record_version 4 );
+      ( "length bound",
+        Frame.encode_record f "123456789",
+        Frame.Oversized 9 );
+    ];
+  let flipped = Bytes.of_string rec_ in
+  Bytes.set flipped 14 'X';
+  (match decode (Bytes.to_string flipped) with
+  | Error (Frame.Bad_crc { expected; found }) ->
+      Alcotest.(check bool) "crc values reported" true (expected <> found)
+  | _ -> Alcotest.fail "expected Bad_crc");
+  Alcotest.(check bool) "tmp names" true
+    (Frame.is_tmp "k.whole.pb.tmp.12.0"
+    && (not (Frame.is_tmp "k.whole.pb"))
+    && not (Frame.is_tmp "tmp.prof"))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -358,4 +397,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_binio_bulk_bytes_identical;
     Alcotest.test_case "binio bulk roundtrip" `Quick test_binio_bulk_roundtrip;
     Alcotest.test_case "binio bounds" `Quick test_binio_bounds;
+    Alcotest.test_case "frame record classification" `Quick
+      test_frame_records;
   ]

@@ -63,6 +63,9 @@ let usage () =
     \  BENCH_micro.json at MAXRATIO; explicit --gate flags override the\n\
     \  ratio for the micros they name.\n";
   Printf.printf
+    "micro without a gate records its run in BENCH_micro.json; a gated\n\
+    \  run only reads the file.\n";
+  Printf.printf
     "exit codes: 0 ok; 1 bad input (unknown experiment, malformed or\n\
     \  missing gate/baseline); 2 a gate failed.\n";
   exit 0
@@ -71,10 +74,12 @@ let usage () =
 (* Bechamel microbenchmarks *)
 
 let micro ?(gates = []) ?gate_all () =
+  let gated = gates <> [] || gate_all <> None in
   let open Bechamel in
   let open Toolkit in
-  (* recorded baseline, read before this run overwrites the file; [None]
-     when absent or unreadable (deltas are skipped, gates fail loudly) *)
+  (* recorded baseline, read before an ungated run overwrites the file;
+     [None] when absent or unreadable (deltas are skipped, gates fail
+     loudly) *)
   let json_file = "BENCH_micro.json" in
   let baseline =
     match Sp_obs.Json.parse_file json_file with
@@ -334,10 +339,10 @@ let micro ?(gates = []) ?gate_all () =
               walk_addr := (!walk_addr + 4096) land 0x1FF_FFFF;
               Sp_cache.Hierarchy.read hier !walk_addr));
       (* the full warm-replay stage over the 40k-insn fixture: one
-         walk that fast-forwards to each of four windows, warms fresh
-         per-point tools in place over 1500 insns and measures the 2000
-         region insns on the live machine — what the pipeline pays per
-         warm point, fast-forwards included *)
+         walk that fast-forwards to each of four windows, resets its one
+         tool set, warms it in place over 1500 insns and measures the
+         2000 region insns on the live machine — what the pipeline pays
+         per warm point, fast-forwards included *)
       Test.make ~name:"warm-replay-4pt"
         (Staged.stage (fun () ->
              ignore
@@ -550,17 +555,21 @@ let micro ?(gates = []) ?gate_all () =
           gname cur old (cur /. old) ratio)
     gates;
   (* machine-readable mirror of the report, so the perf trajectory of
-     the interp/BBV/memory micros can be tracked across PRs *)
-  let oc = open_out json_file in
-  Printf.fprintf oc "{\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "  %S: %.1f%s\n" name ns
-        (if i = List.length !measured - 1 then "" else ","))
-    (List.rev !measured);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  (wrote %s: name -> ns/run)\n%!" json_file
+     the interp/BBV/memory micros can be tracked over time.  Only an
+     ungated run records: a gate compares against the file, and a run
+     that passed at 1.4x must not become the next baseline *)
+  if not gated then begin
+    let oc = open_out json_file in
+    Printf.fprintf oc "{\n";
+    List.iteri
+      (fun i (name, ns) ->
+        Printf.fprintf oc "  %S: %.1f%s\n" name ns
+          (if i = List.length !measured - 1 then "" else ","))
+      (List.rev !measured);
+    Printf.fprintf oc "}\n";
+    close_out oc;
+    Printf.printf "  (wrote %s: name -> ns/run)\n%!" json_file
+  end
 
 (* ------------------------------------------------------------------ *)
 

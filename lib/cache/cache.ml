@@ -1,9 +1,17 @@
 type policy = Lru | Fifo | Random
 
-(* Tags are line addresses shifted right by the set bits: far below bit
-   60, so the dirty flag rides in a high bit and moves with its tag. *)
+(* A way holds its line's tag, with the dirty flag in bit 60 so that it
+   moves with the tag, or [invalid].  Tags are line addresses shifted
+   right by [line_shift + set_shift] >= 4 bits ([validate] enforces the
+   bound), so every tag is below 2^59: bit 60 never belongs to a tag,
+   and [invalid land tag_mask] = 2^60 - 1 equals no tag.  One compare,
+   [entry land tag_mask = tag], therefore tests "valid and tagged
+   [tag]".  A valid dirty entry is at least [dirty_bit] and a clean one
+   below 2^59, while [invalid] is negative, so [entry >= dirty_bit] is
+   "valid and dirty". *)
 let dirty_bit = 1 lsl 60
 let tag_mask = dirty_bit - 1
+let invalid = -1
 
 type t = {
   cfg : Config.level;
@@ -44,7 +52,11 @@ let validate (cfg : Config.level) =
       cfg.name sets cfg.size_bytes cfg.line_bytes cfg.assoc;
   if sets * cfg.assoc * cfg.line_bytes <> cfg.size_bytes then
     fail "%s: size %dB is not sets * assoc * line_bytes (%d * %d * %d)"
-      cfg.name cfg.size_bytes sets cfg.assoc cfg.line_bytes
+      cfg.name cfg.size_bytes sets cfg.assoc cfg.line_bytes;
+  (* the tag encoding above needs tags shifted by at least 4 bits *)
+  if sets * cfg.line_bytes < 16 then
+    fail "%s: a way spans %dB (sets * line_bytes), under 16B" cfg.name
+      (sets * cfg.line_bytes)
 
 let create ?(policy = Lru) ?(seed = 0x5CA1AB1E) cfg =
   validate cfg;
@@ -57,7 +69,7 @@ let create ?(policy = Lru) ?(seed = 0x5CA1AB1E) cfg =
     set_mask = sets - 1;
     set_shift = log2 sets;
     assoc = cfg.Config.assoc;
-    tags = Array.make (sets * cfg.Config.assoc) (-1);
+    tags = Array.make (sets * cfg.Config.assoc) invalid;
     seed;
     rng = Sp_util.Rng.create seed;
     accesses = 0;
@@ -68,77 +80,103 @@ let create ?(policy = Lru) ?(seed = 0x5CA1AB1E) cfg =
 let config t = t.cfg
 let policy t = t.pol
 
+(* The kernel's loops below are top-level functions over explicit
+   arguments rather than closures over the lookup, so a lookup
+   allocates nothing.
+
+   LRU move-to-front in one pass over the set at [base]: slot [w] takes
+   its predecessor's entry [carry] until the entry tagged [tag] turns up
+   (a hit, returned) or slot [last] is overwritten, and the entry
+   carried off its end, the least recent, is returned as the victim.  A
+   hit therefore ends with slots [1 .. w] holding old slots [0 .. w-1],
+   and a miss with every entry one slot down: the caller writes slot 0
+   and tells the two apart by the tag.  FIFO reuses it with a tag no
+   entry carries, for the slide alone. *)
+let rec slide tags base last tag carry w =
+  let e = Array.unsafe_get tags (base + w) in
+  Array.unsafe_set tags (base + w) carry;
+  if e land tag_mask = tag || w = last then e
+  else slide tags base last tag e (w + 1)
+
+(* the way in [w .. last] holding [tag], or -1 *)
+let rec find tags base last tag w =
+  if Array.unsafe_get tags (base + w) land tag_mask = tag then w
+  else if w = last then -1
+  else find tags base last tag (w + 1)
+
+(* the first invalid way in [w .. last], or -1 *)
+let rec first_invalid tags base last w =
+  if Array.unsafe_get tags (base + w) = invalid then w
+  else if w = last then -1
+  else first_invalid tags base last (w + 1)
+
+let no_tag = -1 (* [e land tag_mask] is never negative *)
+
+(* FIFO and Random never reorder on a hit: a hit in ways [1 .. last]
+   only ORs the write's dirty bit [d] into its entry *)
+let hit_in_place tags base last tag d =
+  let w = if last = 0 then -1 else find tags base last tag 1 in
+  if w < 0 then false
+  else begin
+    Array.unsafe_set tags (base + w) (Array.unsafe_get tags (base + w) lor d);
+    true
+  end
+
+(* entry [e] leaves the cache: written back if valid and dirty *)
+let evict t e = if e >= dirty_bit then t.writebacks <- t.writebacks + 1
+
 (* Look up [addr]'s line and update replacement state; returns hit. *)
 let touch t ~write addr =
   let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
   let tag = line lsr t.set_shift in
-  let base = set * t.assoc in
+  let base = (line land t.set_mask) * t.assoc in
   let tags = t.tags in
+  let d = if write then dirty_bit else 0 in
   (* MRU short-circuit: a hit in way 0 is a replacement-state no-op
-     under every policy (LRU would rotate it to the slot it already
+     under every policy (LRU would move it to the slot it already
      occupies; FIFO/Random never reorder on hit), so the only possible
-     state change is a write setting the dirty bit. *)
-  let t0 = Array.unsafe_get tags base in
-  if t0 >= 0 && t0 land tag_mask = tag then begin
-    if write && t0 land dirty_bit = 0 then
-      Array.unsafe_set tags base (t0 lor dirty_bit);
+     state change is a write setting the dirty bit: [e0 < d] holds for
+     a clean entry under a write and never under a read. *)
+  let e0 = Array.unsafe_get tags base in
+  if e0 land tag_mask = tag then begin
+    if e0 < d then Array.unsafe_set tags base (e0 lor d);
     true
   end
-  else begin
-    let rec find w =
-      if w >= t.assoc then -1
-      else if Array.unsafe_get tags (base + w) land tag_mask = tag
-              && Array.unsafe_get tags (base + w) >= 0
-      then w
-      else find (w + 1)
-    in
-    let w = find 1 in
-    if w >= 0 then begin
-      (* hit: LRU rotates the entry to slot 0; FIFO/Random leave order *)
-      let entry = tags.(base + w) lor (if write then dirty_bit else 0) in
-      (match t.pol with
-      | Lru ->
-          for i = w downto 1 do
-            Array.unsafe_set tags (base + i)
-              (Array.unsafe_get tags (base + i - 1))
-          done;
-          Array.unsafe_set tags base entry
-      | Fifo | Random -> tags.(base + w) <- entry);
-      true
-    end
-    else begin
-      let entry = tag lor (if write then dirty_bit else 0) in
-      let evict victim =
-        let old = tags.(base + victim) in
-        if old >= 0 && old land dirty_bit <> 0 then
-          t.writebacks <- t.writebacks + 1
-      in
-      (match t.pol with
-      | Lru | Fifo ->
-          evict (t.assoc - 1);
-          for i = t.assoc - 1 downto 1 do
-            Array.unsafe_set tags (base + i)
-              (Array.unsafe_get tags (base + i - 1))
-          done;
-          Array.unsafe_set tags base entry
-      | Random ->
-          (* fill an invalid way first, else evict a random victim *)
-          let rec invalid w =
-            if w >= t.assoc then -1
-            else if tags.(base + w) < 0 then w
-            else invalid (w + 1)
-          in
-          let victim =
-            match invalid 0 with
-            | -1 -> Sp_util.Rng.int t.rng t.assoc
-            | w -> w
-          in
-          evict victim;
-          tags.(base + victim) <- entry);
-      false
-    end
-  end
+  else
+    let last = t.assoc - 1 in
+    match t.pol with
+    | Lru ->
+        let e = if last = 0 then e0 else slide tags base last tag e0 1 in
+        if e land tag_mask = tag then begin
+          Array.unsafe_set tags base (e lor d);
+          true
+        end
+        else begin
+          evict t e;
+          Array.unsafe_set tags base (tag lor d);
+          false
+        end
+    | Fifo ->
+        hit_in_place tags base last tag d
+        || begin
+             (* insertion order: the oldest entry leaves from the end *)
+             evict t (if last = 0 then e0 else slide tags base last no_tag e0 1);
+             Array.unsafe_set tags base (tag lor d);
+             false
+           end
+    | Random ->
+        hit_in_place tags base last tag d
+        || begin
+             (* fill the first invalid way, else evict a random victim *)
+             let v =
+               match first_invalid tags base last 0 with
+               | -1 -> Sp_util.Rng.int t.rng t.assoc
+               | w -> w
+             in
+             evict t (Array.unsafe_get tags (base + v));
+             Array.unsafe_set tags (base + v) (tag lor d);
+             false
+           end
 
 let access_rw t ~write addr =
   let hit = touch t ~write addr in
@@ -172,9 +210,9 @@ let reset_stats t =
   t.writebacks <- 0
 
 let reset_state t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) invalid;
   t.rng <- Sp_util.Rng.create t.seed;
   reset_stats t
 
 let resident_lines t =
-  Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
+  Array.fold_left (fun acc e -> if e = invalid then acc else acc + 1) 0 t.tags

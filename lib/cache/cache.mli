@@ -18,7 +18,9 @@ val create : ?policy:policy -> ?seed:int -> Config.level -> t
     degenerate: [line_bytes] or the derived set count not a positive
     power of two, [assoc < 1], or a size that is not
     [sets * assoc * line_bytes] — the shift/mask indexing would
-    silently mis-shape otherwise. *)
+    silently mis-shape otherwise — or if a way spans fewer than 16
+    bytes ([sets * line_bytes < 16]), which the tag encoding cannot
+    hold. *)
 
 val config : t -> Config.level
 val policy : t -> policy

@@ -73,12 +73,13 @@ let write t addr = walk t ~write:true t.l1d addr
 
 (* Same-line repeat filters: [n] guaranteed L1 hits folded straight
    into the L1 counters.  A hit in L1 never reaches L2/L3, and a
-   repeat of the line L1 just served changes no replacement state, so
+   repeat of the line L1 just served changes no replacement state, nor
+   its dirty bit when it is a read or the line is dirty already, so
    statistics stay bit-identical to [n] full walks.  During warming a
    walk would count nothing and change nothing for a guaranteed hit,
    so the batch is dropped entirely. *)
 let fetch_repeats (t : t) n = if not t.warming then Cache.access_bulk t.l1i n
-let read_repeats (t : t) n = if not t.warming then Cache.access_bulk t.l1d n
+let data_repeats (t : t) n = if not t.warming then Cache.access_bulk t.l1d n
 
 type hit_level = L1 | L2 | L3 | Memory
 
@@ -149,7 +150,9 @@ let reset_state (t : t) =
   Cache.reset_state t.l1i;
   Cache.reset_state t.l1d;
   Cache.reset_state t.l2;
-  Cache.reset_state t.l3
+  Cache.reset_state t.l3;
+  t.prefetches <- 0;
+  t.warming <- false
 
 let pp_level_stats ppf name (s : level_stats) =
   Format.fprintf ppf "%s: %d accesses, %d misses (%.2f%%)" name s.accesses

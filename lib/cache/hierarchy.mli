@@ -39,10 +39,12 @@ val fetch_repeats : t -> int -> unit
     {!fetch} calls.  No-op while warming, exactly as [n] warmed
     guaranteed hits would be. *)
 
-val read_repeats : t -> int -> unit
-(** Same-line filter for data reads: [n] guaranteed L1D hits, counters
-    only.  (Writes must still go through {!write} — a repeat write can
-    set the dirty bit.) *)
+val data_repeats : t -> int -> unit
+(** Same-line filter for data references: [n] guaranteed L1D hits,
+    counters only.  Sound for repeat reads of the line the last data
+    access touched, and for repeat writes to it once it is known to be
+    dirty; any other write must go through {!write}, since it can set
+    the dirty bit. *)
 
 (** The level that served an access — what a timing model needs. *)
 type hit_level = L1 | L2 | L3 | Memory
@@ -78,6 +80,10 @@ val writebacks : t -> int * int * int
 (** Dirty evictions from (L1D, L2, L3). *)
 
 val reset_stats : t -> unit
+
 val reset_state : t -> unit
+(** Invalidate every level, zero the statistics and the prefetch count,
+    and leave warming off: the hierarchy is then indistinguishable from
+    a freshly created one. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -52,4 +52,7 @@ val warm : t -> int -> unit
 
 val stats : t -> stats
 val reset_stats : t -> unit
+
 val reset_state : t -> unit
+(** Invalidate every level and zero the statistics, warming walks
+    included: the TLB is then indistinguishable from a fresh one. *)

@@ -175,22 +175,70 @@ let stage ~bench ~timings name f =
           timings := { stage = name; seconds = dt } :: !timings)
         f)
 
-(* The fresh per-point tools every Regional replay measures with, cold
-   or warm: the ldst mix, allcache and the interval timing model. *)
+(* The tools every Regional replay measures with, cold or warm: the
+   ldst mix, allcache and the interval timing model. *)
 type tools = {
   mixt : Ldstmix.t;
   cache : Allcache_tool.t;
   core : Sp_cpu.Interval_core.t;
 }
 
-let fresh_tools options prog =
-  {
-    mixt = Ldstmix.create prog;
-    cache =
-      Allcache_tool.create ~config:options.cache_config
-        ~prefetch:options.next_line_prefetch prog;
-    core = Sp_cpu.Interval_core.create ~config:options.core_config prog;
-  }
+(* Every [reset] below restores the freshly created value (DESIGN §5i),
+   so a reset set measures exactly what a fresh one would. *)
+let reset_tools t =
+  Ldstmix.reset t.mixt;
+  Allcache_tool.reset_state t.cache;
+  Sp_cpu.Interval_core.reset_state t.core
+
+(* One tool set per domain, reset in place for the profile pass and for
+   each point and region rather than rebuilt: a fresh set is ~195 KB of
+   cache, TLB and predictor arrays, allocated straight into the major
+   heap.  The slot remembers what its set was built for (the program,
+   by identity, and the configurations) and is empty while the set is
+   lent out, so no two users ever share one. *)
+type tool_slot = {
+  slot_prog : Sp_vm.Program.t;
+  slot_cache_config : Sp_cache.Config.hierarchy;
+  slot_prefetch : bool;
+  slot_core_config : Sp_cpu.Core_config.t;
+  slot_tools : tools;
+}
+
+let tool_slot : tool_slot option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(* [f] gets this domain's tool set for [prog], in no particular state:
+   it resets the set before each use *)
+let with_tools options prog f =
+  let tools =
+    match Domain.DLS.get tool_slot with
+    | Some s
+      when s.slot_prog == prog
+           && s.slot_prefetch = options.next_line_prefetch
+           && s.slot_cache_config = options.cache_config
+           && s.slot_core_config = options.core_config ->
+        Domain.DLS.set tool_slot None;
+        s.slot_tools
+    | Some _ | None ->
+        {
+          mixt = Ldstmix.create prog;
+          cache =
+            Allcache_tool.create ~config:options.cache_config
+              ~prefetch:options.next_line_prefetch prog;
+          core = Sp_cpu.Interval_core.create ~config:options.core_config prog;
+        }
+  in
+  let v = f tools in
+  Domain.DLS.set tool_slot
+    (Some
+       {
+         slot_prog = prog;
+         slot_cache_config = options.cache_config;
+         slot_prefetch = options.next_line_prefetch;
+         slot_core_config = options.core_config;
+         slot_tools = tools;
+       });
+  v
 
 (* the tools that warm: caches, TLBs and the timing model's state *)
 let warm_hooks t =
@@ -217,11 +265,12 @@ let point_stats t ~cluster ~weight ~retired =
     cpi = Sp_cpu.Interval_core.cpi t.core;
   }
 
-(* Replay one regional pinball under fresh (cold) pintools — the
-   paper's Regional-Run methodology, where every pinball is an
-   independent job. *)
+(* Replay one regional pinball under cold pintools — the paper's
+   Regional-Run methodology, where every pinball is an independent
+   job. *)
 let replay_point options (pb : Pinball.t) =
-  let t = fresh_tools options pb.Pinball.program in
+  with_tools options pb.Pinball.program @@ fun t ->
+  reset_tools t;
   let result = Replayer.replay ~tools:[ region_hooks t ] pb in
   let cluster, weight =
     match pb.Pinball.kind with
@@ -237,31 +286,33 @@ let replay_regions options regions =
   |> Array.to_list
 
 (* The Warmup Regional Run as one forward walk of the whole pinball
-   ({!Logger.walk}): at each point, fresh cache and timing tools warm in
-   place over its clamped window, the region runs measured on the live
-   machine, and with [~cold] the region start is snapshotted for the
-   cold replays.  Fresh tools at each window start are exactly the
-   shared-tool reference's [reset_state] (DESIGN §5i).  Returns the
-   region pinballs and the warm statistics, both in start order. *)
+   ({!Logger.walk}): at each point, the walk's one tool set is reset and
+   warms in place over the point's clamped window, the region runs
+   measured on the live machine, and with [~cold] the region start is
+   snapshotted for the cold replays.  Resetting at each window start is
+   exactly the shared-tool reference (DESIGN §5i).  Returns the region
+   pinballs and the warm statistics, both in start order. *)
 let walk options ~warmup_insns ~cold (whole : Logger.whole) points =
   let prog = whole.Logger.pinball.Pinball.program in
   let regions = ref [] and warm = ref [] in
-  Logger.walk ~warmup_insns whole points (fun i c ->
-      Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
-      let p = points.(i) in
-      let t = fresh_tools options prog in
-      Allcache_tool.set_warming t.cache true;
-      Sp_cpu.Interval_core.set_warming t.core true;
-      Logger.warm c (warm_hooks t);
-      if cold then regions := Logger.region c :: !regions;
-      Allcache_tool.set_warming t.cache false;
-      Sp_cpu.Interval_core.set_warming t.core false;
-      let retired = Logger.measure c (region_hooks t) in
-      Sp_obs.Metrics.incr M.warm_points;
-      warm :=
-        point_stats t ~cluster:p.Sp_simpoint.Simpoints.cluster
-          ~weight:p.Sp_simpoint.Simpoints.weight ~retired
-        :: !warm);
+  with_tools options prog (fun t ->
+      let warm_hooks = warm_hooks t and region_hooks = region_hooks t in
+      Logger.walk ~warmup_insns whole points (fun i c ->
+          Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
+          let p = points.(i) in
+          reset_tools t;
+          Allcache_tool.set_warming t.cache true;
+          Sp_cpu.Interval_core.set_warming t.core true;
+          Logger.warm c warm_hooks;
+          if cold then regions := Logger.region c :: !regions;
+          Allcache_tool.set_warming t.cache false;
+          Sp_cpu.Interval_core.set_warming t.core false;
+          let retired = Logger.measure c region_hooks in
+          Sp_obs.Metrics.incr M.warm_points;
+          warm :=
+            point_stats t ~cluster:p.Sp_simpoint.Simpoints.cluster
+              ~weight:p.Sp_simpoint.Simpoints.weight ~retired
+            :: !warm));
   (Array.of_list (List.rev !regions), List.rev !warm)
 
 let replay_points options whole points =
@@ -358,18 +409,15 @@ type profile_data = {
    (regional replays) keep the dedicated tools. *)
 let measure_profile ~options ~slice_insns ~spec prog =
   let profile = Profile_tool.create ~slice_len:slice_insns prog in
-  let cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
+  with_tools options prog @@ fun t ->
+  reset_tools t;
   let whole =
     log_whole_cached ~options ~slice_insns ~spec
       ~tools:
         [
           Profile_tool.hooks profile;
-          Allcache_tool.hooks cache;
-          Sp_cpu.Interval_core.hooks core;
+          Allcache_tool.hooks t.cache;
+          Sp_cpu.Interval_core.hooks t.core;
         ]
       prog
   in
@@ -378,8 +426,8 @@ let measure_profile ~options ~slice_insns ~spec prog =
     {
       prof_slices = Profile_tool.slices profile;
       prof_kind_counts = Profile_tool.kind_counts profile;
-      prof_cache_stats = Allcache_tool.stats cache;
-      prof_core_stats = Sp_cpu.Interval_core.stats core;
+      prof_cache_stats = Allcache_tool.stats t.cache;
+      prof_core_stats = Sp_cpu.Interval_core.stats t.core;
     } )
 
 (* The whole log+profile stage, through the profile-result cache when

@@ -192,16 +192,18 @@ val replay_points :
   Runstats.point_stats list
 (** Cold Regional replays of the given points, in start order: one
     {!Sp_pinball.Logger.walk} snapshots every region start, then each
-    region replays under fresh tools, fanned out across the domain pool
-    ([options.jobs]). *)
+    region replays under cold tools, fanned out across the domain pool
+    ([options.jobs]).  Each domain keeps one tool set and resets it in
+    place per region. *)
 
 val warm_replay_points :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
   Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
 (** Warmup Regional replays with the given warmup window, in start
     order, from one forward {!Sp_pinball.Logger.walk}: at each point,
-    fresh cache and timing tools warm in place over its clamped window
-    and the region runs measured on the live machine.  Sequential
+    the walk's one set of cache and timing tools is reset, warms in
+    place over the point's clamped window, and measures the region on
+    the live machine.  Sequential
     within the benchmark; bit-identical to the shared-scan reference
     (one set of warm tools reset at each window start) that the
     equivalence suite keeps. *)

@@ -23,8 +23,12 @@ let step t ~pc ~taken =
   let i = index t pc in
   let counter = Char.code (Bytes.unsafe_get t.table i) in
   let predicted = counter >= 2 in
+  (* saturating; plain int compares, where the polymorphic [min]/[max]
+     would call the runtime's generic comparison on every branch *)
   let counter' =
-    if taken then min 3 (counter + 1) else max 0 (counter - 1)
+    if taken then if counter < 3 then counter + 1 else 3
+    else if counter > 0 then counter - 1
+    else 0
   in
   Bytes.unsafe_set t.table i (Char.unsafe_chr counter');
   t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;

@@ -99,4 +99,7 @@ let reset_stats t =
 let reset_state t =
   reset_stats t;
   Hierarchy.reset_state t.hier;
-  Branch_predictor.reset_state t.bp
+  Branch_predictor.reset_state t.bp;
+  (* [Hierarchy.reset_state] turned the hierarchy's warming off: keep
+     the core's flag in step, as a fresh core has both off *)
+  t.warming <- false

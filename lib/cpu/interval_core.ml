@@ -36,6 +36,8 @@ type t = {
      reference; [min_int] = none, reset with the cache state *)
   mutable last_i_line : int;
   mutable last_d_line : int;
+  (* the L1D holds [last_d_line] with its dirty bit set *)
+  mutable last_d_dirty : bool;
   mutable warming : bool;
   mutable instructions : int;
   cyc : cycles;
@@ -74,6 +76,7 @@ let create ?(config = Core_config.i7_3770) (prog : Program.t) =
     d_line_shift = log2 config.caches.l1d.Config.line_bytes;
     last_i_line = min_int;
     last_d_line = min_int;
+    last_d_dirty = false;
     warming = false;
     instructions = 0;
     cyc = { base = 0.0; branch_stall = 0.0; mem_stall = 0.0 };
@@ -89,24 +92,26 @@ let latency t (where : Hierarchy.hit_level) =
   | Hierarchy.L3 -> t.cfg.l3_latency
   | Hierarchy.Memory -> t.cfg.memory_latency
 
-(* Miss-latency exposure: streams (next-line misses inside the ROB
-   window) overlap almost fully; independent scattered misses inside the
-   window overlap partially; isolated or dependent-looking misses pay in
-   full minus what the window hides. *)
-let miss_exposure t ~addr ~where =
-  match (where : Hierarchy.hit_level) with
-  | Hierarchy.L1 -> 0.0
-  | Hierarchy.L2 | Hierarchy.L3 | Hierarchy.Memory ->
-      let line = addr lsr 6 in
-      let gap = t.instructions - t.last_miss_icount in
-      let factor =
-        if gap <= t.rob_window && abs (line - t.last_miss_line) <= 2 then 0.15
-        else if gap <= t.rob_window then 0.5
-        else 1.0
-      in
-      t.last_miss_line <- line;
-      t.last_miss_icount <- t.instructions;
-      float_of_int (latency t where) *. factor
+(* Charge a miss served by [where] (not L1) its exposed latency.
+   Streams (next-line misses inside the ROB window) overlap almost
+   fully; independent scattered misses inside the window overlap
+   partially; isolated or dependent-looking misses pay in full minus
+   what the window hides.  The exposure goes straight into the flat
+   [cyc] record rather than back to the caller, which would box it. *)
+let charge_miss t ~is_write ~addr ~where =
+  let line = addr lsr 6 in
+  let gap = t.instructions - t.last_miss_icount in
+  let factor =
+    if gap <= t.rob_window && abs (line - t.last_miss_line) <= 2 then 0.15
+    else if gap <= t.rob_window then 0.5
+    else 1.0
+  in
+  t.last_miss_line <- line;
+  t.last_miss_icount <- t.instructions;
+  let exposure = float_of_int (latency t where) *. factor in
+  (* stores retire through the store buffer: half exposure *)
+  let exposure = if is_write then exposure *. 0.5 else exposure in
+  t.cyc.mem_stall <- t.cyc.mem_stall +. exposure
 
 let on_access t ~is_write addr =
   let where =
@@ -122,10 +127,7 @@ let on_access t ~is_write addr =
     | Hierarchy.L2 | Hierarchy.L3 | Hierarchy.Memory ->
         let cls = Hierarchy.latency_class where in
         t.level_hits.(cls) <- t.level_hits.(cls) + 1;
-        let exposure = miss_exposure t ~addr ~where in
-        (* stores retire through the store buffer: half exposure *)
-        let exposure = if is_write then exposure *. 0.5 else exposure in
-        t.cyc.mem_stall <- t.cyc.mem_stall +. exposure
+        charge_miss t ~is_write ~addr ~where
 
 (* Leader fetch, with the same-line repeat filter of the fused
    [allcache] tool (DESIGN.md §5g): the core's L1I sees nothing but
@@ -161,9 +163,11 @@ let on_branch t pc taken =
      stream, so a reference to the previous reference's line is an L1
      hit on the MRU line — no replacement or miss-window state moves
      and its exposure is 0.  Measured repeat reads fold into the L1D
-     counter and [level_hits.(0)]; writes always walk (a repeat write
-     can set the dirty bit); while warming, every repeat is a no-op
-     (warming walks carry no write bit) and is dropped. *)
+     counter and [level_hits.(0)], and so do repeat writes once the
+     line is known to be dirty ([last_d_dirty]); any other write walks
+     (it can set the dirty bit).  While warming, every repeat is a
+     no-op (warming walks carry no write bit and dirty nothing) and is
+     dropped. *)
 let process t pc0 n offs addrs nrefs =
   if t.warming then
     for r = 0 to nrefs - 1 do
@@ -173,7 +177,8 @@ let process t pc0 n offs addrs nrefs =
       if line <> t.last_d_line then begin
         if v land 1 <> 0 then Hierarchy.write t.hier addr
         else Hierarchy.read t.hier addr;
-        t.last_d_line <- line
+        t.last_d_line <- line;
+        t.last_d_dirty <- false
       end
     done
   else begin
@@ -192,12 +197,15 @@ let process t pc0 n offs addrs nrefs =
       let v = Array.unsafe_get addrs r in
       let addr = v asr 1 in
       let line = addr lsr t.d_line_shift in
-      if v land 1 <> 0 then on_access t ~is_write:true addr
-      else if line = t.last_d_line then begin
-        Hierarchy.read_repeats t.hier 1;
+      let wr = v land 1 <> 0 in
+      if line = t.last_d_line && ((not wr) || t.last_d_dirty) then begin
+        Hierarchy.data_repeats t.hier 1;
         t.level_hits.(0) <- t.level_hits.(0) + 1
       end
-      else on_access t ~is_write:false addr;
+      else begin
+        on_access t ~is_write:wr addr;
+        t.last_d_dirty <- wr
+      end;
       t.last_d_line <- line
     done;
     t.instructions <- first + n
@@ -280,7 +288,9 @@ let reset_state t =
   t.last_miss_icount <- min_int;
   (* the filters' residency guarantee died with the cache state *)
   t.last_i_line <- min_int;
-  t.last_d_line <- min_int
+  t.last_d_line <- min_int;
+  t.last_d_dirty <- false;
+  t.warming <- false
 
 let config t = t.cfg
 

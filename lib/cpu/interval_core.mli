@@ -66,7 +66,11 @@ val set_warming : t -> bool -> unit
     counters accumulate. *)
 
 val reset_stats : t -> unit
+
 val reset_state : t -> unit
+(** Zero the statistics, clear the caches, the predictor, the miss
+    window and the repeat-filter memos, and leave warming off: the core
+    is then indistinguishable from a freshly created one. *)
 
 val config : t -> Core_config.t
 

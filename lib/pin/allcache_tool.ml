@@ -19,10 +19,11 @@ open Sp_cache
 
    - data same-line/same-page filter: a data reference to the line
      (page) of the immediately preceding data reference is a guaranteed
-     L1D (DTLB) hit.  Repeat reads fold into the counters; repeat
-     writes still call {!Hierarchy.write} because a write must be able
-     to set the dirty bit — [Cache.touch]'s MRU short-circuit makes
-     that walk a single compare.
+     L1D (DTLB) hit.  Repeat reads fold into the counters, and so do
+     repeat writes once the line is known to be dirty ([last_d_dirty]:
+     the last walk to it was a measured write, and only repeats have
+     touched the L1D since).  Any other write walks, because it must be
+     able to set the dirty bit.
 
    Misses — and only misses — reach the shared L2/L3 in exactly the
    per-instruction order, so every statistic (including TLB walks,
@@ -44,6 +45,8 @@ type t = {
   mutable last_i_page : int;
   mutable last_d_line : int;
   mutable last_d_page : int;
+  (* the L1D holds [last_d_line] with its dirty bit set *)
+  mutable last_d_dirty : bool;
   mutable warming : bool;
 }
 
@@ -66,26 +69,34 @@ let create ?(config = Config.allcache_table1) ?policy ?(prefetch = false)
     last_i_page = min_int;
     last_d_line = min_int;
     last_d_page = min_int;
+    last_d_dirty = false;
     warming = false;
   }
 
 let bpi = Sp_isa.Isa.bytes_per_instr
 
-(* Issue the i-fetch stream for instruction offsets [!cur .. j] of a
+(* instructions are a power of two bytes long, so the per-chunk division
+   by [bpi] below is a shift rather than a hardware divide *)
+let bpi_shift = log2 bpi
+let () = assert (1 lsl bpi_shift = bpi)
+
+(* Issue the i-fetch stream for instruction offsets [cur .. j] of a
    segment starting at byte address [base], chunked by the cache-line
    grid (lines are aligned and pages are line-multiples, so a chunk
    never straddles either boundary): the first fetch of a new line or
    page walks for real, the rest of the chunk folds into the counters.
    While warming, a guaranteed repeat hit is a complete no-op (no stats,
-   no state change), so repeats are dropped outright. *)
-let fetch_chunks t base cur j =
-  while !cur <= j do
-    let a = base + (!cur * bpi) in
+   no state change), so repeats are dropped outright.  Returns the next
+   offset to fetch, [j + 1] (or [cur] if [cur > j]). *)
+let rec fetch_chunks t base cur j =
+  if cur > j then cur
+  else begin
+    let a = base + (cur * bpi) in
     let line = a lsr t.i_line_shift in
     let page = a lsr t.i_page_shift in
     let line_end = (line + 1) lsl t.i_line_shift in
-    let span = (line_end - a + bpi - 1) / bpi in
-    let avail = j - !cur + 1 in
+    let span = (line_end - a + bpi - 1) lsr bpi_shift in
+    let avail = j - cur + 1 in
     let count = if span < avail then span else avail in
     if t.warming then begin
       if page <> t.last_i_page then Tlb.warm t.itlb a;
@@ -105,8 +116,8 @@ let fetch_chunks t base cur j =
     end;
     t.last_i_line <- line;
     t.last_i_page <- page;
-    cur := !cur + count
-  done
+    fetch_chunks t base (cur + count) j
+  end
 
 let process t pc0 n offs addrs nrefs =
   let base = t.code_base + (pc0 * bpi) in
@@ -114,7 +125,7 @@ let process t pc0 n offs addrs nrefs =
   for r = 0 to nrefs - 1 do
     (* fetch up to and including the referencing instruction first: the
        per-instruction tier fetches before it touches data *)
-    fetch_chunks t base cur (Array.unsafe_get offs r);
+    cur := fetch_chunks t base !cur (Array.unsafe_get offs r);
     let v = Array.unsafe_get addrs r in
     let addr = v asr 1 in
     let wr = v land 1 <> 0 in
@@ -123,21 +134,26 @@ let process t pc0 n offs addrs nrefs =
     if t.warming then begin
       if page <> t.last_d_page then Tlb.warm t.dtlb addr;
       (* warming ignores write bits, so a guaranteed repeat hit is a
-         no-op whether read or write *)
-      if line <> t.last_d_line then
-        if wr then Hierarchy.write t.hier addr else Hierarchy.read t.hier addr
+         no-op whether read or write; a warming walk dirties nothing *)
+      if line <> t.last_d_line then begin
+        if wr then Hierarchy.write t.hier addr else Hierarchy.read t.hier addr;
+        t.last_d_dirty <- false
+      end
     end
     else begin
       if page = t.last_d_page then Tlb.access_bulk t.dtlb 1
       else Tlb.access t.dtlb addr;
-      if wr then Hierarchy.write t.hier addr
-      else if line = t.last_d_line then Hierarchy.read_repeats t.hier 1
-      else Hierarchy.read t.hier addr
+      if line = t.last_d_line && ((not wr) || t.last_d_dirty) then
+        Hierarchy.data_repeats t.hier 1
+      else begin
+        if wr then Hierarchy.write t.hier addr else Hierarchy.read t.hier addr;
+        t.last_d_dirty <- wr
+      end
     end;
     t.last_d_line <- line;
     t.last_d_page <- page
   done;
-  fetch_chunks t base cur (n - 1)
+  ignore (fetch_chunks t base !cur (n - 1))
 
 let hooks t =
   {
@@ -169,4 +185,6 @@ let reset_state t =
   t.last_i_line <- min_int;
   t.last_i_page <- min_int;
   t.last_d_line <- min_int;
-  t.last_d_page <- min_int
+  t.last_d_page <- min_int;
+  t.last_d_dirty <- false;
+  t.warming <- false

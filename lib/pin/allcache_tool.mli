@@ -42,5 +42,7 @@ val set_warming : t -> bool -> unit
 val reset_stats : t -> unit
 
 val reset_state : t -> unit
-(** Clears cache/TLB contents and the fused hooks' repeat-filter memos
-    (which are only valid while the lines they name stay resident). *)
+(** Clears cache/TLB contents, the statistics and the fused hooks'
+    repeat-filter memos (which are only valid while the lines they name
+    stay resident), and leaves warming off: the tool is then
+    indistinguishable from a freshly created one. *)

@@ -11,7 +11,8 @@ type t = {
   slice_len : int;
   bb_of_pc : int array;
   counts : int array;          (* per block, current slice *)
-  mutable touched : int list;  (* blocks with non-zero count *)
+  touched : int array;         (* blocks with non-zero count, a stack... *)
+  mutable num_touched : int;   (* ...this deep *)
   mutable cur_len : int;
   mutable start_icount : int;
   mutable closed : slice list; (* reversed *)
@@ -24,23 +25,24 @@ let create ~slice_len (prog : Program.t) =
     slice_len;
     bb_of_pc = prog.bb_of_pc;
     counts = Array.make (Program.num_blocks prog) 0;
-    touched = [];
+    touched = Array.make (Program.num_blocks prog) 0;
+    num_touched = 0;
     cur_len = 0;
     start_icount = 0;
     closed = [];
     num_closed = 0;
   }
 
+(* The touched blocks come off an int-array stack, so closing a slice
+   allocates little beyond its BBV row, the tool's output. *)
 let close_slice t =
-  let pairs =
-    List.rev_map
-      (fun bb ->
+  let bbv =
+    Array.init t.num_touched (fun i ->
+        let bb = Array.unsafe_get t.touched i in
         let c = t.counts.(bb) in
         t.counts.(bb) <- 0;
         (bb, c))
-      t.touched
   in
-  let bbv = Array.of_list pairs in
   Array.sort (fun ((a : int), _) ((b : int), _) -> Int.compare a b) bbv;
   let s =
     {
@@ -52,13 +54,18 @@ let close_slice t =
   in
   t.closed <- s :: t.closed;
   t.num_closed <- t.num_closed + 1;
-  t.touched <- [];
+  t.num_touched <- 0;
   t.start_icount <- t.start_icount + t.cur_len;
   t.cur_len <- 0
 
+(* a block is pushed when its count turns positive, so at most once per
+   slice: the stack never outgrows [num_blocks] *)
 let bump t bb n =
   let c = Array.unsafe_get t.counts bb in
-  if c = 0 then t.touched <- bb :: t.touched;
+  if c = 0 && n > 0 then begin
+    Array.unsafe_set t.touched t.num_touched bb;
+    t.num_touched <- t.num_touched + 1
+  end;
   Array.unsafe_set t.counts bb (c + n)
 
 (* Credit [n] retirements of block [bb], splitting across slice

@@ -12,6 +12,8 @@ let m_appends = Sp_obs.Metrics.counter ~stable:false "results.appends"
 let m_torn =
   Sp_obs.Metrics.counter ~stable:false "results.torn_recovered"
 
+let m_scanned = Sp_obs.Metrics.counter ~stable:false "results.scanned_bytes"
+
 type tail =
   | Clean
   | Torn of { offset : int; bytes : int }
@@ -66,6 +68,29 @@ let read_contents path =
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 
+(* Appends from different domains of one process take turns: one
+   append's torn-tail recovery must never read another's half-written
+   record as a crash leftover and truncate it away.  The lock also
+   guards [verified]. *)
+let append_lock = Mutex.create ()
+
+(* What this process knows of each store it appended to: the file as it
+   stood after the last append, every byte of which is a checked
+   record.  Identity, size and both timestamps must all match for the
+   file to count as unchanged. *)
+type stamp = { dev : int; ino : int; size : int; mtime : float; ctime : float }
+
+let verified : (string, stamp) Hashtbl.t = Hashtbl.create 4
+
+let stamp_of (st : Unix.stats) =
+  {
+    dev = st.st_dev;
+    ino = st.st_ino;
+    size = st.st_size;
+    mtime = st.st_mtime;
+    ctime = st.st_ctime;
+  }
+
 let read_file path =
   match read_contents path with
   | Error _ when not (Sys.file_exists path) ->
@@ -73,47 +98,75 @@ let read_file path =
   | Error msg -> Error msg
   | Ok contents ->
       let records, tail, _ = scan contents in
+      (* damage a reader saw is damage the next append must see too,
+         whatever the timestamps say *)
+      if tail <> Clean then
+        Mutex.protect append_lock (fun () -> Hashtbl.remove verified path);
       Ok (records, tail)
 
-(* Appends from different domains of one process take turns: one
-   append's torn-tail recovery must never read another's half-written
-   record as a crash leftover and truncate it away. *)
-let append_lock = Mutex.create ()
+(* Before an append: make the file end on a whole record, reading as
+   little of it as this process can vouch for.  A file as the last
+   append left it is not read at all; one that only grew since (another
+   writer's records, or a killed writer's torn tail) has just the new
+   bytes scanned; anything else is scanned whole.  Returns the size of
+   the checked prefix the record will follow. *)
+let recover path =
+  match Unix.stat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok 0
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | st -> (
+      let now = stamp_of st in
+      let from =
+        match Hashtbl.find_opt verified path with
+        | Some k
+          when k.dev = now.dev && k.ino = now.ino
+               && (k.size < now.size
+                  || (k.size = now.size && k.mtime = now.mtime
+                     && k.ctime = now.ctime)) ->
+            k.size
+        | Some _ | None -> 0
+      in
+      if from = now.size then Ok from
+      else
+        match
+          In_channel.with_open_bin path (fun ic ->
+              In_channel.seek ic (Int64.of_int from);
+              In_channel.input_all ic)
+        with
+        | exception Sys_error msg -> Error msg
+        | fresh -> (
+            Sp_obs.Metrics.add m_scanned (String.length fresh);
+            let _, tail, valid_end = scan ~parse:false fresh in
+            match tail with
+            | Clean -> Ok (from + valid_end)
+            | Corrupt { offset; reason } ->
+                Error
+                  (Printf.sprintf
+                     "refusing to append to a corrupt store (%s at offset %d)"
+                     reason (from + offset))
+            | Torn { offset = _; bytes = _ } ->
+                let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () -> Unix.ftruncate fd (from + valid_end));
+                Sp_obs.Metrics.incr m_torn;
+                Ok (from + valid_end)))
 
 let append ~path json =
   Mutex.protect append_lock @@ fun () ->
   Frame.mkdir_p (Filename.dirname path);
-  let recover () =
-    if not (Sys.file_exists path) then Ok ()
-    else
-      match read_contents path with
-      | Error msg -> Error msg
-      | Ok contents -> (
-          let _, tail, valid_end = scan ~parse:false contents in
-          match tail with
-          | Clean -> Ok ()
-          | Corrupt { offset; reason } ->
-              Error
-                (Printf.sprintf
-                   "refusing to append to a corrupt store (%s at offset %d)"
-                   reason offset)
-          | Torn { offset = _; bytes = _ } ->
-              let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-              Fun.protect
-                ~finally:(fun () -> Unix.close fd)
-                (fun () -> Unix.ftruncate fd valid_end);
-              Sp_obs.Metrics.incr m_torn;
-              Ok ())
-  in
-  match recover () with
-  | Error _ as e -> e
-  | Ok () -> (
+  match recover path with
+  | Error _ as e ->
+      Hashtbl.remove verified path;
+      e
+  | Ok start -> (
       match
         Unix.openfile path
           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
           0o644
       with
       | exception Unix.Unix_error (e, _, _) ->
+          Hashtbl.remove verified path;
           Error (Unix.error_message e)
       | fd ->
           Fun.protect
@@ -125,6 +178,12 @@ let append ~path json =
               (* one write: a crash can only leave a prefix (a torn
                  tail), never interleave with another record *)
               let n = Unix.write_substring fd s 0 (String.length s) in
+              (* the file is ours to vouch for only if the record landed
+                 right after the checked prefix *)
+              let st = Unix.fstat fd in
+              if n = String.length s && st.st_size = start + n then
+                Hashtbl.replace verified path (stamp_of st)
+              else Hashtbl.remove verified path;
               if n <> String.length s then
                 Error "short write appending record"
               else begin

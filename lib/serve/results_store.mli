@@ -29,7 +29,9 @@ val tail_message : tail -> string option
 
 val read_file : string -> (Sp_obs.Json.t list * tail, string) result
 (** All valid records in append order, plus the tail classification.
-    [Error] only for an unreadable file (missing, permissions). *)
+    [Error] only for an unreadable file (missing, permissions).  A tail
+    that is not [Clean] also makes this process's next {!append} to the
+    path scan the whole file. *)
 
 val append : path:string -> Sp_obs.Json.t -> (unit, string) result
 (** Append one record, creating the file (and directories) as needed.
@@ -38,7 +40,16 @@ val append : path:string -> Sp_obs.Json.t -> (unit, string) result
     store.  Maintains [results.appends].  Appends within one process
     are serialised, so concurrent appends from several domains cannot
     mistake each other's half-written record for a torn tail; sharing
-    one store between processes is not supported. *)
+    one store between processes is not supported.
+
+    The cost does not grow with the history: the process remembers each
+    store as its last append left it (device, inode, size, modification
+    and change times).  A file found exactly so is not read; one that
+    only grew has just the new bytes checked; any other is checked
+    whole.  [results.scanned_bytes] counts the bytes checked.  A
+    same-size rewrite inside one file-timestamp tick of the last append
+    can therefore go unseen by [append] on a file system with coarse
+    timestamps; {!read_file} still reports it. *)
 
 val record_of_result :
   client:string ->

@@ -94,11 +94,9 @@ type reference = {
   mutable r_warming : bool;
 }
 
-let reference_create ~policy ~prefetch =
+let reference_create ?(config = Config.allcache_table1) ~policy ~prefetch () =
   {
-    r_hier =
-      Hierarchy.create ~policy ~next_line_prefetch:prefetch
-        Config.allcache_table1;
+    r_hier = Hierarchy.create ~policy ~next_line_prefetch:prefetch config;
     r_itlb = Tlb.create ~level2:Tlb.stlb_default Tlb.itlb_default;
     r_dtlb = Tlb.create ~level2:Tlb.stlb_default Tlb.dtlb_default;
     r_warming = false;
@@ -146,19 +144,20 @@ type observed = {
 
 let warm_fuel = 60
 
-let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
+let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
+    ~chunk instrs =
   let p = Program.of_instrs instrs in
   (* the hooks, the warming switch, and the hierarchy and TLB stats read
      after the run *)
   let hooks, set_warming, observe =
     match tier with
     | Per_instr ->
-        let r = reference_create ~policy ~prefetch in
+        let r = reference_create ?config ~policy ~prefetch () in
         ( reference_hooks r p,
           reference_set_warming r,
           fun () -> (r.r_hier, Tlb.stats r.r_itlb, Tlb.stats r.r_dtlb) )
     | Fused | Mixed ->
-        let tool = Allcache_tool.create ~policy ~prefetch p in
+        let tool = Allcache_tool.create ?config ~policy ~prefetch p in
         ( (if tier = Fused then Allcache_tool.hooks tool
            else
              (* a live on_instr keeps the set off the block tier, forcing
@@ -179,7 +178,7 @@ let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
   (if warm then begin
      set_warming true;
      (try
-        match Interp.run ~hooks ~syscall:test_syscall ~fuel:warm_fuel p m with
+        match Interp.run ~hooks ~syscall:test_syscall ~fuel:warm_len p m with
         | Interp.Halted -> outcome := 1
         | Interp.Out_of_fuel -> ()
       with Interp.Stack_error _ -> outcome := 2);
@@ -232,6 +231,122 @@ let prop_fused_matches_per_instr =
       let x = run_tier Mixed ~policy ~prefetch ~warm ~chunk instrs in
       f = i && f = x)
 
+(* The same on 1-4 KiB levels, where dirty lines are evicted, so a
+   repeat write the fused tier folds into the counters must leave
+   exactly the write-backs a walk would.  Besides the random programs,
+   straight-line runs of loads and stores over four lines 512 bytes
+   apart, which all map to one 2-way L1D set: every third distinct line
+   evicts, and a read followed by a write to the same line is common *)
+let tiny_hierarchy =
+  let level name size_kb assoc = Config.level ~name ~size_kb ~assoc ~line_bytes:32 in
+  {
+    Config.l1i = level "L1I" 1 2;
+    l1d = level "L1D" 1 2;
+    l2 = level "L2" 2 2;
+    l3 = level "L3" 4 4;
+  }
+
+let alias_prog_gen =
+  QCheck.Gen.(
+    map
+      (fun refs ->
+        Array.of_list
+          (List.concat_map
+             (fun (store, line, word) ->
+               [
+                 Isa.Li (1, (line * 512) + (word * 8));
+                 (if store then Isa.Store (2, 1, 0) else Isa.Load (2, 1, 0));
+               ])
+             refs
+          @ [ Isa.Halt ]))
+      (list_size (1 -- 60) (triple bool (0 -- 3) (0 -- 3))))
+
+let tiny_scenario_gen =
+  QCheck.Gen.(
+    triple
+      (oneof [ mem_prog_gen; alias_prog_gen ])
+      (triple (oneofl [ Cache.Lru; Cache.Fifo; Cache.Random ]) bool bool)
+      (int_range 1 17))
+
+let prop_fused_matches_per_instr_tiny =
+  QCheck.Test.make
+    ~name:"fused cache tier bit-identical to per-instruction tier, 1-4 KiB"
+    ~count:300
+    (QCheck.make ~print:scenario_print tiny_scenario_gen)
+    (fun (instrs, (policy, prefetch, warm), chunk) ->
+      let config = tiny_hierarchy in
+      let f = run_tier ~config Fused ~policy ~prefetch ~warm ~chunk instrs in
+      let i = run_tier ~config Per_instr ~policy ~prefetch ~warm ~chunk instrs in
+      let x = run_tier ~config Mixed ~policy ~prefetch ~warm ~chunk instrs in
+      f = i && f = x)
+
+(* ------------------------------------------------------------------ *)
+(* [reset_state] restores the freshly created tool: allcache, the
+   interval core and the ldst mix, driven by one run that may end while
+   warming, reset, then driven by a second run, must report exactly what
+   fresh tools fed only the second run report, floats by their bits *)
+
+let tools_view (cache, core, mix) =
+  let s = Sp_cpu.Interval_core.stats core in
+  let b = Int64.bits_of_float in
+  ( ( Allcache_tool.stats cache,
+      Allcache_tool.itlb_stats cache,
+      Allcache_tool.dtlb_stats cache,
+      Allcache_tool.prefetches cache,
+      Hierarchy.writebacks (Allcache_tool.hierarchy cache) ),
+    ( s.Sp_cpu.Interval_core.instructions,
+      List.map b
+        [
+          s.cycles; s.base_cycles; s.branch_stall_cycles; s.memory_stall_cycles;
+        ],
+      (s.branch_lookups, s.branch_mispredicts, Array.to_list s.level_hits) ),
+    List.map (Ldstmix.count mix)
+      [ Isa.No_mem; Isa.Mem_r; Isa.Mem_w; Isa.Mem_rw ] )
+
+let prop_tools_reset_equals_fresh =
+  QCheck.Test.make ~name:"allcache/core/ldstmix reset_state equals fresh"
+    ~count:200
+    (QCheck.make ~print:scenario_print scenario_gen)
+    (fun (instrs, (policy, prefetch, end_warming), first_fuel) ->
+      let p = Program.of_instrs instrs in
+      let core_config =
+        Sp_cpu.Core_config.with_caches Sp_cpu.Core_config.i7_3770_sim
+          tiny_hierarchy
+      in
+      let create () =
+        ( Allcache_tool.create ~config:tiny_hierarchy ~policy ~prefetch p,
+          Sp_cpu.Interval_core.create ~config:core_config p,
+          Ldstmix.create p )
+      in
+      let run (cache, core, mix) fuel =
+        let hooks =
+          Hooks.seq_all
+            [
+              Allcache_tool.hooks cache;
+              Sp_cpu.Interval_core.hooks core;
+              Ldstmix.hooks mix;
+            ]
+        in
+        let m = Interp.create ~entry:0 () in
+        try ignore (Interp.run ~hooks ~syscall:test_syscall ~fuel p m)
+        with Interp.Stack_error _ -> ()
+      in
+      let ((cache, core, mix) as reused) = create () in
+      (* a measured stretch, then perhaps a warming one, left on *)
+      run reused (first_fuel * 20);
+      if end_warming then begin
+        Allcache_tool.set_warming cache true;
+        Sp_cpu.Interval_core.set_warming core true;
+        run reused warm_fuel
+      end;
+      Allcache_tool.reset_state cache;
+      Sp_cpu.Interval_core.reset_state core;
+      Ldstmix.reset mix;
+      run reused test_fuel;
+      let clean = create () in
+      run clean test_fuel;
+      tools_view reused = tools_view clean)
+
 (* ------------------------------------------------------------------ *)
 (* Hand-checked absolute counts: both tiers must not merely agree with
    each other but with counts derivable from the ISA geometry (4-byte
@@ -271,6 +386,34 @@ let test_same_line_loads () =
       Alcotest.(check int) "l1d misses" 1 o.o_hier.Hierarchy.l1d.misses;
       Alcotest.(check int) "dtlb accesses" 5 o.o_dtlb.Tlb.accesses;
       Alcotest.(check int) "dtlb walks" 1 o.o_dtlb.Tlb.walks)
+    [ Fused; Per_instr; Mixed ]
+
+(* a write while warming dirties nothing, so the next, measured write
+   to the same line must walk and set the dirty bit: evicting the line
+   through two aliases of its 2-way set then costs one write-back *)
+let test_warm_write_then_write () =
+  let instrs =
+    [|
+      Isa.Li (1, 0);
+      Isa.Store (2, 1, 0);
+      (* measured from here *)
+      Isa.Store (2, 1, 8);
+      Isa.Li (1, 512);
+      Isa.Load (3, 1, 0);
+      Isa.Li (1, 1024);
+      Isa.Load (3, 1, 0);
+      Isa.Halt;
+    |]
+  in
+  List.iter
+    (fun tier ->
+      let o =
+        run_tier ~config:tiny_hierarchy ~warm_len:2 tier ~policy:Cache.Lru
+          ~prefetch:false ~warm:true ~chunk:1000 instrs
+      in
+      let l1d, _, _ = o.o_writebacks in
+      Alcotest.(check int) "l1d write-backs" 1 l1d;
+      Alcotest.(check int) "l1d accesses" 3 o.o_hier.Hierarchy.l1d.accesses)
     [ Fused; Per_instr; Mixed ]
 
 (* ------------------------------------------------------------------ *)
@@ -606,9 +749,13 @@ let prop_weighted_pick =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fused_matches_per_instr;
+    QCheck_alcotest.to_alcotest prop_fused_matches_per_instr_tiny;
+    QCheck_alcotest.to_alcotest prop_tools_reset_equals_fresh;
     Alcotest.test_case "straightline fetch counts" `Quick
       test_straightline_counts;
     Alcotest.test_case "same-line load counts" `Quick test_same_line_loads;
+    Alcotest.test_case "warming write, then measured write" `Quick
+      test_warm_write_then_write;
     Alcotest.test_case "report counters identical across tiers" `Quick
       test_report_counters_identical;
     QCheck_alcotest.to_alcotest prop_kmeans_matches_naive;

@@ -348,6 +348,60 @@ let test_store_concurrent_appends () =
     (counter "results.appends" -. appends_before);
   rm path
 
+(* an append reads only what this process cannot vouch for: nothing in
+   steady state, just the new bytes when the file grew behind its back.
+   A killed writer's torn tail written from outside between two appends
+   is still found and truncated away, and another writer's whole record
+   is kept *)
+let test_store_append_scans_new_bytes () =
+  let path = tmp_path "store-incremental.bin" in
+  let src = tmp_path "store-incremental-src.bin" in
+  rm path;
+  let r i = synth_record "505.mcf_r" (float_of_int i) in
+  (* the exact bytes [append] writes for a record, from a scratch store *)
+  let frame_of record =
+    rm src;
+    append_ok src record;
+    let bytes = In_channel.with_open_bin src In_channel.input_all in
+    rm src;
+    bytes
+  in
+  let write_outside bytes =
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+    ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+    Unix.close fd
+  in
+  append_ok path (r 1);
+  let scanned = counter "results.scanned_bytes" in
+  List.iter (fun i -> append_ok path (r i)) [ 2; 3; 4 ];
+  Alcotest.(check (float 0.0)) "steady-state appends scan nothing" 0.0
+    (counter "results.scanned_bytes" -. scanned);
+  let whole = frame_of (r 5) in
+  write_outside whole;
+  let scanned = counter "results.scanned_bytes" in
+  append_ok path (r 6);
+  Alcotest.(check (float 0.0)) "a grown file has its new bytes scanned"
+    (float_of_int (String.length whole))
+    (counter "results.scanned_bytes" -. scanned);
+  let torn = String.sub (frame_of (r 7)) 0 (String.length whole - 3) in
+  write_outside torn;
+  let scanned = counter "results.scanned_bytes" in
+  let recovered = counter "results.torn_recovered" in
+  append_ok path (r 8);
+  Alcotest.(check (float 0.0)) "results.torn_recovered" 1.0
+    (counter "results.torn_recovered" -. recovered);
+  Alcotest.(check (float 0.0)) "only the torn bytes scanned"
+    (float_of_int (String.length torn))
+    (counter "results.scanned_bytes" -. scanned);
+  (match RS.read_file path with
+  | Ok (records, RS.Clean) ->
+      Alcotest.(check bool) "records kept, torn tail dropped" true
+        (records = List.map r [ 1; 2; 3; 4; 5; 6; 8 ])
+  | Ok (_, t) ->
+      Alcotest.fail (Option.value (RS.tail_message t) ~default:"unexpected tail")
+  | Error e -> Alcotest.fail e);
+  rm path
+
 (* ------------------------------------------------------------------ *)
 (* regression gating *)
 
@@ -1005,6 +1059,8 @@ let suite =
     Alcotest.test_case "store roundtrip and accessors" `Quick
       test_store_roundtrip;
     Alcotest.test_case "store torn-tail recovery" `Quick test_store_torn_tail;
+    Alcotest.test_case "store append scans only new bytes" `Quick
+      test_store_append_scans_new_bytes;
     Alcotest.test_case "store corrupt is terminal" `Quick test_store_corrupt;
     Alcotest.test_case "store golden bytes" `Quick test_store_golden_bytes;
     Alcotest.test_case "store concurrent appends" `Quick

@@ -525,6 +525,57 @@ let test_walk_instruction_budget () =
         retired)
     [ 1; 3 ]
 
+(* ------------------------------------------------------------------ *)
+(* allocation budget: the per-instruction path of the replay tools
+   allocates nothing, and the walk reuses one tool set instead of
+   building one per point, so a warm walk and a log+profile replay each
+   allocate at most 0.05 minor words per instrumented instruction.  A
+   closure or a boxed float per cache lookup costs several. *)
+
+let budget = 0.05
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_allocation_budget () =
+  let prog = build_program ~iters:12_000 fixture_ops in
+  let whole = Logger.log_whole ~benchmark:"warm-alloc" prog in
+  let total = whole.Logger.total_insns in
+  let len = 4_000 and warmup_insns = 25_000 in
+  let points =
+    fixture_points
+      (List.map (fun q -> (q * total / 4, len)) [ 1; 2; 3 ])
+  in
+  let warm_words =
+    minor_words (fun () ->
+        ignore (Pipeline.warm_replay_points options ~warmup_insns whole points))
+  in
+  let warm_insns = 3 * (warmup_insns + len) in
+  let tools =
+    [
+      Profile_tool.hooks
+        (Profile_tool.create ~slice_len:options.Pipeline.slice_insns prog);
+      Allcache_tool.hooks
+        (Allcache_tool.create ~config:options.Pipeline.cache_config prog);
+      Sp_cpu.Interval_core.hooks
+        (Sp_cpu.Interval_core.create ~config:options.Pipeline.core_config prog);
+    ]
+  in
+  let profile_words =
+    minor_words (fun () -> ignore (Replayer.replay ~tools whole.Logger.pinball))
+  in
+  let check name words insns =
+    let per = words /. float_of_int insns in
+    if per > budget then
+      Alcotest.failf
+        "%s: %.0f minor words over %d instructions = %.4f/insn (budget %.2f)"
+        name words insns per budget
+  in
+  check "warm walk" warm_words warm_insns;
+  check "log+profile replay" profile_words total
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parallel_matches_scan;
@@ -537,4 +588,5 @@ let suite =
       test_stable_metrics_jobs_invariant;
     Alcotest.test_case "walk instruction budget" `Quick
       test_walk_instruction_budget;
+    Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
   ]

@@ -348,6 +348,16 @@ let micro ?(gates = []) ?gate_all () =
              ignore
                (Pipeline.warm_replay_points Pipeline.default_options
                   ~warmup_insns:1_500 warm_whole warm_points)));
+      (* the pipeline's whole replay stage over the same fixture: the
+         same walk with a second, cold tool set reset at each region
+         start, so every region is measured warm and cold in one run;
+         the margin over warm-replay-4pt is what the cold statistics
+         cost *)
+      Test.make ~name:"cold-warm-replay-4pt"
+        (Staged.stage (fun () ->
+             ignore
+               (Pipeline.replay_cold_warm Pipeline.default_options
+                  ~warmup_insns:1_500 warm_whole warm_points)));
       (* full pinball encode of the 64-page image: what one artifact
          save pays before the bytes hit the filesystem *)
       Test.make ~name:"pinball-save-64p"

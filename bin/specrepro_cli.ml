@@ -62,10 +62,10 @@ let quiet_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel stages (suite fan-out, cold regional \
-     replays, k-means, variance sweep).  1 runs fully sequentially; 0 picks \
-     the hardware's recommended parallelism.  Any value produces identical \
-     results — only wall-clock changes."
+    "Worker domains for the parallel stages (suite fan-out, k-means, \
+     variance sweep).  1 runs fully sequentially; 0 picks the hardware's \
+     recommended parallelism.  Any value produces identical results — only \
+     wall-clock changes."
   in
   let env = Cmd.Env.info "SPECREPRO_JOBS" ~doc:"Default for $(b,--jobs)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc ~env)

@@ -1849,14 +1849,20 @@ let samplers ?(options = Pipeline.default_options) ?specs () =
              (fun (_, pts, _, _) -> float_of_int (Array.length pts))
              runs)
       in
+      (* measured regions plus the windows the walk actually warmed,
+         clamped where a point follows closely on the previous one *)
       let budget =
         Stats.fsum
           (fun (_, pts, _, _) ->
-            Array.fold_left
-              (fun acc (p : Sp_simpoint.Simpoints.point) ->
-                acc
-                +. float_of_int (p.length + options.Pipeline.warmup_insns))
-              0.0 pts)
+            let warmed =
+              Sp_pinball.Logger.warm_prefixes
+                ~warmup_insns:options.Pipeline.warmup_insns pts
+            in
+            float_of_int
+              (Array.fold_left
+                 (fun acc (p : Sp_simpoint.Simpoints.point) -> acc + p.length)
+                 (Array.fold_left ( + ) 0 warmed)
+                 pts))
           (Array.to_list runs)
       in
       let cpi_err =

@@ -183,6 +183,15 @@ type tools = {
   core : Sp_cpu.Interval_core.t;
 }
 
+let create_tools options prog =
+  {
+    mixt = Ldstmix.create prog;
+    cache =
+      Allcache_tool.create ~config:options.cache_config
+        ~prefetch:options.next_line_prefetch prog;
+    core = Sp_cpu.Interval_core.create ~config:options.core_config prog;
+  }
+
 (* Every [reset] below restores the freshly created value (DESIGN §5i),
    so a reset set measures exactly what a fresh one would. *)
 let reset_tools t =
@@ -190,27 +199,30 @@ let reset_tools t =
   Allcache_tool.reset_state t.cache;
   Sp_cpu.Interval_core.reset_state t.core
 
-(* One tool set per domain, reset in place for the profile pass and for
-   each point and region rather than rebuilt: a fresh set is ~195 KB of
-   cache, TLB and predictor arrays, allocated straight into the major
-   heap.  The slot remembers what its set was built for (the program,
-   by identity, and the configurations) and is empty while the set is
-   lent out, so no two users ever share one. *)
+(* Two tool sets per domain, reset in place for the profile pass and at
+   each point rather than rebuilt: a fresh set is ~195 KB of cache, TLB
+   and predictor arrays, allocated straight into the major heap.  The
+   walk measures every region under both at once, one warmed and one
+   cold; the profile pass borrows the first.  The slot remembers what
+   its sets were built for (the program, by identity, and the
+   configurations) and is empty while the sets are lent out, so no two
+   users ever share one. *)
 type tool_slot = {
   slot_prog : Sp_vm.Program.t;
   slot_cache_config : Sp_cache.Config.hierarchy;
   slot_prefetch : bool;
   slot_core_config : Sp_cpu.Core_config.t;
-  slot_tools : tools;
+  slot_warm : tools;
+  slot_cold : tools;
 }
 
 let tool_slot : tool_slot option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-(* [f] gets this domain's tool set for [prog], in no particular state:
-   it resets the set before each use *)
+(* [f warm cold] gets this domain's two tool sets for [prog], in no
+   particular state: it resets a set before each use *)
 let with_tools options prog f =
-  let tools =
+  let warm, cold =
     match Domain.DLS.get tool_slot with
     | Some s
       when s.slot_prog == prog
@@ -218,17 +230,10 @@ let with_tools options prog f =
            && s.slot_cache_config = options.cache_config
            && s.slot_core_config = options.core_config ->
         Domain.DLS.set tool_slot None;
-        s.slot_tools
-    | Some _ | None ->
-        {
-          mixt = Ldstmix.create prog;
-          cache =
-            Allcache_tool.create ~config:options.cache_config
-              ~prefetch:options.next_line_prefetch prog;
-          core = Sp_cpu.Interval_core.create ~config:options.core_config prog;
-        }
+        (s.slot_warm, s.slot_cold)
+    | Some _ | None -> (create_tools options prog, create_tools options prog)
   in
-  let v = f tools in
+  let v = f warm cold in
   Domain.DLS.set tool_slot
     (Some
        {
@@ -236,7 +241,8 @@ let with_tools options prog f =
          slot_cache_config = options.cache_config;
          slot_prefetch = options.next_line_prefetch;
          slot_core_config = options.core_config;
-         slot_tools = tools;
+         slot_warm = warm;
+         slot_cold = cold;
        });
   v
 
@@ -246,12 +252,11 @@ let warm_hooks t =
     [ Allcache_tool.hooks t.cache; Sp_cpu.Interval_core.hooks t.core ]
 
 let region_hooks t =
-  Sp_vm.Hooks.seq_all
-    [
-      Ldstmix.hooks t.mixt;
-      Allcache_tool.hooks t.cache;
-      Sp_cpu.Interval_core.hooks t.core;
-    ]
+  [
+    Ldstmix.hooks t.mixt;
+    Allcache_tool.hooks t.cache;
+    Sp_cpu.Interval_core.hooks t.core;
+  ]
 
 let point_stats t ~cluster ~weight ~retired =
   let cache_stats = Allcache_tool.stats t.cache in
@@ -265,68 +270,59 @@ let point_stats t ~cluster ~weight ~retired =
     cpi = Sp_cpu.Interval_core.cpi t.core;
   }
 
-(* Replay one regional pinball under cold pintools — the paper's
-   Regional-Run methodology, where every pinball is an independent
-   job. *)
-let replay_point options (pb : Pinball.t) =
-  with_tools options pb.Pinball.program @@ fun t ->
-  reset_tools t;
-  let result = Replayer.replay ~tools:[ region_hooks t ] pb in
-  let cluster, weight =
-    match pb.Pinball.kind with
-    | Pinball.Region r -> (r.cluster, r.weight)
-    | Pinball.Whole -> (-1, 1.0)
-  in
-  point_stats t ~cluster ~weight ~retired:result.Replayer.retired
-
-(* Cold replays share no state, so they fan out across the domain pool;
-   results come back in region order. *)
-let replay_regions options regions =
-  Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_point options) regions
-  |> Array.to_list
-
-(* The Warmup Regional Run as one forward walk of the whole pinball
-   ({!Logger.walk}): at each point, the walk's one tool set is reset and
-   warms in place over the point's clamped window, the region runs
-   measured on the live machine, and with [~cold] the region start is
-   snapshotted for the cold replays.  Resetting at each window start is
-   exactly the shared-tool reference (DESIGN §5i).  Returns the region
-   pinballs and the warm statistics, both in start order. *)
-let walk options ~warmup_insns ~cold (whole : Logger.whole) points =
+(* The Regional and the Warmup Regional Run as one forward walk of the
+   whole pinball ({!Logger.walk}).  At each point the warm set (with
+   [~warm]) is reset and warms in place over the point's clamped
+   window, the cold set (with [~cold]) is reset at the region start,
+   and the region runs once on the live machine with both attached.
+   The cold set sees exactly the events a replay of the region's
+   snapshot would, so no region is snapshotted or run twice; resetting
+   the warm set at each window start is the shared-tool reference
+   (DESIGN §5i).  Returns the cold and the warm statistics, each in
+   start order (empty when not asked for). *)
+let walk options ~warmup_insns ~cold ~warm (whole : Logger.whole) points =
   let prog = whole.Logger.pinball.Pinball.program in
-  let regions = ref [] and warm = ref [] in
-  with_tools options prog (fun t ->
-      let warm_hooks = warm_hooks t and region_hooks = region_hooks t in
-      Logger.walk ~warmup_insns whole points (fun i c ->
-          Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
+  let cold_stats = ref [] and warm_stats = ref [] in
+  with_tools options prog (fun w c ->
+      let warm_hooks = warm_hooks w in
+      let measured =
+        Sp_vm.Hooks.seq_all
+          ((if warm then region_hooks w else [])
+          @ if cold then region_hooks c else [])
+      in
+      let span = if warm then "warm-point" else "cold-point" in
+      Logger.walk ~warmup_insns whole points (fun i cur ->
+          Sp_obs.Tracer.with_span ~cat:"warm" span @@ fun () ->
           let p = points.(i) in
-          reset_tools t;
-          Allcache_tool.set_warming t.cache true;
-          Sp_cpu.Interval_core.set_warming t.core true;
-          Logger.warm c warm_hooks;
-          if cold then regions := Logger.region c :: !regions;
-          Allcache_tool.set_warming t.cache false;
-          Sp_cpu.Interval_core.set_warming t.core false;
-          let retired = Logger.measure c region_hooks in
-          Sp_obs.Metrics.incr M.warm_points;
-          warm :=
+          if warm then begin
+            reset_tools w;
+            Allcache_tool.set_warming w.cache true;
+            Sp_cpu.Interval_core.set_warming w.core true;
+            Logger.warm cur warm_hooks;
+            Allcache_tool.set_warming w.cache false;
+            Sp_cpu.Interval_core.set_warming w.core false
+          end;
+          if cold then reset_tools c;
+          let retired = Logger.measure cur measured in
+          let stats t =
             point_stats t ~cluster:p.Sp_simpoint.Simpoints.cluster
               ~weight:p.Sp_simpoint.Simpoints.weight ~retired
-            :: !warm));
-  (Array.of_list (List.rev !regions), List.rev !warm)
+          in
+          if warm then begin
+            Sp_obs.Metrics.incr M.warm_points;
+            warm_stats := stats w :: !warm_stats
+          end;
+          if cold then cold_stats := stats c :: !cold_stats));
+  (List.rev !cold_stats, List.rev !warm_stats)
 
 let replay_points options whole points =
-  let regions = ref [] in
-  Logger.walk ~warmup_insns:0 whole points (fun _ c ->
-      regions := Logger.region c :: !regions);
-  replay_regions options (Array.of_list (List.rev !regions))
+  fst (walk options ~warmup_insns:0 ~cold:true ~warm:false whole points)
 
 let warm_replay_points options ~warmup_insns whole points =
-  snd (walk options ~warmup_insns ~cold:false whole points)
+  snd (walk options ~warmup_insns ~cold:false ~warm:true whole points)
 
 let replay_cold_warm options ~warmup_insns whole points =
-  let regions, warm = walk options ~warmup_insns ~cold:true whole points in
-  (replay_regions options regions, warm)
+  walk options ~warmup_insns ~cold:true ~warm:true whole points
 
 (* The pinball-cache skeleton: produce the whole pinball by logging
    ([log]), unless a cache directory is configured and holds a valid
@@ -409,7 +405,7 @@ type profile_data = {
    (regional replays) keep the dedicated tools. *)
 let measure_profile ~options ~slice_insns ~spec prog =
   let profile = Profile_tool.create ~slice_len:slice_insns prog in
-  with_tools options prog @@ fun t ->
+  with_tools options prog @@ fun t _ ->
   reset_tools t;
   let whole =
     log_whole_cached ~options ~slice_insns ~spec
@@ -506,8 +502,8 @@ let log_and_profile ~options ~slice_insns ~(spec : Benchspec.t) prog =
   (whole, data)
 
 (* the order [run_report.stages] lists the stages in: warm replay runs
-   before cold replay, since its walk snapshots the regions cold replay
-   fans out over *)
+   before cold replay, since its walk also measures the cold regions
+   that cold replay then hands over *)
 let stage_order =
   [ "build"; "log+profile"; "select"; "variance"; "cold-replay"; "warm-replay" ]
 
@@ -570,18 +566,16 @@ let run_benchmark ?(options = default_options) spec =
   in
   progressf options "[%s] %d simulation points; replaying regions...\n" bench
     (Array.length sel.Sp_simpoint.Sampler.points);
-  (* one walk replays the warmed points (Section IV-D's mitigation) and
-     snapshots every region start; the cold Regional / Reduced Regional
-     replays then fan out over those snapshots *)
-  let regions, warm =
+  (* one walk measures every region both warmed (Section IV-D's
+     mitigation) and cold (the Regional / Reduced Regional runs); the
+     cold-replay stage only hands the cold statistics over, so the
+     report keeps its stage list *)
+  let cold, warm =
     stage ~bench ~timings "warm-replay" (fun () ->
-        walk options ~warmup_insns:options.warmup_insns ~cold:true whole
+        replay_cold_warm options ~warmup_insns:options.warmup_insns whole
           sel.Sp_simpoint.Sampler.points)
   in
-  let cold =
-    stage ~bench ~timings "cold-replay" (fun () ->
-        replay_regions options regions)
-  in
+  let cold = stage ~bench ~timings "cold-replay" (fun () -> cold) in
   let wall = Unix.gettimeofday () -. t0 in
   progressf options "[%s] done in %.1fs\n" bench wall;
   {

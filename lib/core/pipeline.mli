@@ -4,8 +4,8 @@
     profiling (BBVs, instruction mix, [allcache], the Sniper-model
     timing and the native-hardware counters all piggyback on the single
     logging pass) -> select simulation points -> one forward walk that
-    replays them with cache warming (Warmup Regional) and captures
-    Regional Pinballs -> replay those cold (Regional / Reduced
+    measures every region twice at once, under tools warmed over its
+    window (Warmup Regional) and under cold tools (Regional / Reduced
     Regional).
 
     [run_benchmark] does all of the above for one workload and returns
@@ -31,9 +31,9 @@ type options = {
   progress : bool;          (** progress lines on stderr *)
   jobs : int;
       (** domain-pool width for the parallel stages (suite fan-out,
-          cold regional replays, k-means, variance sweep).  1 (the
-          default) runs fully sequentially; any value produces
-          bit-for-bit identical results, only wall-clock changes. *)
+          k-means, variance sweep).  1 (the default) runs fully
+          sequentially; any value produces bit-for-bit identical
+          results, only wall-clock changes. *)
   pinball_cache : string option;
       (** content-addressed whole-pinball cache directory
           ({!Sp_pinball.Artifact_cache}).  When set, the logging stage
@@ -96,9 +96,9 @@ type stage_timing = { stage : string; seconds : float }
 (** Machine-readable account of where a benchmark's wall time went:
     one entry per pipeline stage, always in this order: build,
     log+profile, select, variance, cold-replay, warm-replay.  (Warm
-    replay executes first: its walk snapshots the regions cold replay
-    fans out over.)  Collected unconditionally — it does not require
-    tracing to be enabled. *)
+    replay executes first and measures the cold regions too, so
+    cold-replay only hands their statistics over.)  Collected
+    unconditionally — it does not require tracing to be enabled. *)
 type run_report = {
   jobs_used : int;  (** the effective [options.jobs] for this run *)
   warmup_insns_used : int;
@@ -191,10 +191,9 @@ val replay_points :
   options -> Sp_pinball.Logger.whole -> Sp_simpoint.Simpoints.point array ->
   Runstats.point_stats list
 (** Cold Regional replays of the given points, in start order: one
-    {!Sp_pinball.Logger.walk} snapshots every region start, then each
-    region replays under cold tools, fanned out across the domain pool
-    ([options.jobs]).  Each domain keeps one tool set and resets it in
-    place per region. *)
+    {!Sp_pinball.Logger.walk} with no warm window resets one tool set
+    at each region start and measures the region on the live machine,
+    bit-identical to replaying the region's snapshot under fresh tools. *)
 
 val warm_replay_points :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
@@ -212,6 +211,7 @@ val replay_cold_warm :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
   Sp_simpoint.Simpoints.point array ->
   Runstats.point_stats list * Runstats.point_stats list
-(** [(replay_points, warm_replay_points)] of the same points from a
-    single walk, as {!run_benchmark} computes them: the warm walk
-    snapshots the region starts the cold replays fan out over. *)
+(** [(replay_points, warm_replay_points)] of the same points from one
+    walk, as {!run_benchmark} computes them: each region runs once
+    under both tool sets at the same time, the warmed one and a cold
+    one reset at the region start. *)

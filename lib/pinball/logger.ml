@@ -77,33 +77,47 @@ let measure c hooks =
   run_to ~hooks c (start + c.point.length);
   c.machine.Interp.icount - start
 
-let walk ~warmup_insns (w : whole) points f =
+(* The visit order of [points] (by start) and each point's warm window,
+   indexed like [points]: [warmup_insns] clamped to the gap since the
+   previous point's end (0 at first, so to program start).  The one
+   place the clamp is computed. *)
+let schedule ~warmup_insns ~total points =
   if warmup_insns < 0 then invalid_arg "Logger.walk: negative warmup";
-  let pb = w.pinball in
   let order = Array.init (Array.length points) Fun.id in
   Array.sort
     (fun a b ->
       compare points.(a).Sp_simpoint.Simpoints.start_icount
         points.(b).Sp_simpoint.Simpoints.start_icount)
     order;
-  let machine = Snapshot.restore pb.Pinball.snapshot in
-  let syscall = Replayer.recorded_syscall pb in
-  (* end of the previous region: the warm window is clamped against it
-     (0 initially, so a window reaching before program start clamps to
-     it), and the machine never stands past it between visits *)
+  let prefixes = Array.make (Array.length points) 0 in
   let prev_end = ref 0 in
   Array.iter
     (fun i ->
-      let point = points.(i) in
-      let start = point.Sp_simpoint.Simpoints.start_icount in
-      if start + point.length > w.total_insns then
+      let { Sp_simpoint.Simpoints.start_icount = start; length; _ } =
+        points.(i)
+      in
+      if start + length > total then
         invalid_arg "Logger.walk: point beyond execution";
       if start < !prev_end then invalid_arg "Logger.walk: overlapping points";
-      let prefix = min warmup_insns (start - !prev_end) in
+      prefixes.(i) <- min warmup_insns (start - !prev_end);
+      prev_end := start + length)
+    order;
+  (order, prefixes)
+
+let warm_prefixes ~warmup_insns points =
+  snd (schedule ~warmup_insns ~total:max_int points)
+
+let walk ~warmup_insns (w : whole) points f =
+  let order, prefixes = schedule ~warmup_insns ~total:w.total_insns points in
+  let pb = w.pinball in
+  let machine = Snapshot.restore pb.Pinball.snapshot in
+  let syscall = Replayer.recorded_syscall pb in
+  Array.iter
+    (fun i ->
+      let point = points.(i) and prefix = prefixes.(i) in
       let c = { pb; machine; syscall; point; prefix } in
-      run_to c (start - prefix);
-      f i c;
-      prev_end := start + point.length)
+      run_to c (point.Sp_simpoint.Simpoints.start_icount - prefix);
+      f i c)
     order
 
 (* one walk, one value per point, returned in the order given *)
@@ -120,18 +134,3 @@ let capture_warm_regions ~warmup_insns w points =
   collect ~warmup_insns w points (fun c ->
       let warm_pinball = carve c (c.prefix + c.point.length) in
       { warm_prefix = c.prefix; warm_pinball })
-
-type warmup = {
-  length : int;
-  hooks : Hooks.t;
-  on_start : unit -> unit;
-}
-
-let scan_regions ?warmup w points f =
-  match warmup with
-  | Some wu when wu.length > 0 ->
-      walk ~warmup_insns:wu.length w points (fun _ c ->
-          wu.on_start ();
-          warm c wu.hooks;
-          f (region c))
-  | Some _ | None -> walk ~warmup_insns:0 w points (fun _ c -> f (region c))

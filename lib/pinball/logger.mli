@@ -30,15 +30,21 @@ val walk :
     forward replay of the whole pinball that visits the points in start
     order.  [f i c] is called for [points.(i)] with the machine stopped,
     after a hook-free fast-forward, at the point's warm-window start:
-    [warmup_insns] before the point, clamped to the gap since the
-    previous point's end (and so to program start).  Within the visit
-    [f] drives the machine forward with {!warm}, {!region} and
-    {!measure}, in that order, each optional; whatever it leaves unrun
-    is fast-forwarded before the next visit.  Nothing runs past the
-    last visit, so a walk retires the furthest position its visits
-    reach.
-    @raise Invalid_argument if [warmup_insns] is negative, a point
-    reaches beyond the execution, or points overlap. *)
+    {!warm_prefixes} before the point.  Within the visit [f] drives the
+    machine forward with {!warm}, {!region} and {!measure}, in that
+    order, each optional; whatever it leaves unrun is fast-forwarded
+    before the next visit.  Nothing runs past the last visit, so a walk
+    retires the furthest position its visits reach.
+    @raise Invalid_argument before any visit if [warmup_insns] is
+    negative, a point reaches beyond the execution, or points overlap. *)
+
+val warm_prefixes :
+  warmup_insns:int -> Sp_simpoint.Simpoints.point array -> int array
+(** Each point's warm window, in the order given: [warmup_insns]
+    clamped to the gap since the previous point's end in start order
+    (and so to program start).
+    @raise Invalid_argument if [warmup_insns] is negative or points
+    overlap. *)
 
 val warm : cursor -> Hooks.t -> unit
 (** Run the rest of the warm window, up to the point's start, with the
@@ -80,25 +86,3 @@ val capture_warm_regions :
     its clamped warm window: a {!walk} that snapshots each window start
     instead of each point's start.  Returns regions in the order given.
     @raise Invalid_argument as {!walk} does. *)
-
-type warmup = {
-  length : int;             (** instructions to warm before each point *)
-  hooks : Hooks.t;          (** attached during the warmup window *)
-  on_start : unit -> unit;  (** fired before each point's window (e.g.
-                                to cold-reset the caches being warmed) *)
-}
-
-val scan_regions :
-  ?warmup:warmup ->
-  whole ->
-  Sp_simpoint.Simpoints.point array ->
-  (Pinball.t -> unit) ->
-  unit
-(** Streaming variant of {!capture_regions}: at each point, in start
-    order, the Regional Pinball is handed to the callback and then
-    dropped, so at most one region snapshot is live at a time.
-
-    [warmup] runs the [length] instructions preceding each point
-    (clamped as {!walk} clamps) with [hooks] attached, after
-    [on_start]: one set of tools warmed point after point, as the
-    shared-tool reference of the Warmup Regional Run does. *)

@@ -22,24 +22,18 @@ let recorded_syscall (pb : Pinball.t) =
       v
     end
 
-let replay_with ?(tools = []) ?fuel (pb : Pinball.t) =
+let replay ?(tools = []) (pb : Pinball.t) =
   let machine = Snapshot.restore pb.snapshot in
-  let fuel =
-    match (fuel, pb.length) with
-    | Some f, Some l -> Some (min f l)
-    | Some f, None -> Some f
-    | None, l -> l
-  in
   let hooks = Hooks.seq_all tools in
   let syscall = recorded_syscall pb in
   let before = machine.Interp.icount in
   let status =
-    match fuel with
-    | Some f -> Interp.run ~hooks ~syscall ~fuel:f pb.program machine
+    match pb.length with
+    | Some l -> Interp.run ~hooks ~syscall ~fuel:l pb.program machine
     | None -> Interp.run ~hooks ~syscall pb.program machine
   in
-  (match (status, pb.length, fuel) with
-  | Interp.Halted, Some l, Some f when f = l ->
+  (match (status, pb.length) with
+  | Interp.Halted, Some l ->
       (* a region must not halt early: that would mean the recorded
          interval ran past program end *)
       if machine.Interp.icount - before < l then
@@ -51,5 +45,3 @@ let replay_with ?(tools = []) ?fuel (pb : Pinball.t) =
                 l))
   | _ -> ());
   { status; retired = machine.Interp.icount - before; machine }
-
-let replay ?tools pb = replay_with ?tools pb

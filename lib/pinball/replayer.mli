@@ -18,11 +18,6 @@ val replay : ?tools:Hooks.t list -> Pinball.t -> result
 (** Restore the snapshot and execute the pinball's interval with the
     recorded inputs injected. *)
 
-val replay_with :
-  ?tools:Hooks.t list -> ?fuel:int -> Pinball.t -> result
-(** Replay at most [fuel] instructions of the pinball (defaults to the
-    pinball's own length). *)
-
 val recorded_syscall : Pinball.t -> int -> int
 (** A stateful handler that plays back the pinball's recorded inputs in
     order; raises {!Divergence} when the recording is exhausted.  Exposed

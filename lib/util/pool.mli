@@ -1,7 +1,7 @@
 (** A persistent domain pool for embarrassingly parallel batches.
 
-    The pipeline's hot loops (suite fan-out, cold regional replays,
-    k-means assignment) are all independent-job batches; this module
+    The pipeline's hot loops (suite fan-out, k-means assignment) are
+    all independent-job batches; this module
     runs them across OCaml 5 domains while keeping results in input
     order, so [jobs = 1] and [jobs = N] are observationally identical.
 
@@ -11,7 +11,7 @@
     [Domain.recommended_domain_count () - 1]; {!async} asks for [jobs],
     capped at [Domain.recommended_domain_count ()].  A batch issued
     from inside a worker shares the same fixed worker set, so composed
-    fan-outs (suite over benchmarks, replays within a benchmark) never
+    fan-outs (suite over benchmarks, k-means within a benchmark) never
     oversubscribe the machine and never spawn domains per call.
 
     Observability: every batch records [pool.batches] and

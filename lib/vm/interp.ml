@@ -31,13 +31,15 @@ let create ?mem ~entry () =
 let default_syscall n = Sp_util.Rng.hash_string (string_of_int n) land 0xFFFF
 
 (* Execution metrics, flushed once per [run] (and once per engine loop
-   for block counts) so the hot loops stay untouched.  Instruction and
-   TLB-refill totals are pure functions of the retired work and are
-   registered stable; per-tier run counts depend on which pipeline path
-   drove the interpreter, so they are not. *)
+   for block counts) so the hot loops stay untouched.  Instruction,
+   TLB-refill and copy-on-write page-copy totals are pure functions of
+   the retired work and are registered stable; per-tier run counts
+   depend on which pipeline path drove the interpreter, so they are
+   not. *)
 module M = struct
   let instructions = Sp_obs.Metrics.counter "vm.instructions"
   let tlb_refills = Sp_obs.Metrics.counter "vm.tlb_refills"
+  let page_copies = Sp_obs.Metrics.counter "vm.page_copies"
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
   let runs_plain = Sp_obs.Metrics.counter ~stable:false "vm.runs.plain"
   let runs_block = Sp_obs.Metrics.counter ~stable:false "vm.runs.block"
@@ -1189,6 +1191,7 @@ let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
     ?(fuel = max_int) (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
+  let copies0 = Memory.page_copies m.mem in
   let block_level = Hooks.block_level hooks in
   let status =
     match engine with
@@ -1207,4 +1210,5 @@ let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
   in
   Sp_obs.Metrics.add M.instructions (m.icount - icount0);
   Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);
+  Sp_obs.Metrics.add M.page_copies (Memory.page_copies m.mem - copies0);
   status

@@ -46,9 +46,11 @@ type t = {
   float_tags : int array;
   float_wtags : int array;
   float_tlb : float array array;
-  (* cumulative TLB refills (fast-path misses that installed an entry);
-     off the fast path, read by the interpreter's metrics flush *)
+  (* cumulative TLB refills (fast-path misses that installed an entry)
+     and copy-on-write privatisations; off the fast path, read by the
+     interpreter's metrics flush *)
   mutable tlb_refills : int;
+  mutable page_copies : int;
 }
 
 let create () =
@@ -64,6 +66,7 @@ let create () =
     float_wtags = Array.make tlb_slots (-1);
     float_tlb = Array.make tlb_slots no_float_page;
     tlb_refills = 0;
+    page_copies = 0;
   }
 
 let load t addr =
@@ -97,6 +100,7 @@ let store_slow t idx slot off v =
           let q = Array.copy p in
           Hashtbl.replace t.int_pages idx q;
           Hashtbl.remove t.int_frozen idx;
+          t.page_copies <- t.page_copies + 1;
           q
         end
         else p
@@ -148,6 +152,7 @@ let storef_slow t idx slot off v =
           let q = Array.copy p in
           Hashtbl.replace t.float_pages idx q;
           Hashtbl.remove t.float_frozen idx;
+          t.page_copies <- t.page_copies + 1;
           q
         end
         else p
@@ -173,6 +178,7 @@ let storef t addr v =
   else storef_slow t idx slot (w land offset_mask) v
 
 let tlb_refills t = t.tlb_refills
+let page_copies t = t.page_copies
 
 let footprint_bytes t =
   (Hashtbl.length t.int_pages + Hashtbl.length t.float_pages) * page_bytes
@@ -214,6 +220,7 @@ let cow_clone t =
     float_wtags = Array.make tlb_slots (-1);
     float_tlb = Array.make tlb_slots no_float_page;
     tlb_refills = 0;
+    page_copies = 0;
   }
 
 let copy t =

@@ -38,6 +38,10 @@ val tlb_refills : t -> int
     access stream; the interpreter flushes deltas into the
     [vm.tlb_refills] metric. *)
 
+val page_copies : t -> int
+(** Cumulative copy-on-write page copies (first stores to a page shared
+    with a snapshot); flushed like {!tlb_refills}, into [vm.page_copies]. *)
+
 val copy : t -> t
 (** Deep copy; the result shares nothing with the source. *)
 

@@ -8,6 +8,8 @@ type t = {
   icount : int;
 }
 
+let captures = Sp_obs.Metrics.counter "vm.snapshots"
+
 (* The snapshot's memory shares the machine's page arrays copy-on-write
    and is fully frozen from construction on: [capture] freezes the
    source machine (its later stores privatise pages), and the snapshot
@@ -15,6 +17,7 @@ type t = {
    snapshot, which makes restoring one snapshot from many domains at
    once safe — each restored machine gets its own COW view. *)
 let capture (m : Interp.machine) =
+  Sp_obs.Metrics.incr captures;
   {
     regs = Array.copy m.regs;
     fregs = Array.copy m.fregs;

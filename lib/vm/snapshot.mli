@@ -16,6 +16,8 @@
 type t
 
 val capture : Interp.machine -> t
+(** Counted by the [vm.snapshots] metric: each capture freezes the
+    machine's pages, so its later writes copy them ([vm.page_copies]). *)
 
 val restore : t -> Interp.machine
 (** A fresh machine; logically shares no mutable state with the

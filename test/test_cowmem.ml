@@ -124,6 +124,33 @@ let test_snapshot_restore_isolated () =
     (encode c.Sp_vm.Interp.mem = golden);
   Alcotest.(check int) "registers copied" 99 c.Sp_vm.Interp.regs.(3)
 
+(* a capture freezes the live machine, so its next store to each page
+   it had touched copies that page: [vm.snapshots] counts the capture
+   and [vm.page_copies], flushed per [Interp.run], the two pages *)
+let test_snapshot_counters () =
+  let a = Sp_vm.Asm.create ~name:"two-pages" () in
+  Sp_vm.Asm.li a 1 0;
+  Sp_vm.Asm.li a 6 Sp_vm.Memory.page_bytes;
+  Sp_vm.Asm.loop_down a ~counter:5 ~from:1_000 (fun () ->
+      Sp_vm.Asm.store a 2 1 0;
+      Sp_vm.Asm.store a 2 6 0);
+  Sp_vm.Asm.halt a;
+  let prog = Sp_vm.Asm.assemble a in
+  let mach = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
+  ignore (Sp_vm.Interp.run ~fuel:100 prog mach);
+  Sp_obs.Metrics.reset ();
+  ignore (Sp_vm.Snapshot.capture mach);
+  ignore (Sp_vm.Interp.run ~fuel:100 prog mach);
+  let snap = Sp_obs.Metrics.stable_snapshot () in
+  Sp_obs.Metrics.reset ();
+  Alcotest.(check (option (float 0.0))) "one capture" (Some 1.0)
+    (Sp_obs.Metrics.counter_value snap "vm.snapshots");
+  Alcotest.(check (option (float 0.0))) "one copy per written page"
+    (Some 2.0)
+    (Sp_obs.Metrics.counter_value snap "vm.page_copies");
+  Alcotest.(check int) "memory's own count" 2
+    (Sp_vm.Memory.page_copies mach.Sp_vm.Interp.mem)
+
 (* ------------------------------------------------------------------ *)
 (* Mem_cache unit behaviour *)
 
@@ -331,6 +358,8 @@ let suite =
       test_cow_serialise_identical;
     Alcotest.test_case "snapshot restore isolated" `Quick
       test_snapshot_restore_isolated;
+    Alcotest.test_case "snapshot and page-copy counters" `Quick
+      test_snapshot_counters;
     Alcotest.test_case "mem cache disabled" `Quick test_mem_cache_disabled;
     Alcotest.test_case "mem cache lru eviction" `Quick
       test_mem_cache_lru_eviction;

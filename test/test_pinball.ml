@@ -110,7 +110,7 @@ let test_scan_matches_capture () =
   in
   let captured = Logger.capture_regions whole points in
   let scanned = ref [] in
-  Logger.scan_regions whole points (fun pb -> scanned := pb :: !scanned);
+  Scan_ref.scan_regions whole points (fun pb -> scanned := pb :: !scanned);
   let scanned = List.rev !scanned in
   Alcotest.(check int) "same count" 2 (List.length scanned);
   List.iteri
@@ -129,12 +129,12 @@ let test_scan_warmup_hooks () =
   let started = ref 0 in
   let warmup =
     {
-      Logger.length = 250;
+      Scan_ref.length = 250;
       hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
       on_start = (fun () -> incr started);
     }
   in
-  Logger.scan_regions ~warmup whole points (fun _ -> ());
+  Scan_ref.scan_regions ~warmup whole points (fun _ -> ());
   Alcotest.(check int) "on_start once" 1 !started;
   Alcotest.(check int) "warm window length" 250 !warm_count
 
@@ -145,12 +145,12 @@ let test_scan_warmup_clamped () =
   let warm_count = ref 0 in
   let warmup =
     {
-      Logger.length = 10_000;
+      Scan_ref.length = 10_000;
       hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
       on_start = ignore;
     }
   in
-  Logger.scan_regions ~warmup whole points (fun _ -> ());
+  Scan_ref.scan_regions ~warmup whole points (fun _ -> ());
   Alcotest.(check int) "clamped to gap" 100 !warm_count
 
 (* ------------------------------------------------------------------ *)

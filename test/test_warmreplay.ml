@@ -1,10 +1,11 @@
 (* Differential tests for the replay walk.
 
-   The pipeline replays warm points in one forward walk of the whole
-   pinball (Logger.walk): each point's fresh tools warm in place over
-   its clamped window and measure its region on the live machine, and
-   the same walk snapshots the region starts the cold replays fan out
-   over.  The references are rebuilt here from public APIs:
+   The pipeline replays every point in one forward walk of the whole
+   pinball (Logger.walk): each point's warm tools warm in place over
+   its clamped window, and its region runs once on the live machine
+   under those and under a cold set reset at the region start.  No
+   region is snapshotted; the only cold replays of region snapshots
+   left are the references here, rebuilt from public APIs:
    - warm: the shared scan the pipeline once ran, one set of warm tools
      reset at each window start ([warm_replay_points_scan]);
    - cold: the two paths cold replay took before the walk, a streaming
@@ -17,7 +18,7 @@
    straddling recorded-input instructions.  Point statistics must match
    bit for bit at any job count, and so must the stable metrics
    fingerprint; on a warm profile cache a whole benchmark retires
-   exactly the walk plus the cold replays. *)
+   exactly its walk, snapshots nothing and copies no page. *)
 
 open Specrepro
 open Sp_pin
@@ -122,7 +123,7 @@ let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
   let acc = ref [] in
   let warmup =
     {
-      Logger.length = warmup_insns;
+      Scan_ref.length = warmup_insns;
       hooks = Sp_vm.Hooks.seq_all warm_hooks;
       on_start =
         (fun () ->
@@ -132,7 +133,7 @@ let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
           Sp_cpu.Interval_core.set_warming warm_core true);
     }
   in
-  Logger.scan_regions ~warmup whole points (fun pb ->
+  Scan_ref.scan_regions ~warmup whole points (fun pb ->
       Allcache_tool.set_warming warm_cache false;
       Sp_cpu.Interval_core.set_warming warm_core false;
       (* a zero-length window skips on_start: reset here instead *)
@@ -165,7 +166,7 @@ let warm_replay_points_scan (options : Pipeline.options) ~warmup_insns
 
 (* The cold references: one Regional replay under fresh tools, and the
    two ways the pipeline fed it regions before the walk, in start order:
-   streaming ([Logger.scan_regions], at most one region live) and
+   streaming ([Scan_ref.scan_regions], at most one region live) and
    capture-then-replay ([Logger.capture_regions]). *)
 let cold_replay (options : Pipeline.options) (pb : Pinball.t) =
   let prog = pb.Pinball.program in
@@ -201,7 +202,7 @@ let cold_replay (options : Pipeline.options) (pb : Pinball.t) =
 
 let cold_scan options whole points =
   let acc = ref [] in
-  Logger.scan_regions whole points (fun pb ->
+  Scan_ref.scan_regions whole points (fun pb ->
       acc := cold_replay options pb :: !acc);
   List.rev !acc
 
@@ -374,7 +375,7 @@ let test_tool_level_equivalence () =
       let scan_stats = ref [] in
       let warmup =
         {
-          Logger.length = wu;
+          Scan_ref.length = wu;
           hooks = Allcache_tool.hooks shared;
           on_start =
             (fun () ->
@@ -382,7 +383,7 @@ let test_tool_level_equivalence () =
               Allcache_tool.set_warming shared true);
         }
       in
-      Logger.scan_regions ~warmup whole points (fun pb ->
+      Scan_ref.scan_regions ~warmup whole points (fun pb ->
           Allcache_tool.set_warming shared false;
           ignore (Replayer.replay ~tools:[ Allcache_tool.hooks shared ] pb);
           scan_stats := stats shared :: !scan_stats);
@@ -436,7 +437,10 @@ let test_capture_prefix_clamping () =
     regions.(1).Logger.warm_prefix;
   let r0 = regions.(0).Logger.warm_pinball in
   Alcotest.(check (option int)) "pinball spans prefix + region" (Some 70)
-    r0.Pinball.length
+    r0.Pinball.length;
+  Alcotest.(check (array int)) "warm_prefixes, in the order given"
+    [| 0; 40 |]
+    (Logger.warm_prefixes ~warmup_insns:1_000 [| points.(1); points.(0) |])
 
 (* ------------------------------------------------------------------ *)
 (* stable metrics are identical across job counts *)
@@ -470,11 +474,11 @@ let test_stable_metrics_jobs_invariant () =
     (seq = par)
 
 (* ------------------------------------------------------------------ *)
-(* instruction budget: on a warm profile cache no whole-program run
-   happens, so a benchmark retires exactly its walk (up to the last
-   region's end) plus one cold replay per region *)
+(* on a warm profile cache no whole-program run happens, and nothing
+   carves a region: a benchmark retires exactly its walk, up to the
+   last region's end, takes no snapshot and so copies no page *)
 
-let test_walk_instruction_budget () =
+let with_warm_profile_cache f =
   let dir = Filename.temp_file "spwalk" "" in
   Sys.remove dir;
   let rm_dir () =
@@ -501,29 +505,32 @@ let test_walk_instruction_budget () =
     (fun jobs ->
       Sp_obs.Metrics.reset ();
       let r = Pipeline.run_benchmark ~options:(options jobs) spec in
-      let retired =
-        Sp_obs.Metrics.counter_value
-          (Sp_obs.Metrics.stable_snapshot ())
-          "vm.instructions"
-      in
+      let snap = Sp_obs.Metrics.stable_snapshot () in
       Sp_obs.Metrics.reset ();
-      let points = r.Pipeline.selection.Pipeline.points in
-      let walk =
-        Array.fold_left
-          (fun acc (p : Sp_simpoint.Simpoints.point) ->
-            max acc (p.start_icount + p.length))
-          0 points
-      in
-      let cold =
-        Array.fold_left
-          (fun acc (p : Sp_simpoint.Simpoints.point) -> acc + p.length)
-          0 points
-      in
-      Alcotest.(check (option (float 0.0)))
-        (Printf.sprintf "jobs %d: walk + cold replays" jobs)
-        (Some (float_of_int (walk + cold)))
-        retired)
+      f jobs r (Sp_obs.Metrics.counter_value snap))
     [ 1; 3 ]
+
+let test_walk_instruction_budget () =
+  with_warm_profile_cache @@ fun jobs r counter ->
+  let walk =
+    Array.fold_left
+      (fun acc (p : Sp_simpoint.Simpoints.point) ->
+        max acc (p.start_icount + p.length))
+      0 r.Pipeline.selection.Pipeline.points
+  in
+  Alcotest.(check (option (float 0.0)))
+    (Printf.sprintf "jobs %d: the walk alone" jobs)
+    (Some (float_of_int walk))
+    (counter "vm.instructions")
+
+let test_warm_run_no_snapshots () =
+  with_warm_profile_cache @@ fun jobs _ counter ->
+  List.iter
+    (fun name ->
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "jobs %d: %s" jobs name)
+        (Some 0.0) (counter name))
+    [ "vm.snapshots"; "vm.page_copies" ]
 
 (* ------------------------------------------------------------------ *)
 (* allocation budget: the per-instruction path of the replay tools
@@ -588,5 +595,7 @@ let suite =
       test_stable_metrics_jobs_invariant;
     Alcotest.test_case "walk instruction budget" `Quick
       test_walk_instruction_budget;
+    Alcotest.test_case "warm profile cache: no snapshots, no page copies"
+      `Quick test_warm_run_no_snapshots;
     Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
   ]

@@ -7,7 +7,7 @@
      replay        replay stored pinballs under pintools
      run           the full pipeline for one benchmark
      suite         the full pipeline for the whole suite (Table II + headlines)
-     experiment    regenerate one of the paper's tables/figures
+     experiment    regenerate a table or figure of the paper, or all of them
      report        aggregate a --trace-out file into per-stage totals
      serve         benchmark-as-a-service daemon over a Unix socket
      submit        send a job to (or query / drain) a running daemon
@@ -738,6 +738,9 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 (* suite *)
 
+let print_outputs =
+  List.iter (fun o -> print_string (Experiments.render o))
+
 let suite_cmd =
   let extended_arg =
     let doc = "Also run the 14 extended (non-Table II) workloads." in
@@ -779,22 +782,13 @@ let suite_cmd =
                ("table2", table_json (Experiments.table2 results));
                ("metrics", metrics_json ());
              ])
-    else begin
-      Sp_util.Table.print (Experiments.table2 results);
-      let t =
-        Sp_util.Table.create ~title:"Headline claims"
-          [
-            ("Metric", Sp_util.Table.Left);
-            ("Paper", Sp_util.Table.Right);
-            ("Measured", Sp_util.Table.Right);
-          ]
+    else
+      let ctx =
+        { Experiments.options; specs = Some specs; suite = Lazy.from_val results }
       in
       List.iter
-        (fun (h : Experiments.headline) ->
-          Sp_util.Table.add_row t [ h.metric; h.paper; h.measured ])
-        (Experiments.headlines results);
-      Sp_util.Table.print t
-    end
+        (fun name -> print_outputs ((Option.get (Experiments.find name)).run ctx))
+        [ "table2"; "headlines" ]
   in
   Cmd.v
     (Cmd.info "suite"
@@ -806,72 +800,85 @@ let suite_cmd =
 (* experiment *)
 
 let experiment_cmd =
+  let names = List.map (fun (e : Experiments.entry) -> e.name) Experiments.registry in
   let name_arg =
     let doc =
-      "Experiment: table1, table3, fig3a, fig3b, ablation-bic, \
-       ablation-proj, ablation-prefetch, sampling, samplers, statcache, \
-       models, rate (suite-wide figures live in bench/main.exe)."
+      Printf.sprintf
+        "Experiment to regenerate: %s; or $(b,all) for every one, in this \
+         order."
+        (String.concat ", " names)
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
   in
-  let run name common json =
-    let table =
-      match name with
-      | "table1" -> Some (fun () -> Experiments.table1 ())
-      | "fig3a" -> Some (fun () -> Experiments.fig3a ~options:(options_of common) ())
-      | "fig3b" -> Some (fun () -> Experiments.fig3b ~options:(options_of common) ())
-      | "ablation-bic" ->
-          Some (fun () -> Experiments.ablation_bic ~options:(options_of common) ())
-      | "ablation-proj" ->
-          Some
-            (fun () -> Experiments.ablation_projection ~options:(options_of common) ())
-      | "ablation-prefetch" ->
-          Some
-            (fun () -> Experiments.ablation_prefetch ~options:(options_of common) ())
-      | "sampling" -> Some (fun () -> Experiments.sampling ~options:(options_of common) ())
-      | "samplers" ->
-          Some (fun () -> Experiments.samplers ~options:(options_of common) ())
-      | "statcache" -> Some (fun () -> Experiments.statcache ~options:(options_of common) ())
-      | "models" -> Some (fun () -> Experiments.models ~options:(options_of common) ())
-      | "rate" -> Some (fun () -> Experiments.rate ~options:(options_of common) ())
-      | _ -> None
+  let csv_arg =
+    let doc =
+      "Also write each table as CSV under $(docv): $(i,NAME).csv for an \
+       experiment's first table, $(i,NAME)-2.csv for its second."
     in
-    match (name, table) with
-    | "table3", _ ->
-        with_trace common @@ fun () ->
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let write_csv dir name outputs =
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    List.filter_map
+      (function Experiments.Table t -> Some t | Experiments.Text _ -> None)
+      outputs
+    |> List.iteri (fun i t ->
+           let file =
+             if i = 0 then name ^ ".csv" else Printf.sprintf "%s-%d.csv" name (i + 1)
+           in
+           let oc = open_out (Filename.concat dir file) in
+           output_string oc (Sp_util.Table.to_csv t);
+           close_out oc)
+  in
+  let output_json = function
+    | Experiments.Table t -> ("table", table_json t)
+    | Experiments.Text s -> ("text", str s)
+  in
+  let run name common json csv =
+    let entries =
+      if name = "all" then Experiments.registry
+      else
+        match Experiments.find name with
+        | Some e -> [ e ]
+        | None ->
+            Printf.eprintf "unknown experiment %S (one of: %s, all)\n" name
+              (String.concat " " names);
+            exit 1
+    in
+    with_trace common @@ fun () ->
+    let options = options_of common in
+    let ctx = Experiments.context options in
+    List.iteri
+      (fun i (e : Experiments.entry) ->
+        Sp_obs.Tracer.with_span ~cat:"experiment" e.name @@ fun () ->
+        let outputs = e.run ctx in
+        Option.iter (fun dir -> write_csv dir e.name outputs) csv;
         if json then
           emit_json ~command:"experiment"
-            ~options:
-              (Api.options_json ~extra:[ ("name", str name) ]
-                 (options_of common))
+            ~options:(Api.options_json ~extra:[ ("name", str e.name) ] options)
             ~result:
               (Sp_obs.Json.Obj
-                 [
-                   ("name", str name);
-                   ("text", str (Experiments.table3 ()));
-                 ])
-        else print_endline (Experiments.table3 ())
-    | _, Some f ->
-        with_trace common @@ fun () ->
-        let t = f () in
-        if json then
-          emit_json ~command:"experiment"
-            ~options:
-              (Api.options_json ~extra:[ ("name", str name) ]
-                 (options_of common))
-            ~result:
-              (Sp_obs.Json.Obj
-                 [ ("name", str name); ("table", table_json t) ])
-        else Sp_util.Table.print t
-    | other, None ->
-        Printf.eprintf
-          "unknown experiment %S (suite-wide figures: use bench/main.exe)\n"
-          other;
-        exit 1
+                 (("name", str e.name)
+                 ::
+                 (match outputs with
+                 | [ o ] -> [ output_json o ]
+                 | os ->
+                     [
+                       ( "outputs",
+                         Sp_obs.Json.List
+                           (List.map (fun o -> Sp_obs.Json.Obj [ output_json o ]) os)
+                       );
+                     ])))
+        else begin
+          if i > 0 then print_newline ();
+          print_outputs outputs
+        end)
+      entries
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a single-benchmark experiment.")
-    Term.(const run $ name_arg $ common_term $ json_arg)
+    (Cmd.info "experiment"
+       ~doc:"Regenerate one of the paper's tables or figures, or all of them.")
+    Term.(const run $ name_arg $ common_term $ json_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report: aggregate a --trace-out file *)

@@ -959,17 +959,11 @@ let sampling ?(options = Pipeline.default_options) ?specs () =
       let core =
         Sp_cpu.Interval_core.create ~config:options.Pipeline.core_config prog
       in
-      let timer =
-        Sp_cpu.Slice_timer.create ~slice_len:options.Pipeline.slice_insns core
+      let cpis =
+        Sp_cpu.Slice_timer.cpis ~tools:[ Sp_pin.Bbv_tool.hooks bbv ]
+          ~slice_len:options.Pipeline.slice_insns core prog
       in
-      ignore
-        (Sp_pin.Pin.run_fresh
-           ~tools:
-             [ Sp_pin.Bbv_tool.hooks bbv; Sp_cpu.Slice_timer.hooks timer ]
-           prog);
       Sp_pin.Bbv_tool.finish bbv;
-      Sp_cpu.Slice_timer.finish timer;
-      let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
       let whole_cpi = Sp_cpu.Interval_core.cpi core in
       (* SimPoint estimator *)
       let sel =
@@ -1594,15 +1588,10 @@ let timevary ?(options = Pipeline.default_options) ?specs () =
       let core =
         Sp_cpu.Interval_core.create ~config:options.Pipeline.core_config prog
       in
-      let timer =
-        Sp_cpu.Slice_timer.create ~slice_len:options.Pipeline.slice_insns core
+      let cpis =
+        Sp_cpu.Slice_timer.cpis ~slice_len:options.Pipeline.slice_insns core
+          prog
       in
-      ignore
-        (Sp_pin.Pin.run_fresh
-           ~tools:[ Sp_cpu.Slice_timer.hooks timer ]
-           prog);
-      Sp_cpu.Slice_timer.finish timer;
-      let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
       Buffer.add_string buf
         (Printf.sprintf
            "Time-varying behaviour of %s (per-slice CPI over %d slices):\n"
@@ -1656,40 +1645,31 @@ let smarts ?(options = Pipeline.default_options) ?specs ?(period = 30) () =
              [ Sp_cpu.Interval_core.hooks truth_core;
                Sp_pin.Allcache_tool.hooks truth_cache ]
            prog);
-      (* SMARTS pass: same tools, but warming toggles per slice *)
+      (* SMARTS pass: same tools, run in slice-sized legs; warming
+         toggles between legs, and every period-th slice after the
+         first is measured *)
       let core =
         Sp_cpu.Interval_core.create ~config:options.Pipeline.core_config prog
       in
       let cache =
         Sp_pin.Allcache_tool.create ~config:options.Pipeline.cache_config prog
       in
-      let slice_len = options.Pipeline.slice_insns in
-      let count = ref 0 and slice = ref 0 in
-      let set_warm w =
-        Sp_cpu.Interval_core.set_warming core w;
-        Sp_pin.Allcache_tool.set_warming cache w
+      let hooks =
+        Sp_vm.Hooks.seq_all
+          [ Sp_cpu.Interval_core.hooks core; Sp_pin.Allcache_tool.hooks cache ]
       in
-      set_warm true;
-      let toggler =
-        {
-          Sp_vm.Hooks.nil with
-          on_instr =
-            (fun _ _ ->
-              incr count;
-              if !count >= slice_len then begin
-                count := 0;
-                incr slice;
-                (* measure the first slice of every period *)
-                set_warm (not (!slice mod period = 0))
-              end);
-        }
+      let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
+      let rec legs slice =
+        let warm = slice = 0 || slice mod period <> 0 in
+        Sp_cpu.Interval_core.set_warming core warm;
+        Sp_pin.Allcache_tool.set_warming cache warm;
+        match
+          Sp_vm.Interp.run ~hooks ~fuel:options.Pipeline.slice_insns prog m
+        with
+        | Sp_vm.Interp.Out_of_fuel -> legs (slice + 1)
+        | Sp_vm.Interp.Halted -> ()
       in
-      ignore
-        (Sp_pin.Pin.run_fresh
-           ~tools:
-             [ toggler; Sp_cpu.Interval_core.hooks core;
-               Sp_pin.Allcache_tool.hooks cache ]
-           prog);
+      legs 0;
       let whole_cpi = Sp_cpu.Interval_core.cpi truth_core in
       let smarts_cpi = Sp_cpu.Interval_core.cpi core in
       let l3 (tool : Sp_pin.Allcache_tool.t) =
@@ -1894,3 +1874,98 @@ let samplers ?(options = Pipeline.default_options) ?specs () =
         ])
     Sp_simpoint.Sampler.all_kinds;
   t
+
+(* ------------------------------------------------------------------ *)
+(* The registry: every experiment, in print order *)
+
+type output = Table of Table.t | Text of string
+
+let render = function
+  | Table t -> Table.render t ^ "\n"
+  | Text s -> s ^ "\n"
+
+type context = {
+  options : Pipeline.options;
+  specs : Benchspec.t list option;
+  suite : Pipeline.bench_result list Lazy.t;
+}
+
+let context ?specs options =
+  { options; specs; suite = lazy (Pipeline.run_suite ~options ?specs ()) }
+
+type entry = { name : string; run : context -> output list }
+
+let headline_table results =
+  let t =
+    Table.create ~title:"Headline claims: paper vs this reproduction"
+      [
+        ("Metric", Table.Left); ("Paper", Table.Right); ("Measured", Table.Right);
+      ]
+  in
+  List.iter
+    (fun h -> Table.add_row t [ h.metric; h.paper; h.measured ])
+    (headlines results);
+  t
+
+let registry =
+  let table name f = { name; run = (fun c -> [ Table (f c) ]) } in
+  let suite name f = table name (fun c -> f (Lazy.force c.suite)) in
+  [
+    table "table1" (fun _ -> table1 ());
+    suite "table2" table2;
+    table "table2x" (fun c -> table2_extended ~options:c.options ());
+    { name = "table3"; run = (fun _ -> [ Text (table3 ()) ]) };
+    table "fig3a" (fun c -> fig3a ~options:c.options ());
+    table "fig3b" (fun c -> fig3b ~options:c.options ());
+    {
+      name = "fig4";
+      run =
+        (fun c ->
+          let r = Lazy.force c.suite in
+          [ Table (fig4 r); Text (fig4_chart r) ]);
+    };
+    suite "fig5" fig5;
+    suite "fig6" fig6;
+    suite "fig7" fig7;
+    suite "fig8" fig8;
+    {
+      name = "fig9";
+      run =
+        (fun c ->
+          let r = Lazy.force c.suite in
+          [ Table (fig9 r); Text (fig9_chart r) ]);
+    };
+    suite "fig10" fig10;
+    suite "fig12" fig12;
+    table "ablation-bic" (fun c -> ablation_bic ~options:c.options ());
+    table "ablation-proj" (fun c -> ablation_projection ~options:c.options ());
+    table "ablation-warmup" (fun c ->
+        ablation_warmup ~options:c.options (Lazy.force c.suite));
+    table "ablation-prefetch" (fun c ->
+        ablation_prefetch ~options:c.options ?specs:c.specs ());
+    table "ablation-roi" (fun c ->
+        ablation_roi ~options:c.options ?specs:c.specs ());
+    table "sampling" (fun c -> sampling ~options:c.options ?specs:c.specs ());
+    table "samplers" (fun c -> samplers ~options:c.options ?specs:c.specs ());
+    table "smarts" (fun c -> smarts ~options:c.options ?specs:c.specs ());
+    table "vli" (fun c -> vli ~options:c.options ?specs:c.specs ());
+    {
+      name = "subset";
+      run =
+        (fun c ->
+          let vars, clusters = subset (Lazy.force c.suite) in
+          [ Table vars; Table clusters ]);
+    };
+    table "statcache" (fun c -> statcache ~options:c.options ?specs:c.specs ());
+    suite "cpistack" cpistack;
+    {
+      name = "timevary";
+      run =
+        (fun c -> [ Text (timevary ~options:c.options ?specs:c.specs ()) ]);
+    };
+    table "models" (fun c -> models ~options:c.options ?specs:c.specs ());
+    table "rate" (fun c -> rate ~options:c.options ?specs:c.specs ());
+    suite "headlines" headline_table;
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) registry

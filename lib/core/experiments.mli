@@ -188,3 +188,35 @@ type headline = {
 
 val headlines : Pipeline.bench_result list -> headline list
 (** The paper's headline claims next to our measured values. *)
+
+(** {1 The registry}
+
+    Every table and figure above, by name, in print order: the one list
+    [specrepro experiment] serves and the golden test pins. *)
+
+type output =
+  | Table of Table.t
+  | Text of string  (** a chart or a preformatted block *)
+
+val render : output -> string
+(** The output exactly as printed: the rendered table or the text, then
+    a newline. *)
+
+type context = {
+  options : Pipeline.options;
+  specs : Sp_workloads.Benchspec.t list option;
+      (** the benchmarks of the suite and of every experiment that takes
+          a list; [None] keeps each experiment's own default *)
+  suite : Pipeline.bench_result list Lazy.t;
+      (** one suite run over [specs], shared by every suite-wide
+          figure *)
+}
+
+val context : ?specs:Sp_workloads.Benchspec.t list -> Pipeline.options -> context
+(** A context whose suite runs on first use. *)
+
+type entry = { name : string; run : context -> output list }
+(** An experiment: its name and its outputs, in print order. *)
+
+val registry : entry list
+val find : string -> entry option

@@ -40,13 +40,10 @@ val hooks : t -> Hooks.t
 
 val hooks_per_instr : t -> Hooks.t
 (** The per-instruction callback set ([on_instr]/[on_read]/[on_write]
-    plus the same [on_block] fetch and [on_branch]): [cycles] and
-    [instructions] are current after every retired instruction, which
-    observers that sample the core between instructions need
-    ({!Slice_timer}).  Also the reference for differential testing.
-    Give each set a core of its own: the block-level set's repeat
-    filters assume every access to the core's caches went through
-    it. *)
+    plus the same [on_block] fetch and [on_branch]): the reference the
+    differential tests hold {!hooks} to.  Give each set a core of its
+    own: the block-level set's repeat filters assume every access to
+    the core's caches went through it. *)
 
 val cpi : t -> float
 (** Cycles per instruction so far; 0 before any instruction. *)

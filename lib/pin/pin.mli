@@ -6,8 +6,8 @@ open Sp_vm
     A pintool is any value exposing a {!Sp_vm.Hooks.t}; this module
     composes them and drives the interpreter.  The individual tools
     shipped with this library mirror the ones the paper uses from the
-    Pin kit: {!Inscount}, {!Ldstmix}, {!Allcache_tool}, {!Bbv_tool} and
-    {!Tracer}. *)
+    Pin kit: {!Inscount}, {!Ldstmix}, {!Allcache_tool} and
+    {!Bbv_tool}. *)
 
 type run = {
   status : Interp.status;

@@ -365,12 +365,7 @@ let test_slice_timer () =
   Asm.halt a;
   let prog = Asm.assemble a in
   let core = Sp_cpu.Interval_core.create ~config:Sp_cpu.Core_config.i7_3770_sim prog in
-  let timer = Sp_cpu.Slice_timer.create ~slice_len:1000 core in
-  let m = Interp.create ~entry:prog.Program.entry () in
-  (* the timer's hooks drive the core as well *)
-  ignore (Interp.run ~hooks:(Sp_cpu.Slice_timer.hooks timer) prog m);
-  Sp_cpu.Slice_timer.finish timer;
-  let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
+  let cpis = Sp_cpu.Slice_timer.cpis ~slice_len:1000 core prog in
   Alcotest.(check int) "10 slices" 10 (Array.length cpis);
   (* mid slices of a pure loop all cost the same *)
   Alcotest.(check (float 1e-6)) "steady slices equal" cpis.(3) cpis.(6);

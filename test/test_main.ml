@@ -23,6 +23,7 @@ let () =
       ("coverage", Test_coverage.suite);
       ("parallel", Test_parallel.suite);
       ("warmreplay", Test_warmreplay.suite);
+      ("registry", Test_experiments.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("cowmem", Test_cowmem.suite);

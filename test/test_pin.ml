@@ -105,16 +105,6 @@ let test_bbv_deterministic () =
   in
   Alcotest.(check bool) "identical reruns" true (collect () = collect ())
 
-let test_tracer () =
-  let prog = mix_program ~iters:5 in
-  let t = Tracer.create ~capacity:16 () in
-  ignore (Pin.run_fresh ~tools:[ Tracer.hooks t prog ] prog);
-  let events = Tracer.events t in
-  Alcotest.(check int) "bounded" 16 (List.length events);
-  Alcotest.(check bool) "counted all" true (Tracer.total_events t > 16);
-  Tracer.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Tracer.events t))
-
 let test_multi_tool_composition () =
   let prog = mix_program ~iters:30 in
   let c1 = Inscount.create () and c2 = Inscount.create () in
@@ -134,6 +124,5 @@ let suite =
     Alcotest.test_case "allcache tool" `Quick test_allcache_tool;
     Alcotest.test_case "bbv slices" `Quick test_bbv_tool_slices;
     Alcotest.test_case "bbv deterministic" `Quick test_bbv_deterministic;
-    Alcotest.test_case "tracer ring" `Quick test_tracer;
     Alcotest.test_case "multi-tool composition" `Quick test_multi_tool_composition;
   ]

@@ -1007,8 +1007,10 @@ let test_cli_exit_codes () =
       (0, Printf.sprintf "%s bench-regress 505.mcf_r --results %s --gate 100"
            cli qstore);
       (0, Printf.sprintf "%s bench-regress 505.mcf_r --results %s" cli qsingle);
+      (0, cli ^ " experiment table1");
       (* 1: bad input or corrupt artifact *)
       (1, cli ^ " run 999.none --json");
+      (1, cli ^ " experiment nonesuch");
       (1, Printf.sprintf "%s report %s" cli (Filename.quote garbage));
       (1, Printf.sprintf "%s pinballs verify %s" cli (Filename.quote pbdir));
       (1, Printf.sprintf "%s pinballs verify %s" cli (Filename.quote profdir));
@@ -1018,6 +1020,8 @@ let test_cli_exit_codes () =
            (Filename.quote (tmp_path "cli-none.bin")));
       (1, Printf.sprintf "%s submit 557.xz_r --socket %s" cli
            (Filename.quote (tmp_path "cli-no-daemon.sock")));
+      (* bench/main.exe runs only the micros: any other argument is
+         bad input *)
       (1, bench_exe ^ " nonesuch-experiment");
       (1, bench_exe ^ " --gate malformed");
       (1, bench_exe ^ " --gate-all nope");

@@ -192,6 +192,48 @@ let prop_stack_overflow =
       in
       (run Block).o_outcome = Stack && all_tiers_agree run)
 
+(* Slice boundaries: [Slice_timer.cpis] reads the block-level core's
+   cycles between slice-sized fuel legs.  A per-instruction core run in
+   the same legs must book the same cycles to every slice, so a slice
+   is charged exactly its own instructions, the closing instruction's
+   data references and branch included. *)
+let prop_slice_timer_legs =
+  QCheck.Test.make ~name:"slice timer charges each slice its own instructions"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(triple timing_prog_gen (int_range 0 3) (int_range 1 17)))
+    (fun (instrs, cfg, slice_len) ->
+      let p = Program.of_instrs instrs in
+      let fuel = F.test_fuel in
+      let timed =
+        try
+          Some
+            (Slice_timer.cpis ~fuel ~slice_len
+               (Interval_core.create ~config:configs.(cfg) p)
+               p)
+        with Interp.Stack_error _ -> None
+      in
+      let reference =
+        let core = Interval_core.create ~config:configs.(cfg) p in
+        let hooks = Interval_core.hooks_per_instr core in
+        let m = Interp.create ~entry:0 () in
+        let rec legs left last acc =
+          let status = Interp.run ~hooks ~fuel:(min slice_len left) p m in
+          let n = m.Interp.icount - (fuel - left) in
+          let c = Interval_core.cycles core in
+          let acc =
+            if n = slice_len || (n > 0 && n >= slice_len / 2) then
+              ((c -. last) /. float_of_int n) :: acc
+            else acc
+          in
+          if status = Interp.Out_of_fuel && left > n then legs (left - n) c acc
+          else Array.of_list (List.rev acc)
+        in
+        try Some (legs fuel 0.0 []) with Interp.Stack_error _ -> None
+      in
+      let bits = Option.map (Array.map Int64.bits_of_float) in
+      bits timed = bits reference)
+
 (* hand-checked: 40 straight [Li] + [Halt] in one block is one leader
    fetch and 41 dispatch slots of 1/4 cycle, no stalls *)
 let test_straightline_cycles () =
@@ -373,6 +415,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_block_matches_per_instr;
     QCheck_alcotest.to_alcotest prop_stack_overflow;
+    QCheck_alcotest.to_alcotest prop_slice_timer_legs;
     Alcotest.test_case "straight-line cycles" `Quick test_straightline_cycles;
     Alcotest.test_case "reset clears the repeat filters" `Quick
       test_reset_clears_filters;

@@ -152,14 +152,15 @@ let micro ~gates ~gate_all =
   in
   let tests =
     [
-      (* pinned to the per-instruction reference tier: this micro tracks
-         the decode-dispatch loop itself and must stay comparable to its
+      (* pinned to the interpreted tier, which runs nil hooks on the
+         plain per-instruction loop: this micro tracks the
+         decode-dispatch loop itself and must stay comparable to its
          recorded history from before the compiled tier existed *)
       Test.make ~name:"interp-10k-insns"
         (Staged.stage (fun () ->
              let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
              ignore
-               (Sp_vm.Interp.run ~engine:Sp_vm.Interp.Reference ~fuel:10_000
+               (Sp_vm.Interp.run ~engine:Sp_vm.Interp.Interpreted ~fuel:10_000
                   prog m)));
       (* same replay on the compiled-block tier, where [Auto] sends nil
          hooks: straight-line closures, no per-instruction decode
@@ -177,12 +178,13 @@ let micro ~gates ~gate_all =
             fun () ->
               let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
               ignore (Sp_vm.Interp.run ~hooks ~fuel:10_000 prog m)));
-      (* ...while the cheapest real tool pays for dispatch on every
-         retired instruction (the delta over the nil case is the
-         per-instruction hook overhead the fast path avoids) *)
+      (* ...while the cheapest real tool, a span counter, runs on the
+         same compiled tier with its block prologues live: the delta
+         over the nil case is one span dispatch per block entry plus the
+         tool's per-instruction kind count *)
       Test.make ~name:"hook-dispatch-inscount-10k"
         (Staged.stage
-           (let tool = Sp_pin.Inscount.create () in
+           (let tool = Sp_pin.Inscount.create prog in
             let hooks = Sp_vm.Hooks.seq_all [ Sp_pin.Inscount.hooks tool ] in
             fun () ->
               let m = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in

@@ -85,11 +85,16 @@ let access t addr =
   Hashtbl.replace t.last_access line t.time
   end
 
+(* Reads and writes alike, in retirement order: a Movs's source read
+   before its destination write. *)
 let hooks_of t =
   {
     Sp_vm.Hooks.nil with
-    on_read = (fun a -> access t a);
-    on_write = (fun a -> access t a);
+    on_block_mems =
+      (fun _pc0 _n _offs addrs nrefs ->
+        for r = 0 to nrefs - 1 do
+          access t (Array.unsafe_get addrs r asr 1)
+        done);
   }
 
 let total t = t.time

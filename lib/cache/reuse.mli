@@ -24,7 +24,8 @@ val access : t -> int -> unit
 (** Record a memory access (byte address). *)
 
 val hooks_of : t -> Sp_vm.Hooks.t
-(** Hooks recording both reads and writes into the profiler. *)
+(** Hooks recording both reads and writes into the profiler, from
+    {!Sp_vm.Hooks.on_block_mems} segments. *)
 
 val total : t -> int
 (** Accesses recorded. *)

@@ -31,6 +31,17 @@ let walk t ~core ~write addr =
 let read (t : t) ~core addr = walk t ~core ~write:false addr
 let write t ~core addr = walk t ~core ~write:true addr
 
+let hooks t ~core =
+  {
+    Sp_vm.Hooks.nil with
+    on_block_mems =
+      (fun _pc0 _n _offs addrs nrefs ->
+        for r = 0 to nrefs - 1 do
+          let v = Array.unsafe_get addrs r in
+          walk t ~core ~write:(v land 1 <> 0) (v asr 1)
+        done);
+  }
+
 type core_stats = {
   l1d : Hierarchy.level_stats;
   l2 : Hierarchy.level_stats;

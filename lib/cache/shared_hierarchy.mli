@@ -16,6 +16,10 @@ val create : cores:int -> Config.hierarchy -> t
 val read : t -> core:int -> int -> unit
 val write : t -> core:int -> int -> unit
 
+val hooks : t -> core:int -> Sp_vm.Hooks.t
+(** One core's data references, read and written in retirement order
+    from {!Sp_vm.Hooks.on_block_mems} segments. *)
+
 type core_stats = {
   l1d : Hierarchy.level_stats;
   l2 : Hierarchy.level_stats;

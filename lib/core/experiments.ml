@@ -1386,14 +1386,7 @@ let rate ?(options = Pipeline.default_options) ?specs ?(copies = 4) () =
         let shared =
           Sp_cache.Shared_hierarchy.create ~cores:n options.Pipeline.cache_config
         in
-        let mk core =
-          ( prog,
-            {
-              Sp_vm.Hooks.nil with
-              on_read = (fun a -> Sp_cache.Shared_hierarchy.read shared ~core a);
-              on_write = (fun a -> Sp_cache.Shared_hierarchy.write shared ~core a);
-            } )
-        in
+        let mk core = (prog, Sp_cache.Shared_hierarchy.hooks shared ~core) in
         let mc = Sp_vm.Multicore.create (List.init n mk) in
         (* warm phase: populate the caches, then measure steady state *)
         Sp_vm.Multicore.run ~quantum:1000 ~fuel:warm_fuel mc;

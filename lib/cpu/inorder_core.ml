@@ -8,6 +8,7 @@ type t = {
   bp : Branch_predictor.t;
   code_base : int;
   blocks : Program.block array;
+  kinds : int array;
   extra : float array;  (* per-kind extra cycles beyond the base cycle *)
   mutable warming : bool;
   mutable instructions : int;
@@ -32,6 +33,7 @@ let create ?(config = Core_config.i7_3770_sim) (prog : Program.t) =
     bp = Branch_predictor.create ();
     code_base = prog.code_base;
     blocks = prog.blocks;
+    kinds = prog.kinds;
     extra = Array.init Isa.num_kinds extra_of_kind;
     warming = false;
     instructions = 0;
@@ -56,23 +58,36 @@ let on_access t ~is_write addr =
     let l = float_of_int (latency t where) in
     t.cycles <- t.cycles +. (if is_write then l /. 2.0 else l)
 
+(* One [on_block_mems] segment.  The core has a single cycle
+   accumulator, so each instruction is charged its base cycle and then
+   its own references, in retirement order — the float sums associate
+   exactly as a walk of one event at a time would. *)
+let process t pc0 n offs addrs nrefs =
+  let r = ref 0 in
+  for i = 0 to n - 1 do
+    if not t.warming then begin
+      t.instructions <- t.instructions + 1;
+      t.cycles <-
+        t.cycles +. 1.0
+        +. Array.unsafe_get t.extra (Array.unsafe_get t.kinds (pc0 + i))
+    end;
+    while !r < nrefs && Array.unsafe_get offs !r = i do
+      let v = Array.unsafe_get addrs !r in
+      on_access t ~is_write:(v land 1 <> 0) (v asr 1);
+      incr r
+    done
+  done
+
 let hooks t =
   {
     Hooks.nil with
-    Hooks.on_instr =
-      (fun _pc kind ->
-        if not t.warming then begin
-          t.instructions <- t.instructions + 1;
-          t.cycles <- t.cycles +. 1.0 +. Array.unsafe_get t.extra kind
-        end);
-    on_block =
+    Hooks.on_block =
       (fun bb ->
         let leader = (Array.unsafe_get t.blocks bb).Program.start_pc in
         ignore
           (Hierarchy.fetch_where t.hier
              (t.code_base + (leader * Isa.bytes_per_instr))));
-    on_read = (fun addr -> on_access t ~is_write:false addr);
-    on_write = (fun addr -> on_access t ~is_write:true addr);
+    on_block_mems = (fun pc0 n offs addrs nrefs -> process t pc0 n offs addrs nrefs);
     on_branch =
       (fun pc taken ->
         if t.warming then Branch_predictor.observe t.bp ~pc ~taken

@@ -15,6 +15,9 @@ type t
 val create : ?config:Core_config.t -> Program.t -> t
 
 val hooks : t -> Hooks.t
+(** The block-level hook set: the leader fetch on [on_block], each
+    instruction's cycle and then its own data references on
+    [on_block_mems] segments, the predictor on [on_branch]. *)
 
 val cpi : t -> float
 val cycles : t -> float

@@ -151,14 +151,15 @@ let on_branch t pc taken =
       t.cyc.branch_stall +. float_of_int t.cfg.branch_penalty
 
 (* One [on_block_mems] segment: [n] retired instructions from [pc0]
-   with their data references.  Bit-identical to the per-instruction
-   callbacks because
+   with their data references.  Bit-identical to a walk of the same
+   events one at a time (the per-event reference core the test suites
+   hold it to) because
    - base cycles still accumulate one instruction at a time, in
      retirement order and with the same association, so no float
      rounding changes (a per-block sum would);
    - reference [r] sees [instructions = first + offs.(r) + 1], the
-     count [on_read]/[on_write] saw once [on_instr] had counted their
-     instruction, and the count [miss_exposure] measures its window in;
+     count once its own instruction is counted, and the count
+     [charge_miss] measures its window in;
    - the L1D same-line filter is exact: the L1D sees only this data
      stream, so a reference to the previous reference's line is an L1
      hit on the MRU line — no replacement or miss-window state moves
@@ -216,31 +217,6 @@ let hooks t =
     Hooks.nil with
     Hooks.on_block = (fun bb -> fetch_leader t bb);
     on_block_mems = (fun pc0 n offs addrs nrefs -> process t pc0 n offs addrs nrefs);
-    on_branch = (fun pc taken -> on_branch t pc taken);
-  }
-
-(* The per-instruction callback set the block-level one replaced, with
-   identical statistics (enforced by the differential suite). *)
-let hooks_per_instr t =
-  {
-    Hooks.nil with
-    Hooks.on_instr =
-      (fun _pc kind ->
-        if not t.warming then begin
-          t.instructions <- t.instructions + 1;
-          t.cyc.base <-
-            t.cyc.base +. t.dispatch_cost +. Array.unsafe_get t.kind_extra kind
-        end);
-    on_block =
-      (fun bb ->
-        (* fetch at block granularity; instruction lines are hot, so
-           modelling per-block fetch keeps the i-side realistic at a
-           fraction of the lookup cost *)
-        ignore
-          (Hierarchy.fetch_where t.hier
-             (Array.unsafe_get t.blocks bb).Program.fetch_base));
-    on_read = (fun addr -> on_access t ~is_write:false addr);
-    on_write = (fun addr -> on_access t ~is_write:true addr);
     on_branch = (fun pc taken -> on_branch t pc taken);
   }
 

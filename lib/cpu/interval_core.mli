@@ -31,19 +31,13 @@ val create : ?config:Core_config.t -> Program.t -> t
 val hooks : t -> Hooks.t
 (** The block-level hook set: the leader fetch on [on_block], each
     segment's dispatch cycles and data references on [on_block_mems],
-    the predictor on [on_branch].  With no per-instruction callback
-    live it runs on the block stepper, and it keeps the engine there
-    when seq'd with other block-level tools.  The core's own L1I/L1D
-    apply the fused [allcache] tool's exact same-line repeat
-    filters.  Statistics are bit-identical to
-    {!hooks_per_instr} (enforced by the differential suite). *)
-
-val hooks_per_instr : t -> Hooks.t
-(** The per-instruction callback set ([on_instr]/[on_read]/[on_write]
-    plus the same [on_block] fetch and [on_branch]): the reference the
-    differential tests hold {!hooks} to.  Give each set a core of its
-    own: the block-level set's repeat filters assume every access to
-    the core's caches went through it. *)
+    the predictor on [on_branch].  Its segment consumer puts a run on
+    the block stepper, alone or seq'd with other tools.  The core's own
+    L1I/L1D apply the fused [allcache] tool's exact same-line repeat
+    filters, which assume every access to the core's caches went
+    through this set.  Statistics are bit-identical to a walk of the
+    same events one at a time (enforced against a per-event reference
+    core in the differential suite). *)
 
 val cpi : t -> float
 (** Cycles per instruction so far; 0 before any instruction. *)

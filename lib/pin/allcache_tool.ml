@@ -1,10 +1,10 @@
 open Sp_vm
 open Sp_cache
 
-(* The fused [allcache] tool: instead of per-instruction callbacks, it
-   consumes [Hooks.on_block_mems] segments — a run of consecutively
-   retired instructions plus all of their data references — and walks
-   the i-fetch line/page grid and the data stream in one pass.
+(* The fused [allcache] tool: it consumes [Hooks.on_block_mems]
+   segments — a run of consecutively retired instructions plus all of
+   their data references — and walks the i-fetch line/page grid and the
+   data stream in one pass.
 
    Two exact filters carry the speedup (arguments in DESIGN.md §5g):
 
@@ -25,8 +25,8 @@ open Sp_cache
      touched the L1D since).  Any other write walks, because it must be
      able to set the dirty bit.
 
-   Misses — and only misses — reach the shared L2/L3 in exactly the
-   per-instruction order, so every statistic (including TLB walks,
+   Misses — and only misses — reach the shared L2/L3 in exactly
+   retirement order, so every statistic (including TLB walks,
    prefetches and writebacks) is bit-identical to a simulator walking
    the hierarchy once per event (the differential suite's reference). *)
 
@@ -123,8 +123,8 @@ let process t pc0 n offs addrs nrefs =
   let base = t.code_base + (pc0 * bpi) in
   let cur = ref 0 in
   for r = 0 to nrefs - 1 do
-    (* fetch up to and including the referencing instruction first: the
-       per-instruction tier fetches before it touches data *)
+    (* fetch up to and including the referencing instruction first: an
+       instruction is fetched before it touches data *)
     cur := fetch_chunks t base !cur (Array.unsafe_get offs r);
     let v = Array.unsafe_get addrs r in
     let addr = v asr 1 in

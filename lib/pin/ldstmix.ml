@@ -3,8 +3,8 @@ open Sp_vm
 
 (* A span counter: classification needs only each retired
    instruction's static kind, so the tool consumes the positional
-   [on_block_span] aggregate and never asks for per-instruction
-   dispatch — a replay under it stays on the block-stepping engines. *)
+   [on_block_span] aggregate and needs no data references — a replay
+   under it alone stays on the compiled tier. *)
 
 type t = {
   counts : int array; (* indexed by mem_class code *)

@@ -18,8 +18,8 @@ val create : Program.t -> t
     spans are classified. *)
 
 val hooks : t -> Hooks.t
-(** A block-level set: a single {!Hooks.on_block_span} counter, so it
-    never forces per-instruction dispatch. *)
+(** A single {!Hooks.on_block_span} counter: with no segment consumer
+    beside it, a run stays on the compiled tier. *)
 
 val count : t -> Sp_isa.Isa.mem_class -> int
 val total : t -> int

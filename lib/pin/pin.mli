@@ -7,7 +7,11 @@ open Sp_vm
     composes them and drives the interpreter.  The individual tools
     shipped with this library mirror the ones the paper uses from the
     Pin kit: {!Inscount}, {!Ldstmix}, {!Allcache_tool} and
-    {!Bbv_tool}. *)
+    {!Bbv_tool}.  Like the kit's [inscount1], which counts per basic
+    block rather than per instruction, every tool here reads block-level
+    aggregates: retired spans, or data-reference segments.  A run
+    whose tools read only spans takes the compiled tier; one with a
+    segment consumer takes the block stepper. *)
 
 type run = {
   status : Interp.status;

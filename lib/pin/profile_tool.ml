@@ -6,9 +6,9 @@ open Sp_vm
    [on_block_span] aggregate — each span names [n] consecutive retired
    instructions starting at a static pc, so block attribution (BBV) and
    per-kind classification (imix, and from it the memory-class mix)
-   both come from the static program with no per-instruction hook
-   dispatch.  The hook set is block-level, so the run stays on the
-   compiled / block-stepping engines. *)
+   both come from the static program.  The set has no segment
+   consumer, so the run stays on the compiled tier unless another tool
+   brings one. *)
 
 type t = {
   bbv : Bbv_tool.t;

@@ -8,9 +8,8 @@ open Sp_vm
     Everything derives from the positional {!Hooks.on_block_span}
     aggregate: a span names [n] consecutive retired instructions
     starting at a static pc, so block attribution and per-kind
-    classification both read the static program instead of paying a
-    per-instruction callback.  The hook set stays block-level, keeping
-    the run on the interpreter's compiled tier.
+    classification both read the static program.  With no segment
+    consumer, the run stays on the interpreter's compiled tier.
 
     The pipeline selects this tool automatically when a stage wants
     more than one profile from the same replay; single-profile callers

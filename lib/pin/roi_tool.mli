@@ -15,6 +15,9 @@ type t
 val create : target_pc:int -> t
 
 val hooks : t -> Hooks.t
+(** A block-level set: a single {!Hooks.on_block_span} counter.  Each
+    span names the pcs it retired, so the offset inside a block is
+    exact however the run is batched. *)
 
 val reached_at : t -> int option
 (** Instruction count at first arrival (the count *before* the target

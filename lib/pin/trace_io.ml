@@ -25,18 +25,31 @@ module Writer = struct
     end
     else t.truncated <- true
 
+  (* Each segment is written one retired instruction at a time: its
+     [X bb 1] and [I] lines, then its own references.  The block's [L]
+     line comes before its first segment and the [B] line after its
+     last, so the stream is the per-retirement one whatever the
+     batching. *)
   let hooks t (prog : Program.t) =
-    let bb_of_pc = prog.bb_of_pc in
+    let bb_of_pc = prog.bb_of_pc and kinds = prog.kinds in
+    let segment pc0 n offs addrs nrefs =
+      let r = ref 0 in
+      for i = 0 to n - 1 do
+        let pc = pc0 + i in
+        emit t (fun oc -> Printf.fprintf oc "X %d 1\n" bb_of_pc.(pc));
+        emit t (fun oc -> Printf.fprintf oc "I %d %d\n" pc kinds.(pc));
+        while !r < nrefs && offs.(!r) = i do
+          let v = addrs.(!r) in
+          if v land 1 = 0 then emit t (fun oc -> Printf.fprintf oc "R %d\n" (v asr 1))
+          else emit t (fun oc -> Printf.fprintf oc "W %d\n" (v asr 1));
+          incr r
+        done
+      done
+    in
     {
       Hooks.nil with
       Hooks.on_block = (fun bb -> emit t (fun oc -> Printf.fprintf oc "L %d\n" bb));
-      on_block_span =
-        (fun pc0 len ->
-          emit t (fun oc -> Printf.fprintf oc "X %d %d\n" bb_of_pc.(pc0) len));
-      on_instr =
-        (fun pc kind -> emit t (fun oc -> Printf.fprintf oc "I %d %d\n" pc kind));
-      on_read = (fun a -> emit t (fun oc -> Printf.fprintf oc "R %d\n" a));
-      on_write = (fun a -> emit t (fun oc -> Printf.fprintf oc "W %d\n" a));
+      on_block_mems = segment;
       on_branch =
         (fun pc taken ->
           emit t (fun oc ->

@@ -15,7 +15,10 @@ open Sp_vm
     B <pc> <0|1>           conditional branch (taken flag)
     L <block-id>           basic-block entry
     X <block-id> <n>       n instructions of the block retired
-    v} *)
+    v}
+    The writer emits one [X bb 1] line and one [I] line per retired
+    instruction, then that instruction's [R]/[W] lines; [L] precedes a
+    block's first instruction and [B] follows its terminator. *)
 
 type event =
   | Instr of int * int
@@ -33,8 +36,10 @@ module Writer : sig
       channel is not closed by this module. *)
 
   val hooks : t -> Program.t -> Hooks.t
-  (** Write the events of a run of the given program; [X] lines name
-      the block of each retired span. *)
+  (** Write the events of a run of the given program.  A block-level
+      set: the lines are rebuilt from [on_block], the
+      [on_block_mems] segments and [on_branch], with kinds and blocks
+      read from the program. *)
 
   val events_written : t -> int
 

@@ -2,9 +2,6 @@ type t = {
   on_block : int -> unit;
   on_block_span : int -> int -> unit;
   on_block_mems : int -> int -> int array -> int array -> int -> unit;
-  on_instr : int -> int -> unit;
-  on_read : int -> unit;
-  on_write : int -> unit;
   on_branch : int -> bool -> unit;
 }
 
@@ -20,9 +17,6 @@ let nil =
     on_block = ignore1;
     on_block_span = ignore2;
     on_block_mems = ignore_mems;
-    on_instr = ignore2;
-    on_read = ignore1;
-    on_write = ignore1;
     on_branch = ignore_branch;
   }
 
@@ -33,18 +27,7 @@ let nil =
 let is_nil h =
   h == nil
   || (h.on_block == ignore1 && h.on_block_span == ignore2
-      && h.on_block_mems == ignore_mems && h.on_instr == ignore2
-      && h.on_read == ignore1 && h.on_write == ignore1
-      && h.on_branch == ignore_branch)
-
-(* A hook set is block-level when every per-instruction callback is the
-   sentinel.  The block engines fire the rest — [on_block], [on_branch]
-   and the aggregates [on_block_span] and [on_block_mems] — per block
-   entry rather than per instruction, so the interpreter may run such a
-   set there: enter the block, fire the aggregates, then execute the
-   straight-line body with zero dispatch. *)
-let block_level h =
-  h.on_instr == ignore2 && h.on_read == ignore1 && h.on_write == ignore1
+      && h.on_block_mems == ignore_mems && h.on_branch == ignore_branch)
 
 let has_block_mems h = h.on_block_mems != ignore_mems
 
@@ -104,8 +87,5 @@ let seq_all = function
         on_block = fuse1 ignore1 (List.map (fun h -> h.on_block) hs);
         on_block_span = fuse2 ignore2 (List.map (fun h -> h.on_block_span) hs);
         on_block_mems = fuse_mems (List.map (fun h -> h.on_block_mems) hs);
-        on_instr = fuse2 ignore2 (List.map (fun h -> h.on_instr) hs);
-        on_read = fuse1 ignore1 (List.map (fun h -> h.on_read) hs);
-        on_write = fuse1 ignore1 (List.map (fun h -> h.on_write) hs);
         on_branch = fuse2 ignore_branch (List.map (fun h -> h.on_branch) hs);
       }

@@ -1,9 +1,11 @@
 (** Instrumentation hooks: the VM-side half of the Pin-style API.
 
     The interpreter invokes these callbacks while executing; the
-    {!Sp_pin} framework builds hook records out of pintools.  Callbacks
-    are plain (non-labelled) closures so the dispatch cost in the
-    interpreter's hot loop stays at one indirect call each. *)
+    {!Sp_pin} framework builds hook records out of pintools.  Every
+    callback is block-level: the engines fire it per basic-block entry,
+    not per retired instruction, and a tool recovers each retired
+    instruction from the aggregates.  Callbacks are plain (non-labelled)
+    closures so the dispatch cost stays at one indirect call each. *)
 
 type t = {
   on_block : int -> unit;
@@ -13,14 +15,14 @@ type t = {
       (** [pc0, n]: [n] consecutive instructions starting at pc [pc0]
           retired, all in block [prog.bb_of_pc.(pc0)].  An aggregate:
           spans partition the retirement stream exactly, but how it is
-          batched depends on the engine — the block engines deliver at
-          most one span per block entry (truncated at a fuel boundary,
-          started mid-block on resume), the per-instruction engine one
-          [n = 1] span per retirement.  Tools must be insensitive to the
-          batching: counters by block (BBV collection), or classifiers
-          that read each retired instruction's kind or memory class from
-          the static program.  All engines then produce bit-identical
-          results.  A live callback keeps the set block-level. *)
+          batched depends on the run — at most one span per block entry,
+          truncated at a fuel boundary and started mid-block on resume,
+          so a run in fuel legs of one instruction sees [n = 1] spans.
+          Tools must be insensitive to the batching: counters by block
+          (BBV collection), or classifiers that read each retired
+          instruction's pc, kind or memory class from the static
+          program.  Every engine tier and every fuel split then produce
+          bit-identical results. *)
   on_block_mems : int -> int -> int array -> int array -> int -> unit;
       (** [pc0, n, offs, addrs, nrefs]: an aggregate of [n] consecutive
           retired instructions starting at [pc0], carrying all of their
@@ -30,16 +32,12 @@ type t = {
           direction as [(a lsl 1) lor w] with [w = 1] for a write
           ([a = addrs.(r) asr 1] recovers the address).  Segments
           partition the retirement stream exactly — the block stepper
-          delivers at most one segment per block entry (splitting around
+          delivers at most one segment per block entry, splitting around
           [Sys] instructions so a raising syscall handler still observes
-          every earlier reference), the per-instruction engine delivers
-          [n = 1] segments.  The arrays are reused between calls:
-          callbacks must consume them before returning and only read the
-          first [nrefs] entries. *)
-  on_instr : int -> int -> unit;
-      (** [pc, kind_code] for every retired instruction *)
-  on_read : int -> unit;  (** data byte address of each memory read *)
-  on_write : int -> unit;  (** data byte address of each memory write *)
+          every earlier reference, and always before the block's
+          [on_branch].  The arrays are reused between calls: callbacks
+          must consume them before returning and only read the first
+          [nrefs] entries. *)
   on_branch : int -> bool -> unit;
       (** [pc, taken] for every conditional branch *)
 }
@@ -53,17 +51,9 @@ val is_nil : t -> bool
     interpreter can test this once per run and skip hook dispatch in
     its inner loop entirely. *)
 
-val block_level : t -> bool
-(** [block_level h] is true when every per-instruction callback
-    ([on_instr], [on_read], [on_write]) is a no-op.  The block engines
-    fire the remaining callbacks per basic-block entry rather than per
-    instruction, so the interpreter may run such a hook set there: hook
-    dispatch per block entry, straight-line execution in between. *)
-
 val has_block_mems : t -> bool
-(** True when the [on_block_mems] aggregate is live; a block-level set
-    with a live consumer runs on the block stepper, which collects each
-    block's references. *)
+(** True when the [on_block_mems] aggregate is live; such a set runs on
+    the block stepper, which collects each block's references. *)
 
 val seq_all : t list -> t
 (** Run every hook set, in list order.  The chain is flattened: each

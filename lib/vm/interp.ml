@@ -43,7 +43,6 @@ module M = struct
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
   let runs_plain = Sp_obs.Metrics.counter ~stable:false "vm.runs.plain"
   let runs_block = Sp_obs.Metrics.counter ~stable:false "vm.runs.block"
-  let runs_hooked = Sp_obs.Metrics.counter ~stable:false "vm.runs.hooked"
   let runs_compiled = Sp_obs.Metrics.counter ~stable:false "vm.runs.compiled"
 end
 
@@ -76,11 +75,11 @@ let eval_cond c a b =
   | Gt -> a > b
   | Ge -> a >= b
 
-(* The nil-hook reference: the same walk as [run_hooked] below with
-   every hook site deleted.  Nil runs pinned to [Reference] and the
-   compiled tier's nil fuel tails run here, so the duplication buys a
-   loop with zero closure calls — keep the two copies in lockstep when
-   touching either. *)
+(* The nil-hook loop: one decode per retired instruction and no hook
+   site at all.  Nil runs pinned to [Interpreted] and the compiled
+   tier's nil fuel tails run here; its per-instruction walk is the
+   semantics the block stepper below batches — keep the two in
+   lockstep when touching either. *)
 let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
   let instrs = prog.instrs in
   let regs = m.regs in
@@ -178,7 +177,8 @@ let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
    consumer is attached).  Only the final instruction of a block can
    transfer control, so the body match never sees one.
 
-   Invariants kept in lockstep with the per-instruction engine:
+   Invariants kept in lockstep with a per-instruction execution (the
+   plain loop above, and the test suites' reference interpreter):
    - [m.icount] is bulk-advanced at block entry, but any [Sys]
      instruction observes the exact per-instruction count (pinball
      logging records syscalls as [icount - 1]) and [m.pc] is set to the
@@ -189,20 +189,21 @@ let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
    - [on_block] fires only when entering through the leader (a resume
      mid-block does not re-announce the block), [on_block_span] fires on
      every entry with the retired extent, and [on_branch] fires at the
-     terminator exactly as the per-instruction engine does;
+     terminator, after the block's last segment;
    - segments partition the retirement stream: every retired
      instruction belongs to exactly one segment, in order, so a
-     consumer's reconstructed fetch stream is the per-instruction one;
+     consumer's reconstructed fetch stream is the per-instruction one,
+     and a run in fuel legs of one instruction delivers it as [n = 1]
+     segments;
    - a [Sys] in the body flushes the segment up to and including the
-     syscall instruction *before* invoking the handler — the
-     per-instruction engine delivers each instruction before executing
-     the next, so a raising handler must leave the consumer having seen
-     exactly the same prefix;
+     syscall instruction *before* invoking the handler, so a raising
+     handler leaves the consumer having seen exactly the instructions
+     retired up to it, whatever the fuel split;
    - the terminator's references are collected (addresses are
      computable before any state change) and the whole segment flushed
      before the terminator's effect runs, so a [Call]/[Ret] stack
      error also leaves the consumer exactly one instruction ahead of
-     the machine, as the per-instruction engine does;
+     the machine, the faulting instruction counted;
    - reference buffers are reused across segments; offsets are relative
      to the segment start and addresses carry the write bit in bit 0
      (see [Hooks.on_block_mems]). *)
@@ -431,164 +432,6 @@ let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
     if !remaining <= 0 then running := false
   done;
   Sp_obs.Metrics.add M.blocks !blocks;
-  !status
-[@@inline never]
-
-(* The per-instruction engine: every hook dispatched per retirement.
-   Block-level callbacks seq'd with per-instruction ones still see
-   every retirement, as one [n = 1] span each; a live [on_block_mems]
-   consumer gets one single-instruction segment per retirement, flushed
-   after execution for ordinary instructions but *before* a syscall
-   handler runs and before a [Call]/[Ret] stack error is raised — the
-   visibility the block stepper gives its consumers.  Both aggregates
-   are guarded by flags hoisted out of the loop, so hook sets without
-   them pay one predictable branch per retirement. *)
-let run_hooked ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let kinds = prog.kinds in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_block_mems = hooks.Hooks.on_block_mems in
-  let has_mems = Hooks.has_block_mems hooks in
-  let on_instr = hooks.Hooks.on_instr in
-  let on_read = hooks.Hooks.on_read in
-  let on_write = hooks.Hooks.on_write in
-  let on_branch = hooks.Hooks.on_branch in
-  (* single-instruction segments: both offsets are 0, at most two refs *)
-  let offs = Array.make 2 0 in
-  let addrs = Array.make 2 0 in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  while !running do
-    let pc = m.pc in
-    if Array.unsafe_get is_leader pc then on_block (Array.unsafe_get bb_of_pc pc);
-    if has_span then on_block_span pc 1;
-    on_instr pc (Array.unsafe_get kinds pc);
-    m.icount <- m.icount + 1;
-    decr remaining;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set regs rd (Memory.load mem a);
-        if has_mems then begin
-          Array.unsafe_set addrs 0 (a lsl 1);
-          on_block_mems pc 1 offs addrs 1
-        end;
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.store mem a (Array.unsafe_get regs rv);
-        if has_mems then begin
-          Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-          on_block_mems pc 1 offs addrs 1
-        end;
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        on_read src;
-        on_write dst;
-        Memory.store mem dst (Memory.load mem src);
-        if has_mems then begin
-          Array.unsafe_set addrs 0 (src lsl 1);
-          Array.unsafe_set addrs 1 ((dst lsl 1) lor 1);
-          on_block_mems pc 1 offs addrs 2
-        end;
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        if has_mems then begin
-          Array.unsafe_set addrs 0 (a lsl 1);
-          on_block_mems pc 1 offs addrs 1
-        end;
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        if has_mems then begin
-          Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-          on_block_mems pc 1 offs addrs 1
-        end;
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target ->
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        m.pc <- target
-    | Call target ->
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        if m.sp >= stack_depth then
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        if m.sp <= 0 then
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Sys (n, rd) ->
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        Array.unsafe_set regs rd (syscall n);
-        m.pc <- pc + 1
-    | Halt ->
-        if has_mems then on_block_mems pc 1 offs addrs 0;
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
   !status
 [@@inline never]
 
@@ -937,8 +780,8 @@ let compile (prog : Program.t) : compiled =
      fresh [run_block] entry.  [entry_code.(pc)] is what the dispatcher
      calls: the same closure for leaders, a partial-aggregate wrapper
      for mid-block resume points.  Index [n] catches a program that
-     runs off the end (the per-instruction tiers fault on the
-     out-of-range fetch; here it raises cleanly). *)
+     runs off the end (the interpreted tiers fault on the out-of-range
+     fetch; here it raises cleanly). *)
   let code : (cenv -> unit) array = Array.make (n + 1) unreachable in
   let entry_code : (cenv -> unit) array = Array.make (n + 1) unreachable in
   let clen = Array.make (n + 1) 0 in
@@ -1168,45 +1011,37 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   !status
 [@@inline never]
 
-type engine = Auto | Reference | Block_step
+type engine = Auto | Interpreted
 
 (* Engine tiers, one counter each; under [Auto] the fastest tier the
    hook set admits wins:
-   - nil, or block-level with no [on_block_mems] consumer
-                                   -> [run_compiled]: one closure call
-     per instruction, chained per superblock, zero decode, block
-     prologues firing the aggregates
-   - block-level with a consumer   -> [run_block]: per-block dispatch,
-     data references delivered as one aggregate segment per block
-   - any per-instruction hook      -> [run_hooked]: dispatch per
-     retirement, single-instruction segments when a consumer is live
-   [engine] pins the run at (at most) a given tier for differential
-   testing: [Block_step] caps it at [run_block], [Reference] at the
-   per-instruction loops ([run_plain] for nil hooks).  A pin never
-   changes what the hook set can observe — sets with per-instruction
-   hooks keep [run_hooked] regardless.  All tiers retire identical
-   instruction streams and leave identical machine state for any fuel
-   split. *)
+   - nil, or no [on_block_mems] consumer
+                        -> [run_compiled]: one closure call per
+     instruction, chained per superblock, zero decode, block prologues
+     firing the aggregates
+   - a consumer         -> [run_block]: per-block dispatch, data
+     references delivered as one aggregate segment per block
+   [Interpreted] pins the run to the decoding loops for differential
+   testing and benchmarking: [run_plain] for nil hooks, [run_block] for
+   any other set.  A pin never changes what the hook set can observe:
+   all tiers retire identical instruction streams, fire equivalent
+   aggregates and leave identical machine state for any fuel split. *)
 let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
     ?(fuel = max_int) (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
   let copies0 = Memory.page_copies m.mem in
-  let block_level = Hooks.block_level hooks in
   let status =
     match engine with
-    | Reference when Hooks.is_nil hooks ->
+    | Interpreted when Hooks.is_nil hooks ->
         Sp_obs.Metrics.incr M.runs_plain;
         run_plain ~syscall ~fuel prog m
-    | Auto when block_level && not (Hooks.has_block_mems hooks) ->
+    | Auto when not (Hooks.has_block_mems hooks) ->
         Sp_obs.Metrics.incr M.runs_compiled;
         run_compiled ~hooks ~syscall ~fuel prog m
-    | (Auto | Block_step) when block_level ->
+    | Auto | Interpreted ->
         Sp_obs.Metrics.incr M.runs_block;
         run_block ~hooks ~syscall ~fuel prog m
-    | Auto | Block_step | Reference ->
-        Sp_obs.Metrics.incr M.runs_hooked;
-        run_hooked ~hooks ~syscall ~fuel prog m
   in
   Sp_obs.Metrics.add M.instructions (m.icount - icount0);
   Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);

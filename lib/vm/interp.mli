@@ -29,13 +29,12 @@ val default_syscall : int -> int
 type engine =
   | Auto
       (** fastest tier the hook set admits: the compiled-block tier for
-          nil and plain block-level sets, the block stepper when an
-          [on_block_mems] consumer is live, the per-instruction engine
-          when per-instruction hooks are. *)
-  | Reference
-      (** pin to the per-instruction loops — the engines the
-          differential suites compare everything else against. *)
-  | Block_step  (** pin to (at most) the block stepper. *)
+          nil sets and sets without an [on_block_mems] consumer, the
+          block stepper when a consumer is live. *)
+  | Interpreted
+      (** pin to the decoding loops — the per-instruction plain loop for
+          nil hooks, the block stepper for any other set — for
+          differential testing and benchmarking. *)
 
 val run :
   ?engine:engine ->
@@ -47,13 +46,14 @@ val run :
   status
 (** Execute until [Halt] or until [fuel] instructions have retired.
 
-    [engine] (default [Auto]) caps which engine tier may run.  Pins
-    exist for differential testing and benchmarking; they never change
-    observable behaviour — every tier retires the same instruction
-    stream, fires equivalent hook events and leaves bit-identical
-    machine state for any fuel split — only how fast it happens.  A pin
-    is a ceiling, not a demand: a hook set with per-instruction hooks
-    keeps the per-instruction engine under any pin.
+    [engine] (default [Auto]) picks the engine tier.  The pin never
+    changes observable behaviour — every tier retires the same
+    instruction stream, fires equivalent hook aggregates and leaves
+    bit-identical machine state for any fuel split — only how fast it
+    happens.  Hook events are block-level (see {!Hooks.t}); a run in
+    fuel legs of one instruction delivers one single-instruction span
+    and segment per leg, which is how a caller observes the machine
+    between two retirements.
 
     Semantics notes: integer division/remainder by zero yields 0 (the
     machine never traps); shift counts are masked to 6 bits; call-stack

@@ -8,7 +8,10 @@
    and slice boundaries that land mid-block are executed by the
    reference and by the real engine tiers; icount, final machine state,
    memory, hook traces, BBV slices and syscall observation points must
-   match bit-for-bit, for any fuel split. *)
+   match bit-for-bit, for any fuel split.  The engines deliver events
+   block by block; expanding their [on_block_mems] segments one event
+   at a time must reproduce the reference's per-retirement trace, data
+   addresses and write bits in order. *)
 
 open Sp_isa
 open Sp_vm
@@ -277,17 +280,47 @@ let test_syscall n = ((n * 37) + 11) land 0xFF
 (* Helpers over the real engines *)
 
 (* This suite targets the block-stepping tier, so every run is pinned
-   to [Block_step] — under [Auto] the interpreter now routes block-level
-   hook sets to the compiled tier (covered by test_compiled.ml), which
-   would silently drop [run_block] from coverage.  Sets with live
-   per-instruction hooks keep the per-instruction engine regardless of
-   the pin. *)
-let run_engine ~hooks ~syscall ~fuel p m =
-  try
-    match Interp.run ~engine:Interp.Block_step ~hooks ~syscall ~fuel p m with
-    | Interp.Halted -> R_halted
-    | Interp.Out_of_fuel -> R_fuel
-  with Interp.Stack_error msg -> R_stack msg
+   to [Interpreted] by default — under [Auto] the interpreter routes
+   hook sets without a segment consumer to the compiled tier (covered
+   by test_compiled.ml), which would silently drop [run_block] from
+   coverage.  [leg] splits the run into [Interp.run] calls of that
+   many instructions; legs of one deliver single-instruction spans and
+   segments. *)
+let run_legs ?(engine = Interp.Interpreted) ?(leg = max_int) ~hooks ~syscall
+    ~fuel p m =
+  let rec go left =
+    if left <= 0 then R_fuel
+    else
+      let f = min leg left in
+      match Interp.run ~engine ~hooks ~syscall ~fuel:f p m with
+      | Interp.Halted -> R_halted
+      | Interp.Out_of_fuel -> go (left - f)
+  in
+  try go fuel with Interp.Stack_error msg -> R_stack msg
+
+(* The per-event view of a block-level run: [E_block] at each block
+   entry, then each segment one instruction at a time — its [E_instr]
+   (kind from the program) followed by its own references, decoded
+   from the address and write bit — then [E_branch] at the
+   terminator. *)
+let event_hooks (p : Program.t) record =
+  {
+    Hooks.nil with
+    Hooks.on_block = (fun bb -> record (E_block bb));
+    on_block_mems =
+      (fun pc0 n offs addrs nrefs ->
+        let r = ref 0 in
+        for i = 0 to n - 1 do
+          record (E_instr (pc0 + i, p.Program.kinds.(pc0 + i)));
+          while !r < nrefs && offs.(!r) = i do
+            let v = addrs.(!r) in
+            record (if v land 1 = 0 then E_read (v asr 1) else E_write (v asr 1));
+            incr r
+          done
+        done;
+        if !r <> nrefs then failwith "segment reference past its instructions");
+    on_branch = (fun pc taken -> record (E_branch (pc, taken)));
+  }
 
 (* expand a span trace to the per-retirement pc stream it names *)
 let pcs_of_spans spans =
@@ -373,31 +406,33 @@ let prop_engines_agree =
         in
         let ref_events = List.rev !ref_events in
         let ref_pcs = pc_stream_of_events ref_events in
-        (* per-instruction engine, full hooks *)
-        let h_events = ref [] in
-        let h_spans = ref [] in
-        let h_sys = ref [] in
-        let mh = Interp.create ~entry:0 () in
-        let full_hooks =
-          {
-            Hooks.nil with
-            Hooks.on_block = (fun bb -> h_events := E_block bb :: !h_events);
-            on_block_span = (fun pc0 n -> h_spans := (pc0, n) :: !h_spans);
-            on_instr = (fun pc k -> h_events := E_instr (pc, k) :: !h_events);
-            on_read = (fun a -> h_events := E_read a :: !h_events);
-            on_write = (fun a -> h_events := E_write a :: !h_events);
-            on_branch =
-              (fun pc taken -> h_events := E_branch (pc, taken) :: !h_events);
-          }
+        let ref_sys = List.rev !ref_sys in
+        (* block stepper with every aggregate live, in one run and in
+           fuel legs of one instruction: its segments, expanded one
+           event at a time, must be the reference's exact trace *)
+        let traced leg =
+          let events = ref [] and spans = ref [] and sys = ref [] in
+          let m = Interp.create ~entry:0 () in
+          let hooks =
+            {
+              (event_hooks p (fun e -> events := e :: !events)) with
+              Hooks.on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
+            }
+          in
+          let out =
+            run_legs ?leg ~hooks
+              ~syscall:(fun n ->
+                sys := (n, m.Interp.icount) :: !sys;
+                test_syscall n)
+              ~fuel:test_fuel p m
+          in
+          out = ref_out
+          && List.rev !events = ref_events
+          && pcs_of_spans (List.rev !spans) = ref_pcs
+          && List.rev !sys = ref_sys
+          && state_matches st m ref_events
         in
-        let h_out =
-          run_engine ~hooks:full_hooks
-            ~syscall:(fun n ->
-              h_sys := (n, mh.Interp.icount) :: !h_sys;
-              test_syscall n)
-            ~fuel:test_fuel p mh
-        in
-        (* block-stepping engine *)
+        (* block-stepping engine without a segment consumer *)
         let b_blocks = ref [] in
         let b_spans = ref [] in
         let b_branches = ref [] in
@@ -412,20 +447,13 @@ let prop_engines_agree =
           }
         in
         let b_out =
-          run_engine ~hooks:block_hooks
+          run_legs ~hooks:block_hooks
             ~syscall:(fun n ->
               b_sys := (n, mb.Interp.icount) :: !b_sys;
               test_syscall n)
             ~fuel:test_fuel p mb
         in
-        Hooks.block_level block_hooks
-        (* full-hook engine vs reference: exact trace *)
-        && h_out = ref_out
-        && List.rev !h_events = ref_events
-        && pcs_of_spans (List.rev !h_spans) = ref_pcs
-        && List.rev !h_sys = List.rev !ref_sys
-        && state_matches st mh ref_events
-        (* block engine vs reference: block-level view *)
+        traced None && traced (Some 1)
         && b_out = ref_out
         && List.rev !b_blocks
            = List.filter_map
@@ -436,7 +464,7 @@ let prop_engines_agree =
            = List.filter_map
                (function E_branch (pc, t) -> Some (pc, t) | _ -> None)
                ref_events
-        && List.rev !b_sys = List.rev !ref_sys
+        && List.rev !b_sys = ref_sys
         && state_matches st mb ref_events
       end)
 
@@ -472,7 +500,7 @@ let prop_fuel_split =
              let f = min chunk !left in
              left := !left - f;
              match
-               Interp.run ~engine:Interp.Block_step ~hooks ~syscall ~fuel:f p m
+               Interp.run ~engine:Interp.Interpreted ~hooks ~syscall ~fuel:f p m
              with
              | Interp.Halted -> outcome := R_halted
              | Interp.Out_of_fuel -> ()
@@ -500,7 +528,7 @@ let prop_fuel_split =
         let outcome =
           try
             match
-              Interp.run ~engine:Interp.Block_step ~hooks ~syscall
+              Interp.run ~engine:Interp.Interpreted ~hooks ~syscall
                 ~fuel:test_fuel p m
             with
             | Interp.Halted -> R_halted
@@ -519,8 +547,9 @@ let prop_fuel_split =
       && mc.Interp.icount = m1.Interp.icount)
 
 (* ------------------------------------------------------------------ *)
-(* BBV slices: block-stepped delivery vs a reference slicer over the
-   per-retirement stream, and vs the per-instruction engine *)
+(* BBV slices: block-stepped delivery, in one run and in fuel legs of
+   one instruction, vs a reference slicer over the per-retirement
+   stream *)
 
 let ref_slices ~slice_len retires =
   let slices = ref [] in
@@ -578,32 +607,21 @@ let prop_bbv_slices =
            ~syscall:test_syscall ~fuel:test_fuel instrs st);
       let retires = retire_stream_of_events bb_of_pc (List.rev !events) in
       let expected = ref_slices ~slice_len retires in
-      let run hooks_of =
+      let run ?leg () =
         let bbv = Bbv_tool.create ~slice_len p in
         let m = Interp.create ~entry:0 () in
-        (try
-           ignore
-             (Interp.run ~engine:Interp.Block_step ~hooks:(hooks_of bbv)
-                ~syscall:test_syscall ~fuel:test_fuel p m)
-         with Interp.Stack_error _ -> ());
+        ignore
+          (run_legs ?leg ~hooks:(Bbv_tool.hooks bbv) ~syscall:test_syscall
+             ~fuel:test_fuel p m);
         Bbv_tool.finish bbv;
         Bbv_tool.slices bbv
       in
-      (* block-stepping engine (BBV hooks are block-level) *)
-      let via_block = run (fun bbv -> Bbv_tool.hooks bbv) in
-      (* per-instruction engine, forced by a live on_instr hook *)
-      let via_instr =
-        run (fun bbv ->
-            Hooks.seq_all
-              [
-                Bbv_tool.hooks bbv;
-                { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
-              ])
-      in
+      let via_block = run () in
+      let via_legs = run ~leg:1 () in
       Array.length via_block = Array.length expected
-      && Array.length via_instr = Array.length expected
+      && Array.length via_legs = Array.length expected
       && Array.for_all2 slice_eq via_block expected
-      && Array.for_all2 slice_eq via_instr expected)
+      && Array.for_all2 slice_eq via_legs expected)
 
 (* ------------------------------------------------------------------ *)
 (* Memory TLB: slot-collision aliasing against the Hashtbl model, and

@@ -2,7 +2,7 @@
 
    The compiled tier pre-compiles every basic block into a straight-line
    closure and chains superblocks across unconditional terminators; its
-   contract is bit-identical observable behaviour to the per-instruction
+   contract is bit-identical observable behaviour to the independent
    reference and to block-stepping — same machine state, same icount,
    same hook traces and syscall observation points — for any fuel split,
    including handlers that raise out of the run.  This suite reuses the
@@ -25,7 +25,9 @@ type obs = {
   o_m : Interp.machine;
 }
 
-let observe ~engine ?(extra = Hooks.nil) ~fuel p =
+(* [leg] splits the run into [Interp.run] calls of that many
+   instructions *)
+let observe ~engine ?(extra = Hooks.nil) ?(leg = max_int) ~fuel p =
   let blocks = ref [] in
   let spans = ref [] in
   let branches = ref [] in
@@ -47,13 +49,7 @@ let observe ~engine ?(extra = Hooks.nil) ~fuel p =
     sys := (n, m.Interp.icount) :: !sys;
     B.test_syscall n
   in
-  let o_out =
-    try
-      match Interp.run ~engine ~hooks ~syscall ~fuel p m with
-      | Interp.Halted -> B.R_halted
-      | Interp.Out_of_fuel -> B.R_fuel
-    with Interp.Stack_error msg -> B.R_stack msg
-  in
+  let o_out = B.run_legs ~engine ~leg ~hooks ~syscall ~fuel p m in
   {
     o_out;
     o_blocks = List.rev !blocks;
@@ -79,6 +75,9 @@ let snapshot_bytes m =
 
 (* ------------------------------------------------------------------ *)
 (* Compiled engine vs the reference interpreter and the other tiers *)
+
+(* a live segment consumer: the block stepper under either engine *)
+let mems_consumer = { Hooks.nil with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) }
 
 let prop_compiled_agrees =
   QCheck.Test.make ~name:"compiled engine agrees with reference" ~count:400
@@ -119,12 +118,11 @@ let prop_compiled_agrees =
         && B.state_matches st o.o_m ref_events
       in
       let oc = observe ~engine:Interp.Auto ~fuel:B.test_fuel p in
-      let ob = observe ~engine:Interp.Block_step ~fuel:B.test_fuel p in
-      let oh = observe ~engine:Interp.Reference ~fuel:B.test_fuel p in
-      (* same hook set forced onto the per-instruction family *)
+      let ob = observe ~engine:Interp.Interpreted ~fuel:B.test_fuel p in
+      (* same hook set with a segment consumer, which puts [Auto] on
+         the block stepper, in fuel legs of one instruction *)
       let oi =
-        observe ~engine:Interp.Auto
-          ~extra:{ Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
+        observe ~engine:Interp.Auto ~extra:mems_consumer ~leg:1
           ~fuel:B.test_fuel p
       in
       (* hooks-free compiled run: outcome and final state only *)
@@ -139,10 +137,10 @@ let prop_compiled_agrees =
           | Interp.Out_of_fuel -> B.R_fuel
         with Interp.Stack_error msg -> B.R_stack msg
       in
-      agrees oc && agrees ob && agrees oh && agrees oi
-      (* block tiers may deliver one span per block entry, the
-         per-instruction tier one per retirement — but never more
-         spans than retirements, and at least one per block entry *)
+      agrees oc && agrees ob && agrees oi
+      (* block tiers deliver at most one span per block entry, and one
+         per retirement in legs of one — never more spans than
+         retirements, and at least one per block entry *)
       && List.length oc.o_spans <= List.length ref_pcs
       && List.length oc.o_spans >= List.length ref_blocks
       && List.length oi.o_spans = List.length ref_pcs
@@ -200,7 +198,7 @@ let prop_compiled_fuel_split =
         && machines_match m oc.o_m
         && snapshot_bytes m = snapshot_bytes oc.o_m
       in
-      check (chunked Interp.Auto) && check (chunked Interp.Block_step))
+      check (chunked Interp.Auto) && check (chunked Interp.Interpreted))
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handlers that raise: the exception must escape every tier at
@@ -216,7 +214,7 @@ let prop_syscall_raise =
     (QCheck.make QCheck.Gen.(pair B.prog_gen (int_range 1 4)))
     (fun (instrs, fatal) ->
       let p = Program.of_instrs instrs in
-      let run engine =
+      let run ?(hooks = Hooks.nil) engine =
         let sys = ref [] in
         let calls = ref 0 in
         let m = Interp.create ~entry:0 () in
@@ -229,7 +227,7 @@ let prop_syscall_raise =
         let out =
           try
             match
-              Interp.run ~engine ~syscall ~fuel:B.test_fuel p m
+              Interp.run ~engine ~hooks ~syscall ~fuel:B.test_fuel p m
             with
             | Interp.Halted -> `Halted
             | Interp.Out_of_fuel -> `Fuel
@@ -240,8 +238,8 @@ let prop_syscall_raise =
         (out, List.rev !sys, m)
       in
       let out_c, sys_c, m_c = run Interp.Auto in
-      let out_b, sys_b, m_b = run Interp.Block_step in
-      let out_r, sys_r, m_r = run Interp.Reference in
+      let out_b, sys_b, m_b = run ~hooks:mems_consumer Interp.Interpreted in
+      let out_r, sys_r, m_r = run Interp.Interpreted in
       out_c = out_b && out_c = out_r && sys_c = sys_b && sys_c = sys_r
       && machines_match m_c m_b
       && machines_match m_c m_r)
@@ -271,12 +269,12 @@ let prop_profile_combined =
       Profile_tool.finish prof;
       (* three dedicated replays, each on its natural tier *)
       let bbv = Bbv_tool.create ~slice_len p in
-      replay ~engine:Interp.Block_step (Bbv_tool.hooks bbv);
+      replay ~engine:Interp.Interpreted (Bbv_tool.hooks bbv);
       Bbv_tool.finish bbv;
       let mixt = Ldstmix.create p in
-      replay ~engine:Interp.Reference (Ldstmix.hooks mixt);
-      let ins = Inscount.create () in
-      replay ~engine:Interp.Reference (Inscount.hooks ins);
+      replay ~engine:Interp.Interpreted (Ldstmix.hooks mixt);
+      let ins = Inscount.create p in
+      replay ~engine:Interp.Interpreted (Inscount.hooks ins);
       let mix_bits (x : Mix.t) =
         ( Int64.bits_of_float x.Mix.no_mem,
           Int64.bits_of_float x.Mix.mem_r,
@@ -284,7 +282,8 @@ let prop_profile_combined =
           Int64.bits_of_float x.Mix.mem_rw )
       in
       let kinds = List.init Isa.num_kinds Isa.kind_of_code in
-      Profile_tool.hooks prof |> Hooks.block_level
+      (* no segment consumer: the combined replay stays compiled *)
+      (not (Hooks.has_block_mems (Profile_tool.hooks prof)))
       && Array.length (Profile_tool.slices prof)
          = Array.length (Bbv_tool.slices bbv)
       && Array.for_all2 B.slice_eq (Profile_tool.slices prof)

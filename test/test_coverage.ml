@@ -81,7 +81,7 @@ let test_pin_run_resumes () =
   Asm.halt a;
   let prog = Asm.assemble a in
   let machine = Interp.create ~entry:0 () in
-  let c = Sp_pin.Inscount.create () in
+  let c = Sp_pin.Inscount.create prog in
   let r1 = Sp_pin.Pin.run ~tools:[ Sp_pin.Inscount.hooks c ] ~fuel:100 prog machine in
   Alcotest.(check bool) "paused" true (r1.Sp_pin.Pin.status = Interp.Out_of_fuel);
   Alcotest.(check int) "first chunk" 100 r1.Sp_pin.Pin.retired;

@@ -98,9 +98,48 @@ let test_suite_figures_jobs () =
     "jobs 3 prints what jobs 1 prints" suite_wide
     (List.map (fun (name, (md5, _)) -> (name, md5)) (run_entries 3 entries))
 
+(* [timevary] renders each per-slice CPI series as a 10-row ASCII chart,
+   so its digest above cannot see a change to one slice.  The series
+   themselves, as float bits, are pinned here: one MD5 per benchmark
+   over each slice's [Int64.bits_of_float] in hex. *)
+let timevary_golden =
+  [
+    ("505.mcf_r", "c8f82bfb71e4628943232263e0dfda13");
+    ("641.leela_s", "0dbd92889e4f2a8346c91425982401ed");
+    ("519.lbm_r", "c7f04cba254baf0bfc4c4a97cf6edf4d");
+  ]
+
+let test_timevary_slice_bits () =
+  let options = options 1 in
+  Alcotest.(check (list (pair string string)))
+    "per-slice CPI bits md5" timevary_golden
+    (List.map
+       (fun (spec : Sp_workloads.Benchspec.t) ->
+         let built =
+           Sp_workloads.Benchspec.build ~slice_insns:options.slice_insns
+             ~slices_scale:options.slices_scale spec
+         in
+         let prog = built.Sp_workloads.Benchspec.program in
+         let cpis =
+           Sp_cpu.Slice_timer.cpis ~slice_len:options.slice_insns
+             (Sp_cpu.Interval_core.create ~config:options.core_config prog)
+             prog
+         in
+         let hex =
+           Array.map
+             (fun c -> Printf.sprintf "%016Lx" (Int64.bits_of_float c))
+             cpis
+         in
+         ( spec.Sp_workloads.Benchspec.name,
+           Digest.to_hex (Digest.string (String.concat "\n" (Array.to_list hex)))
+         ))
+       specs)
+
 let suite =
   [
     Alcotest.test_case "registry goldens" `Quick test_goldens;
+    Alcotest.test_case "timevary per-slice CPI bits" `Quick
+      test_timevary_slice_bits;
     Alcotest.test_case "suite figures jobs-invariant" `Quick
       test_suite_figures_jobs;
   ]

@@ -339,6 +339,28 @@ let test_trace_limit () =
   Alcotest.(check int) "limited" 10 (Sp_pin.Trace_io.Writer.events_written w);
   Alcotest.(check bool) "truncated flag" true (Sp_pin.Trace_io.Writer.truncated w)
 
+(* The byte stream itself: [specrepro trace 505.mcf_r --scale 0.02
+   --limit 300000] writes exactly these bytes.  The event counts above
+   do not see a reordered or reformatted line; this digest does. *)
+let test_trace_golden_bytes () =
+  let spec = Sp_workloads.Suite.find "505.mcf_r" in
+  let built =
+    Sp_workloads.Benchspec.build
+      ~slice_insns:Specrepro.Pipeline.default_options.slice_insns
+      ~slices_scale:0.02 spec
+  in
+  let prog = built.Sp_workloads.Benchspec.program in
+  let path = Filename.temp_file "trace" ".txt" in
+  let oc = open_out_bin path in
+  let w = Sp_pin.Trace_io.Writer.create ~limit:300_000 oc in
+  ignore
+    (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Trace_io.Writer.hooks w prog ] prog);
+  close_out oc;
+  let md5 = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  Alcotest.(check bool) "truncated" true (Sp_pin.Trace_io.Writer.truncated w);
+  Alcotest.(check string) "trace md5" "1ff0bdfa217706e0d8937a6ad2303d6f" md5
+
 let test_trace_malformed () =
   let path = Filename.temp_file "trace" ".txt" in
   let oc = open_out path in
@@ -402,5 +424,6 @@ let suite =
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace limit" `Quick test_trace_limit;
     Alcotest.test_case "trace malformed" `Quick test_trace_malformed;
+    Alcotest.test_case "trace golden bytes" `Quick test_trace_golden_bytes;
     Alcotest.test_case "slice timer" `Quick test_slice_timer;
   ]

@@ -3,10 +3,11 @@
 
    The fused allcache hook set ([Allcache_tool.hooks]) consumes
    [on_block_mems] segments and applies same-line / same-page repeat
-   filters; the per-instruction reference below walks the hierarchy
-   once per event.  Random memory-heavy programs are executed under
-   both (and on the per-instruction engine, where a live
-   per-instruction callback forces single-instruction segments); every
+   filters; the per-event reference below walks each segment one event
+   at a time, the hierarchy once per fetch and data reference.  Random
+   memory-heavy programs are executed under both (and under the fused
+   set in fuel legs of one instruction, which delivers
+   single-instruction segments); every
    cache level's statistics, both TLBs, prefetch and write-back
    counters and the retired instruction count must be bit-identical —
    across replacement policies, with and without the next-line
@@ -83,9 +84,10 @@ let mem_prog_gen =
       (list_repeat body_len instr_gen))
 
 (* ------------------------------------------------------------------ *)
-(* The per-instruction reference: one TLB access and one hierarchy walk
-   per fetch and data reference, on the same geometry as
-   [Allcache_tool.create] *)
+(* The per-event reference: each segment walked one event at a time —
+   an instruction's fetch, then its own data references in order — with
+   one TLB access and one hierarchy walk per event, on the same
+   geometry as [Allcache_tool.create] *)
 
 type reference = {
   r_hier : Hierarchy.t;
@@ -110,27 +112,32 @@ let reference_hooks r p =
   let tlb t addr = if r.r_warming then Tlb.warm t addr else Tlb.access t addr in
   {
     Hooks.nil with
-    Hooks.on_instr =
-      (fun pc _kind ->
-        let addr = Program.fetch_addr p pc in
-        tlb r.r_itlb addr;
-        Hierarchy.fetch r.r_hier addr);
-    on_read =
-      (fun addr ->
-        tlb r.r_dtlb addr;
-        Hierarchy.read r.r_hier addr);
-    on_write =
-      (fun addr ->
-        tlb r.r_dtlb addr;
-        Hierarchy.write r.r_hier addr);
+    Hooks.on_block_mems =
+      (fun pc0 n offs addrs nrefs ->
+        let ref_i = ref 0 in
+        for i = 0 to n - 1 do
+          let addr = Program.fetch_addr p (pc0 + i) in
+          tlb r.r_itlb addr;
+          Hierarchy.fetch r.r_hier addr;
+          while !ref_i < nrefs && offs.(!ref_i) = i do
+            let v = addrs.(!ref_i) in
+            let addr = v asr 1 in
+            tlb r.r_dtlb addr;
+            if v land 1 = 0 then Hierarchy.read r.r_hier addr
+            else Hierarchy.write r.r_hier addr;
+            incr ref_i
+          done
+        done);
   }
 
 (* ------------------------------------------------------------------ *)
-(* One run of a program under one engine tier, with optional warming
-   prefix and fuel-chunked resumption; everything observable about the
-   cache simulation comes back in one comparable record *)
+(* One run of a program under one tool and delivery, with optional
+   warming prefix and fuel-chunked resumption; everything observable
+   about the cache simulation comes back in one comparable record.
+   [Legs] is the fused set with every chunk run in fuel legs of one
+   instruction. *)
 
-type tier = Fused | Per_instr | Mixed
+type tier = Fused | Per_event | Legs
 
 type observed = {
   o_hier : Hierarchy.stats;
@@ -151,22 +158,14 @@ let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
      after the run *)
   let hooks, set_warming, observe =
     match tier with
-    | Per_instr ->
+    | Per_event ->
         let r = reference_create ?config ~policy ~prefetch () in
         ( reference_hooks r p,
           reference_set_warming r,
           fun () -> (r.r_hier, Tlb.stats r.r_itlb, Tlb.stats r.r_dtlb) )
-    | Fused | Mixed ->
+    | Fused | Legs ->
         let tool = Allcache_tool.create ?config ~policy ~prefetch p in
-        ( (if tier = Fused then Allcache_tool.hooks tool
-           else
-             (* a live on_instr keeps the set off the block tier, forcing
-                single-instruction segment delivery of on_block_mems *)
-             Hooks.seq_all
-               [
-                 Allcache_tool.hooks tool;
-                 { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
-               ]),
+        ( Allcache_tool.hooks tool,
           Allcache_tool.set_warming tool,
           fun () ->
             ( Allcache_tool.hierarchy tool,
@@ -175,13 +174,22 @@ let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
   in
   let m = Interp.create ~entry:0 () in
   let outcome = ref 0 in
+  (* [fuel] instructions, in legs of one under [Legs] *)
+  let run fuel =
+    let leg = if tier = Legs then 1 else fuel in
+    let rec go left =
+      if left > 0 then
+        match
+          Interp.run ~hooks ~syscall:test_syscall ~fuel:(min leg left) p m
+        with
+        | Interp.Halted -> outcome := 1
+        | Interp.Out_of_fuel -> go (left - leg)
+    in
+    go fuel
+  in
   (if warm then begin
      set_warming true;
-     (try
-        match Interp.run ~hooks ~syscall:test_syscall ~fuel:warm_len p m with
-        | Interp.Halted -> outcome := 1
-        | Interp.Out_of_fuel -> ()
-      with Interp.Stack_error _ -> outcome := 2);
+     (try run warm_len with Interp.Stack_error _ -> outcome := 2);
      set_warming false
    end);
   let left = ref test_fuel in
@@ -189,9 +197,7 @@ let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
      while !left > 0 && !outcome = 0 do
        let f = min chunk !left in
        left := !left - f;
-       match Interp.run ~hooks ~syscall:test_syscall ~fuel:f p m with
-       | Interp.Halted -> outcome := 1
-       | Interp.Out_of_fuel -> ()
+       run f
      done
    with Interp.Stack_error _ -> outcome := 2);
   let hier, itlb, dtlb = observe () in
@@ -220,15 +226,15 @@ let scenario_gen =
       (triple (oneofl [ Cache.Lru; Cache.Fifo; Cache.Random ]) bool bool)
       (int_range 1 17))
 
-let prop_fused_matches_per_instr =
+let prop_fused_matches_per_event =
   QCheck.Test.make
-    ~name:"fused cache tier bit-identical to per-instruction tier"
+    ~name:"fused cache tier bit-identical to per-event reference"
     ~count:250
     (QCheck.make ~print:scenario_print scenario_gen)
     (fun (instrs, (policy, prefetch, warm), chunk) ->
       let f = run_tier Fused ~policy ~prefetch ~warm ~chunk instrs in
-      let i = run_tier Per_instr ~policy ~prefetch ~warm ~chunk instrs in
-      let x = run_tier Mixed ~policy ~prefetch ~warm ~chunk instrs in
+      let i = run_tier Per_event ~policy ~prefetch ~warm ~chunk instrs in
+      let x = run_tier Legs ~policy ~prefetch ~warm ~chunk instrs in
       f = i && f = x)
 
 (* The same on 1-4 KiB levels, where dirty lines are evicted, so a
@@ -268,16 +274,16 @@ let tiny_scenario_gen =
       (triple (oneofl [ Cache.Lru; Cache.Fifo; Cache.Random ]) bool bool)
       (int_range 1 17))
 
-let prop_fused_matches_per_instr_tiny =
+let prop_fused_matches_per_event_tiny =
   QCheck.Test.make
-    ~name:"fused cache tier bit-identical to per-instruction tier, 1-4 KiB"
+    ~name:"fused cache tier bit-identical to per-event reference, 1-4 KiB"
     ~count:300
     (QCheck.make ~print:scenario_print tiny_scenario_gen)
     (fun (instrs, (policy, prefetch, warm), chunk) ->
       let config = tiny_hierarchy in
       let f = run_tier ~config Fused ~policy ~prefetch ~warm ~chunk instrs in
-      let i = run_tier ~config Per_instr ~policy ~prefetch ~warm ~chunk instrs in
-      let x = run_tier ~config Mixed ~policy ~prefetch ~warm ~chunk instrs in
+      let i = run_tier ~config Per_event ~policy ~prefetch ~warm ~chunk instrs in
+      let x = run_tier ~config Legs ~policy ~prefetch ~warm ~chunk instrs in
       f = i && f = x)
 
 (* ------------------------------------------------------------------ *)
@@ -367,7 +373,7 @@ let test_straightline_counts () =
       Alcotest.(check int) "itlb accesses" 41 o.o_itlb.Tlb.accesses;
       Alcotest.(check int) "itlb walks" 1 o.o_itlb.Tlb.walks;
       Alcotest.(check int) "l1d accesses" 0 o.o_hier.Hierarchy.l1d.accesses)
-    [ Fused; Per_instr; Mixed ]
+    [ Fused; Per_event; Legs ]
 
 let test_same_line_loads () =
   (* r0 = 0; five loads of address 0: one L1D line, one data page *)
@@ -386,7 +392,7 @@ let test_same_line_loads () =
       Alcotest.(check int) "l1d misses" 1 o.o_hier.Hierarchy.l1d.misses;
       Alcotest.(check int) "dtlb accesses" 5 o.o_dtlb.Tlb.accesses;
       Alcotest.(check int) "dtlb walks" 1 o.o_dtlb.Tlb.walks)
-    [ Fused; Per_instr; Mixed ]
+    [ Fused; Per_event; Legs ]
 
 (* a write while warming dirties nothing, so the next, measured write
    to the same line must walk and set the dirty bit: evicting the line
@@ -414,7 +420,7 @@ let test_warm_write_then_write () =
       let l1d, _, _ = o.o_writebacks in
       Alcotest.(check int) "l1d write-backs" 1 l1d;
       Alcotest.(check int) "l1d accesses" 3 o.o_hier.Hierarchy.l1d.accesses)
-    [ Fused; Per_instr; Mixed ]
+    [ Fused; Per_event; Legs ]
 
 (* ------------------------------------------------------------------ *)
 (* The report-level counters ride on Hierarchy.observe_stats; folding
@@ -447,7 +453,7 @@ let test_report_counters_identical () =
       instrs
   in
   let i =
-    run_tier Per_instr ~policy:Cache.Lru ~prefetch:false ~warm:false
+    run_tier Per_event ~policy:Cache.Lru ~prefetch:false ~warm:false
       ~chunk:1000 instrs
   in
   List.iter2
@@ -748,8 +754,8 @@ let prop_weighted_pick =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_fused_matches_per_instr;
-    QCheck_alcotest.to_alcotest prop_fused_matches_per_instr_tiny;
+    QCheck_alcotest.to_alcotest prop_fused_matches_per_event;
+    QCheck_alcotest.to_alcotest prop_fused_matches_per_event_tiny;
     QCheck_alcotest.to_alcotest prop_tools_reset_equals_fresh;
     Alcotest.test_case "straightline fetch counts" `Quick
       test_straightline_counts;

@@ -18,6 +18,7 @@ let () =
       ("compiled", Test_compiled.suite);
       ("fusedcache", Test_fusedcache.suite);
       ("timing", Test_timing.suite);
+      ("tools", Test_tools.suite);
       ("models", Test_models.suite);
       ("misc", Test_misc.suite);
       ("coverage", Test_coverage.suite);

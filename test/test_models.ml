@@ -85,7 +85,9 @@ let test_multicore_interleaves () =
   (* with a small quantum, both cores make progress before either
      finishes *)
   let order = ref [] in
-  let tag i = { Hooks.nil with on_instr = (fun _ _ -> order := i :: !order) } in
+  let tag i =
+    { Hooks.nil with on_block_span = (fun _ _ -> order := i :: !order) }
+  in
   let mc =
     Multicore.create
       [ (alu_loop ~iters:500, tag 0); (alu_loop ~iters:500, tag 1) ]

@@ -24,7 +24,7 @@ let mix_program ~iters =
 
 let test_inscount () =
   let prog = mix_program ~iters:10 in
-  let tool = Inscount.create () in
+  let tool = Inscount.create prog in
   let run = Pin.run_fresh ~tools:[ Inscount.hooks tool ] prog in
   Alcotest.(check int) "total = retired" run.Pin.retired (Inscount.total tool);
   Alcotest.(check int) "loads" 10 (Inscount.by_kind tool Isa.K_load);
@@ -107,7 +107,7 @@ let test_bbv_deterministic () =
 
 let test_multi_tool_composition () =
   let prog = mix_program ~iters:30 in
-  let c1 = Inscount.create () and c2 = Inscount.create () in
+  let c1 = Inscount.create prog and c2 = Inscount.create prog in
   let run =
     Pin.run_fresh ~tools:[ Inscount.hooks c1; Inscount.hooks c2 ] prog
   in

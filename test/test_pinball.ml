@@ -130,7 +130,11 @@ let test_scan_warmup_hooks () =
   let warmup =
     {
       Scan_ref.length = 250;
-      hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
+      hooks =
+        {
+          Hooks.nil with
+          on_block_span = (fun _ n -> warm_count := !warm_count + n);
+        };
       on_start = (fun () -> incr started);
     }
   in
@@ -146,7 +150,11 @@ let test_scan_warmup_clamped () =
   let warmup =
     {
       Scan_ref.length = 10_000;
-      hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
+      hooks =
+        {
+          Hooks.nil with
+          on_block_span = (fun _ n -> warm_count := !warm_count + n);
+        };
       on_start = ignore;
     }
   in

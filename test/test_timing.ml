@@ -2,34 +2,35 @@
 
    [Interval_core.hooks] consumes block aggregates — the leader fetch
    on [on_block], dispatch cycles and data references on
-   [on_block_mems] segments, branch outcomes — where
-   [Interval_core.hooks_per_instr] takes one callback per retired
-   instruction and data reference.  Random memory-heavy programs (the
-   fused cache suite's generator) run under the block-level set on the
-   block stepper and, pinned to [Reference], on the per-instruction
-   engine's single-instruction segments; seq'd with a per-instruction
-   tool, on the same engine; and as the per-instruction set.  Fuel
-   splits land mid-block, warming flips and state resets happen at fuel
-   boundaries, syscall handlers raise and recursion overflows the call
-   stack; every [stats] field must match, floats to the bit.
+   [on_block_mems] segments, branch outcomes — with per-segment
+   batching and same-line repeat filters; [Ref_interval_core] walks
+   each segment one event at a time.  Random memory-heavy programs (the
+   fused cache suite's generator) run under the library core on the
+   block stepper, under the same core in fuel legs of one instruction
+   (single-instruction segments), and under the per-event reference.
+   Fuel splits land mid-block, warming flips and state resets happen at
+   fuel boundaries, syscall handlers raise and recursion overflows the
+   call stack; every [stats] field must match, floats to the bit.
 
    The rest pins the engine tier each kind of hook set selects under
-   each pin, the tier the pipeline's tool sets select, and the
-   [Ldstmix] span counter against a per-instruction reference on every
-   engine. *)
+   each engine, the tier the pipeline's tool sets select, and the
+   [Ldstmix] span counter against the reference interpreter's events on
+   every engine. *)
 
 open Sp_isa
 open Sp_vm
 open Sp_pin
 open Sp_cpu
+module B = Test_blockstep
 module F = Test_fusedcache
+module R = Ref_interval_core
 
 exception Boom
 
-(* [Block_ref]: the block-level set under [~engine:Reference], which
-   delivers single-instruction segments; [Mixed]: the block-level set
-   seq'd with a live per-instruction tool, same engine by necessity *)
-type tier = Block | Block_ref | Mixed | Per_instr
+(* [Legs]: the library core with every chunk run in fuel legs of one
+   instruction, which delivers single-instruction segments;
+   [Per_event]: the per-event reference core *)
+type tier = Block | Legs | Per_event
 
 type outcome = Fuel | Halted | Stack | Raised
 
@@ -84,21 +85,22 @@ let timing_prog_gen =
 let run_tier tier ~config ~warm ~flip_every ~reset_every ~chunk ~fatal ~fuel
     instrs =
   let p = Program.of_instrs instrs in
-  let core = Interval_core.create ~config p in
-  let hooks =
+  let hooks, set_warming, reset_state, stats =
     match tier with
-    | Block | Block_ref -> Interval_core.hooks core
-    | Mixed ->
-        Hooks.seq_all
-          [
-            Interval_core.hooks core;
-            { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) };
-          ]
-    | Per_instr -> Interval_core.hooks_per_instr core
+    | Block | Legs ->
+        let core = Interval_core.create ~config p in
+        ( Interval_core.hooks core,
+          Interval_core.set_warming core,
+          (fun () -> Interval_core.reset_state core),
+          fun () -> Interval_core.stats core )
+    | Per_event ->
+        let core = R.create ~config p in
+        ( R.hooks core,
+          R.set_warming core,
+          (fun () -> R.reset_state core),
+          fun () -> R.stats core )
   in
-  let engine =
-    match tier with Block_ref -> Interp.Reference | _ -> Interp.Auto
-  in
+  let leg = if tier = Legs then 1 else max_int in
   let m = Interp.create ~entry:0 () in
   let calls = ref 0 in
   let syscall n =
@@ -107,35 +109,38 @@ let run_tier tier ~config ~warm ~flip_every ~reset_every ~chunk ~fatal ~fuel
     F.test_syscall n
   in
   let warming = ref warm in
-  Interval_core.set_warming core warm;
+  set_warming warm;
   let outcome = ref Fuel and left = ref fuel and chunks = ref 0 in
+  let rec run_chunk left =
+    if left > 0 then
+      match Interp.run ~hooks ~syscall ~fuel:(min leg left) p m with
+      | Interp.Halted -> outcome := Halted
+      | Interp.Out_of_fuel -> run_chunk (left - leg)
+  in
   (try
      while !left > 0 && !outcome = Fuel do
        let f = min chunk !left in
        left := !left - f;
-       (match Interp.run ~engine ~hooks ~syscall ~fuel:f p m with
-       | Interp.Halted -> outcome := Halted
-       | Interp.Out_of_fuel -> ());
+       run_chunk f;
        incr chunks;
        if flip_every > 0 && !chunks mod flip_every = 0 then begin
          warming := not !warming;
-         Interval_core.set_warming core !warming
+         set_warming !warming
        end;
-       if reset_every > 0 && !chunks mod reset_every = 0 then
-         Interval_core.reset_state core
+       if reset_every > 0 && !chunks mod reset_every = 0 then reset_state ()
      done
    with
   | Interp.Stack_error _ -> outcome := Stack
   | Boom -> outcome := Raised);
   {
-    o_stats = stats_bits (Interval_core.stats core);
+    o_stats = stats_bits (stats ());
     o_icount = m.Interp.icount;
     o_outcome = !outcome;
   }
 
 let all_tiers_agree run =
   let b = run Block in
-  b = run Block_ref && b = run Mixed && b = run Per_instr
+  b = run Legs && b = run Per_event
 
 let scenario_gen =
   QCheck.Gen.(
@@ -150,8 +155,8 @@ let scenario_print
     "len=%d config=%d warm=%b flip_every=%d chunk=%d fatal=%d reset_every=%d"
     (Array.length instrs) cfg warm flip_every chunk fatal reset_every
 
-let prop_block_matches_per_instr =
-  QCheck.Test.make ~name:"block-level core bit-identical to per-instruction"
+let prop_block_matches_per_event =
+  QCheck.Test.make ~name:"block-level core bit-identical to per-event reference"
     ~count:300
     (QCheck.make ~print:scenario_print scenario_gen)
     (fun (instrs, ((cfg, warm, flip_every), (chunk, fatal, reset_every))) ->
@@ -193,10 +198,10 @@ let prop_stack_overflow =
       (run Block).o_outcome = Stack && all_tiers_agree run)
 
 (* Slice boundaries: [Slice_timer.cpis] reads the block-level core's
-   cycles between slice-sized fuel legs.  A per-instruction core run in
-   the same legs must book the same cycles to every slice, so a slice
-   is charged exactly its own instructions, the closing instruction's
-   data references and branch included. *)
+   cycles between slice-sized fuel legs.  The per-event reference core
+   run in the same legs must book the same cycles to every slice, so a
+   slice is charged exactly its own instructions, the closing
+   instruction's data references and branch included. *)
 let prop_slice_timer_legs =
   QCheck.Test.make ~name:"slice timer charges each slice its own instructions"
     ~count:200
@@ -214,13 +219,13 @@ let prop_slice_timer_legs =
         with Interp.Stack_error _ -> None
       in
       let reference =
-        let core = Interval_core.create ~config:configs.(cfg) p in
-        let hooks = Interval_core.hooks_per_instr core in
+        let core = R.create ~config:configs.(cfg) p in
+        let hooks = R.hooks core in
         let m = Interp.create ~entry:0 () in
         let rec legs left last acc =
           let status = Interp.run ~hooks ~fuel:(min slice_len left) p m in
           let n = m.Interp.icount - (fuel - left) in
-          let c = Interval_core.cycles core in
+          let c = R.cycles core in
           let acc =
             if n = slice_len || (n > 0 && n >= slice_len / 2) then
               ((c -. last) /. float_of_int n) :: acc
@@ -249,7 +254,7 @@ let test_straightline_cycles () =
       Alcotest.(check (float 0.0)) "cycles" 10.25 (Int64.float_of_bits cycles);
       Alcotest.(check (float 0.0)) "memory stall" 0.0 (Int64.float_of_bits mem);
       Alcotest.(check (list int)) "no data references" [ 0; 0; 0; 0 ] hits)
-    [ Block; Block_ref; Mixed; Per_instr ]
+    [ Block; Legs; Per_event ]
 
 (* [reset_state] empties the caches, so the repeat filters must forget
    the line they last served: the same load before and after a reset
@@ -258,38 +263,48 @@ let test_reset_clears_filters () =
   let instrs = [| Isa.Li (0, 4096); Isa.Load (1, 0, 0); Isa.Halt |] in
   let p = Program.of_instrs instrs in
   List.iter
-    (fun (name, hooks) ->
-      let core = Interval_core.create ~config:Core_config.i7_3770_sim p in
-      let run () =
-        ignore (Interp.run ~hooks:(hooks core) p (Interp.create ~entry:0 ()))
-      in
+    (fun (name, hooks, reset_state, stats) ->
+      let run () = ignore (Interp.run ~hooks p (Interp.create ~entry:0 ())) in
       run ();
-      Interval_core.reset_state core;
+      reset_state ();
       run ();
-      let s = Interval_core.stats core in
+      let s = stats () in
       Alcotest.(check (list int)) (name ^ ": served from memory") [ 0; 0; 0; 1 ]
         (Array.to_list s.Interval_core.level_hits))
-    [
-      ("block-level", Interval_core.hooks);
-      ("per-instruction", Interval_core.hooks_per_instr);
-    ]
+    (let core = Interval_core.create ~config:Core_config.i7_3770_sim p in
+     let ref_core = R.create ~config:Core_config.i7_3770_sim p in
+     [
+       ( "block-level",
+         Interval_core.hooks core,
+         (fun () -> Interval_core.reset_state core),
+         fun () -> Interval_core.stats core );
+       ( "per-event",
+         R.hooks ref_core,
+         (fun () -> R.reset_state ref_core),
+         fun () -> R.stats ref_core );
+     ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection: every hook set lands on exactly one tier under each
-   pin (the DESIGN §5d table), and the pipeline's tool sets, block-level
-   with a segment consumer, never reach the per-instruction engine *)
+(* Engine selection: every hook set lands on exactly one of the three
+   tiers under each engine (the DESIGN §5d table), and the pipeline's
+   tool sets, each with a segment consumer, land on the block stepper *)
 
 let counter name =
   Option.value ~default:0.0
     (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ()) name)
 
-let tier_names =
-  [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.hooked"; "vm.runs.plain" ]
+let tier_names = [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.plain" ]
 
 let runs_delta f =
   let before = List.map counter tier_names in
   f ();
   List.map2 (fun n b -> (n, int_of_float (counter n -. b))) tier_names before
+
+let check_lands name expected f =
+  Alcotest.(check (list (pair string int)))
+    (name ^ " lands on " ^ expected)
+    (List.map (fun n -> (n, if n = expected then 1 else 0)) tier_names)
+    (runs_delta f)
 
 let test_tier_map () =
   let p =
@@ -297,34 +312,21 @@ let test_tier_map () =
       [| Isa.Li (1, 64); Isa.Load (2, 1, 0); Isa.Store (2, 1, 8); Isa.Halt |]
   in
   let span = { Hooks.nil with Hooks.on_block_span = (fun _ _ -> ()) } in
+  let branch = { Hooks.nil with Hooks.on_branch = (fun _ _ -> ()) } in
   let mems = { span with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) } in
-  let instr = { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) } in
-  let instr_mems = Hooks.seq_all [ instr; mems ] in
   List.iter
-    (fun (name, hooks, by_pin) ->
+    (fun (name, hooks, by_engine) ->
       List.iter2
         (fun engine expected ->
-          let delta =
-            runs_delta (fun () ->
-                ignore (Interp.run ~engine ~hooks p (Interp.create ~entry:0 ())))
-          in
-          Alcotest.(check (list (pair string int)))
-            (name ^ " lands on " ^ expected)
-            (List.map (fun n -> (n, if n = expected then 1 else 0)) tier_names)
-            delta)
-        [ Interp.Auto; Interp.Block_step; Interp.Reference ]
-        by_pin)
+          check_lands name expected (fun () ->
+              ignore (Interp.run ~engine ~hooks p (Interp.create ~entry:0 ()))))
+        [ Interp.Auto; Interp.Interpreted ]
+        by_engine)
     [
-      ("nil", Hooks.nil,
-       [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.plain" ]);
-      ("block-level", span,
-       [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.hooked" ]);
-      ("block-level + mems", mems,
-       [ "vm.runs.block"; "vm.runs.block"; "vm.runs.hooked" ]);
-      ("per-instruction", instr,
-       [ "vm.runs.hooked"; "vm.runs.hooked"; "vm.runs.hooked" ]);
-      ("per-instruction + mems", instr_mems,
-       [ "vm.runs.hooked"; "vm.runs.hooked"; "vm.runs.hooked" ]);
+      ("nil", Hooks.nil, [ "vm.runs.compiled"; "vm.runs.plain" ]);
+      ("spans", span, [ "vm.runs.compiled"; "vm.runs.block" ]);
+      ("branches", branch, [ "vm.runs.compiled"; "vm.runs.block" ]);
+      ("spans + mems", mems, [ "vm.runs.block"; "vm.runs.block" ]);
     ]
 
 let test_pipeline_tool_sets_block_level () =
@@ -337,10 +339,11 @@ let test_pipeline_tool_sets_block_level () =
   let core () = Interval_core.hooks (Interval_core.create prog) in
   List.iter
     (fun (name, tools) ->
-      let h = Hooks.seq_all tools in
-      Alcotest.(check bool) (name ^ " is block-level") true (Hooks.block_level h);
-      Alcotest.(check bool) (name ^ " has a fused consumer") true
-        (Hooks.has_block_mems h))
+      let hooks = Hooks.seq_all tools in
+      check_lands name "vm.runs.block" (fun () ->
+          ignore
+            (Interp.run ~hooks ~fuel:10_000 prog
+               (Interp.create ~entry:prog.Program.entry ()))))
     [
       ("log+profile", [ profile (); cache (); core () ]);
       ("cold replay", [ ldst (); cache (); core () ]);
@@ -348,8 +351,8 @@ let test_pipeline_tool_sets_block_level () =
       ("warm region", [ ldst (); cache (); core () ]);
       ("native", [ core () ]);
     ];
-  (* and end to end: a whole pipeline run touches no per-instruction
-     engine *)
+  (* and end to end: a whole pipeline run fast-forwards on the compiled
+     tier, replays on the block stepper and never pins the plain loop *)
   let options =
     {
       Specrepro.Pipeline.default_options with
@@ -363,12 +366,14 @@ let test_pipeline_tool_sets_block_level () =
         ignore (Specrepro.Pipeline.run_benchmark ~options spec);
         ignore (Sp_perf.Native.run built.Sp_workloads.Benchspec.program))
   in
+  Alcotest.(check bool) "compiled runs" true
+    (List.assoc "vm.runs.compiled" delta > 0);
   Alcotest.(check bool) "block runs" true (List.assoc "vm.runs.block" delta > 0);
-  Alcotest.(check int) "hooked runs" 0 (List.assoc "vm.runs.hooked" delta)
+  Alcotest.(check int) "plain runs" 0 (List.assoc "vm.runs.plain" delta)
 
 (* ------------------------------------------------------------------ *)
-(* Ldstmix: the span counter against a port of the per-instruction
-   callback it replaced, on every engine family *)
+(* Ldstmix: the span counter against the reference interpreter's
+   per-retirement kinds, on both engines and in fuel legs of one *)
 
 let prop_ldstmix_engines =
   QCheck.Test.make ~name:"ldstmix span counts agree on every engine"
@@ -376,44 +381,33 @@ let prop_ldstmix_engines =
     (QCheck.make QCheck.Gen.(pair F.mem_prog_gen (int_range 1 17)))
     (fun (instrs, chunk) ->
       let p = Program.of_instrs instrs in
-      let run hooks engine =
-        let m = Interp.create ~entry:0 () in
-        let left = ref F.test_fuel and halted = ref false in
-        try
-          while !left > 0 && not !halted do
-            let f = min chunk !left in
-            left := !left - f;
-            match
-              Interp.run ~engine ~hooks ~syscall:F.test_syscall ~fuel:f p m
-            with
-            | Interp.Halted -> halted := true
-            | Interp.Out_of_fuel -> ()
-          done
-        with Interp.Stack_error _ -> ()
+      let run hooks engine leg =
+        ignore
+          (B.run_legs ~engine ~leg ~hooks ~syscall:F.test_syscall
+             ~fuel:F.test_fuel p (Interp.create ~entry:0 ()))
       in
       let reference = Array.make 4 0 in
-      run
-        {
-          Hooks.nil with
-          Hooks.on_instr =
-            (fun _pc kind ->
-              let c = Ldstmix.class_code_of_kind kind in
-              reference.(c) <- reference.(c) + 1);
-        }
-        Interp.Auto;
+      ignore
+        (B.ref_run
+           ~record:(function
+             | B.E_instr (_, kind) ->
+                 let c = Ldstmix.class_code_of_kind kind in
+                 reference.(c) <- reference.(c) + 1
+             | _ -> ())
+           ~syscall:F.test_syscall ~fuel:F.test_fuel instrs (B.ref_create 0));
       List.for_all
-        (fun engine ->
+        (fun (engine, chunk) ->
           let t = Ldstmix.create p in
-          run (Ldstmix.hooks t) engine;
+          run (Ldstmix.hooks t) engine chunk;
           List.for_all
             (fun cls ->
               Ldstmix.count t cls = reference.(Isa.mem_class_code cls))
             Isa.all_mem_classes)
-        [ Interp.Reference; Interp.Block_step; Interp.Auto ])
+        [ (Interp.Interpreted, chunk); (Interp.Auto, chunk); (Interp.Auto, 1) ])
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_block_matches_per_instr;
+    QCheck_alcotest.to_alcotest prop_block_matches_per_event;
     QCheck_alcotest.to_alcotest prop_stack_overflow;
     QCheck_alcotest.to_alcotest prop_slice_timer_legs;
     Alcotest.test_case "straight-line cycles" `Quick test_straightline_cycles;

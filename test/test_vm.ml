@@ -299,12 +299,16 @@ let test_hooks_fire () =
   let block_insns = ref 0 in
   let hooks =
     {
-      Hooks.nil with
       Hooks.on_block = (fun _ -> incr blocks);
       on_block_span = (fun _ n -> block_insns := !block_insns + n);
-      on_instr = (fun _ _ -> incr instr_count);
-      on_read = (fun a -> reads := a :: !reads);
-      on_write = (fun a -> writes := a :: !writes);
+      on_block_mems =
+        (fun _ n _ addrs nrefs ->
+          instr_count := !instr_count + n;
+          for r = 0 to nrefs - 1 do
+            let v = addrs.(r) in
+            if v land 1 = 0 then reads := (v asr 1) :: !reads
+            else writes := (v asr 1) :: !writes
+          done);
       on_branch = (fun _ taken -> branches := taken :: !branches);
     }
   in
@@ -321,7 +325,7 @@ let test_hooks_fire () =
   in
   let m = Interp.create ~entry:0 () in
   ignore (Interp.run ~hooks p m);
-  Alcotest.(check int) "instr hook count" m.Interp.icount !instr_count;
+  Alcotest.(check int) "segment multiplicity" m.Interp.icount !instr_count;
   Alcotest.(check int) "block_span multiplicity" m.Interp.icount !block_insns;
   Alcotest.(check (list int)) "read addrs" [ 0x10 ] !reads;
   Alcotest.(check (list int)) "write addrs" [ 0x10 ] !writes;
@@ -330,9 +334,11 @@ let test_hooks_fire () =
 
 let test_hooks_seq_order () =
   let log = ref [] in
-  let mk tag = { Hooks.nil with on_instr = (fun _ _ -> log := tag :: !log) } in
+  let mk tag =
+    { Hooks.nil with on_block_span = (fun _ _ -> log := tag :: !log) }
+  in
   let h = Hooks.seq_all [ mk "a"; mk "b"; mk "c" ] in
-  h.Hooks.on_instr 0 0;
+  h.Hooks.on_block_span 0 1;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log)
 
 let test_hooks_seq_all_flat_order () =
@@ -341,21 +347,18 @@ let test_hooks_seq_all_flat_order () =
   let log = ref [] in
   let mk tag =
     {
-      Hooks.nil with
       Hooks.on_block = (fun _ -> log := ("b" ^ tag) :: !log);
       on_block_span = (fun _ _ -> log := ("x" ^ tag) :: !log);
-      on_instr = (fun _ _ -> log := ("i" ^ tag) :: !log);
-      on_read = (fun _ -> log := ("r" ^ tag) :: !log);
-      on_write = (fun _ -> log := ("w" ^ tag) :: !log);
+      on_block_mems = (fun _ _ _ _ _ -> log := ("m" ^ tag) :: !log);
       on_branch = (fun _ _ -> log := ("j" ^ tag) :: !log);
     }
   in
   let h = Hooks.seq_all [ mk "1"; mk "2"; mk "3"; mk "4"; mk "5" ] in
-  h.Hooks.on_instr 0 0;
-  h.Hooks.on_read 0;
+  h.Hooks.on_block_span 0 1;
+  h.Hooks.on_block_mems 0 1 [||] [||] 0;
   h.Hooks.on_branch 0 true;
   Alcotest.(check (list string)) "flattened order"
-    [ "i1"; "i2"; "i3"; "i4"; "i5"; "r1"; "r2"; "r3"; "r4"; "r5";
+    [ "x1"; "x2"; "x3"; "x4"; "x5"; "m1"; "m2"; "m3"; "m4"; "m5";
       "j1"; "j2"; "j3"; "j4"; "j5" ]
     (List.rev !log)
 
@@ -366,7 +369,7 @@ let test_hooks_nil_detection () =
   Alcotest.(check bool) "seq_all of nils is nil" true
     (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; Hooks.nil; Hooks.nil ]));
   Alcotest.(check bool) "seq_all [] is nil" true (Hooks.is_nil (Hooks.seq_all []));
-  let live = { Hooks.nil with Hooks.on_read = (fun _ -> ()) } in
+  let live = { Hooks.nil with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) } in
   Alcotest.(check bool) "live hook is not nil" false (Hooks.is_nil live);
   Alcotest.(check bool) "seq_all keeps live hook" false
     (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; live ]))
@@ -392,7 +395,8 @@ let test_interp_fast_path_equivalent () =
     let status = Interp.run ~hooks ~fuel:350 p m in
     (status, m.Interp.pc, m.Interp.icount, Array.copy m.Interp.regs)
   in
-  let counting = { Hooks.nil with on_instr = (fun _ _ -> ()) } in
+  (* a segment consumer puts the hooked run on the block stepper *)
+  let counting = { Hooks.nil with on_block_mems = (fun _ _ _ _ _ -> ()) } in
   let s1, pc1, ic1, regs1 = run Hooks.nil in
   let s2, pc2, ic2, regs2 = run counting in
   Alcotest.(check bool) "status" true (s1 = s2);

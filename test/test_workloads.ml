@@ -68,7 +68,7 @@ let test_kernel_mem_classes () =
   List.iter
     (fun (k : Kernel.t) ->
       let prog, _ = kernel_program k base_params ~calls:3 in
-      let counter = Sp_pin.Inscount.create () in
+      let counter = Sp_pin.Inscount.create prog in
       ignore
         (Sp_pin.Pin.run_fresh ~tools:[ Sp_pin.Inscount.hooks counter ] prog);
       let fp =
@@ -82,6 +82,18 @@ let test_kernel_mem_classes () =
         Alcotest.(check bool) (k.Kernel.name ^ " is integer") true (fp = 0))
     Kernel.all
 
+(* [f a] for each data read's byte address, in retirement order *)
+let on_reads f =
+  {
+    Hooks.nil with
+    on_block_mems =
+      (fun _ _ _ addrs nrefs ->
+        for r = 0 to nrefs - 1 do
+          let v = addrs.(r) in
+          if v land 1 = 0 then f (v asr 1)
+        done);
+  }
+
 let test_pointer_chase_is_ring () =
   (* the chase must traverse the whole power-of-two ring, not collapse *)
   let k = Kernel.pointer_chase in
@@ -89,13 +101,9 @@ let test_pointer_chase_is_ring () =
   let prog, p = kernel_program k p ~calls:1 in
   let distinct = Hashtbl.create 64 in
   let hooks =
-    {
-      Hooks.nil with
-      on_read =
-        (fun a ->
-          if a >= p.Kernel.base && a < Kernel.state_addr p then
-            Hashtbl.replace distinct a ());
-    }
+    on_reads (fun a ->
+        if a >= p.Kernel.base && a < Kernel.state_addr p then
+          Hashtbl.replace distinct a ())
   in
   let m = Interp.create ~entry:prog.Program.entry () in
   ignore (Interp.run ~hooks ~fuel:1_000_000 prog m);
@@ -109,13 +117,9 @@ let test_state_persistence () =
   let prog, p = kernel_program k p ~calls:2 in
   let reads = ref [] in
   let hooks =
-    {
-      Hooks.nil with
-      on_read =
-        (fun a ->
-          if a >= p.Kernel.base && a < Kernel.state_addr p then
-            reads := a :: !reads);
-    }
+    on_reads (fun a ->
+        if a >= p.Kernel.base && a < Kernel.state_addr p then
+          reads := a :: !reads)
   in
   let m = Interp.create ~entry:prog.Program.entry () in
   ignore (Interp.run ~hooks ~fuel:100_000 prog m);
@@ -211,10 +215,14 @@ let test_build_r15_invariant () =
   let prog = built.Benchspec.program in
   let m = Interp.create ~entry:prog.Program.entry () in
   let violations = ref 0 in
-  let hooks =
-    { Hooks.nil with on_instr = (fun _ _ -> if m.Interp.regs.(15) <> 0 then incr violations) }
+  (* fuel legs of one instruction: r15 is checked before every
+     retirement *)
+  let rec step left =
+    if m.Interp.regs.(15) <> 0 then incr violations;
+    if left > 0 && Interp.run ~fuel:1 prog m = Interp.Out_of_fuel then
+      step (left - 1)
   in
-  ignore (Interp.run ~hooks ~fuel:2_000_000 prog m);
+  step 2_000_000;
   Alcotest.(check int) "r15 always zero" 0 !violations
 
 let test_phase_of_pc () =

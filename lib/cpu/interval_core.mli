@@ -31,13 +31,12 @@ val create : ?config:Core_config.t -> Program.t -> t
 val hooks : t -> Hooks.t
 (** The block-level hook set: the leader fetch on [on_block], each
     segment's dispatch cycles and data references on [on_block_mems],
-    the predictor on [on_branch].  Its segment consumer puts a run on
-    the block stepper, alone or seq'd with other tools.  The core's own
-    L1I/L1D apply the fused [allcache] tool's exact same-line repeat
-    filters, which assume every access to the core's caches went
-    through this set.  Statistics are bit-identical to a walk of the
-    same events one at a time (enforced against a per-event reference
-    core in the differential suite). *)
+    the predictor on [on_branch], alone or seq'd with other tools.  The
+    core's own L1I/L1D apply the fused [allcache] tool's exact
+    same-line repeat filters, which assume every access to the core's
+    caches went through this set.  Statistics are bit-identical to a
+    walk of the same events one at a time (enforced against a
+    per-event reference core in the differential suite). *)
 
 val cpi : t -> float
 (** Cycles per instruction so far; 0 before any instruction. *)

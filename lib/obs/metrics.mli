@@ -8,9 +8,9 @@
 
     The [stable] flag declares whether a metric's merged value is a
     pure function of the executed work (identical for any job count) or
-    may legitimately vary with scheduling (timings, per-tier run
-    counts, pool internals).  [stable_snapshot] filters to the former;
-    the observability tests assert their equality across job counts. *)
+    may legitimately vary with scheduling (timings, pool internals).
+    [stable_snapshot] filters to the former; the observability tests
+    assert their equality across job counts. *)
 
 type counter
 type gauge

@@ -21,10 +21,10 @@ val prefetches : t -> int
 val hooks : t -> Hooks.t
 (** The fused hook set: a single {!Hooks.on_block_mems} consumer that
     replays each delivered segment's i-fetch grid and data references
-    in one pass, with exact same-line/same-page repeat filters.  Under
-    a block-capable engine this runs on the block stepper; statistics
-    are bit-identical to one TLB access and one hierarchy walk per
-    fetch and data reference (enforced by the differential suite). *)
+    in one pass, with exact same-line/same-page repeat filters.
+    Statistics are bit-identical to one TLB access and one hierarchy
+    walk per fetch and data reference (enforced by the differential
+    suite). *)
 
 val hierarchy : t -> Sp_cache.Hierarchy.t
 

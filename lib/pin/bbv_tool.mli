@@ -26,10 +26,10 @@ val create : slice_len:int -> Program.t -> t
 
 val hooks : t -> Hooks.t
 (** Block-level hooks ([Hooks.on_block_span] only, credited to the
-    span's block), so a BBV-only run executes on the interpreter's
-    block engines.  Slices are bit-identical whether retirements arrive
-    per instruction or per block: block credit that crosses a slice
-    boundary is split at the exact instruction. *)
+    span's block), so a BBV-only run dispatches once per block entry.
+    Slices are bit-identical whether retirements arrive per instruction
+    or per block: block credit that crosses a slice boundary is split
+    at the exact instruction. *)
 
 val add : t -> int -> int -> unit
 (** [add t bb n] credits [n] retirements of block [bb] directly — the

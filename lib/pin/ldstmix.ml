@@ -4,7 +4,7 @@ open Sp_vm
 (* A span counter: classification needs only each retired
    instruction's static kind, so the tool consumes the positional
    [on_block_span] aggregate and needs no data references — a replay
-   under it alone stays on the compiled tier. *)
+   under it alone collects no segments. *)
 
 type t = {
   counts : int array; (* indexed by mem_class code *)

@@ -19,7 +19,7 @@ val create : Program.t -> t
 
 val hooks : t -> Hooks.t
 (** A single {!Hooks.on_block_span} counter: with no segment consumer
-    beside it, a run stays on the compiled tier. *)
+    beside it, a run collects no data references. *)
 
 val count : t -> Sp_isa.Isa.mem_class -> int
 val total : t -> int

@@ -9,9 +9,9 @@ open Sp_vm
     Pin kit: {!Inscount}, {!Ldstmix}, {!Allcache_tool} and
     {!Bbv_tool}.  Like the kit's [inscount1], which counts per basic
     block rather than per instruction, every tool here reads block-level
-    aggregates: retired spans, or data-reference segments.  A run
-    whose tools read only spans takes the compiled tier; one with a
-    segment consumer takes the block stepper. *)
+    aggregates: retired spans, or data-reference segments.  Every run
+    takes the same compiled engine; a segment consumer only makes it
+    collect each block's data references. *)
 
 type run = {
   status : Interp.status;

@@ -7,8 +7,8 @@ open Sp_vm
    instructions starting at a static pc, so block attribution (BBV) and
    per-kind classification (imix, and from it the memory-class mix)
    both come from the static program.  The set has no segment
-   consumer, so the run stays on the compiled tier unless another tool
-   brings one. *)
+   consumer, so the run collects no data references unless another
+   tool brings one. *)
 
 type t = {
   bbv : Bbv_tool.t;

@@ -9,7 +9,7 @@ open Sp_vm
     aggregate: a span names [n] consecutive retired instructions
     starting at a static pc, so block attribution and per-kind
     classification both read the static program.  With no segment
-    consumer, the run stays on the interpreter's compiled tier.
+    consumer, the run collects no data references.
 
     The pipeline selects this tool automatically when a stage wants
     more than one profile from the same replay; single-profile callers

@@ -11,9 +11,9 @@ let log_whole ?(syscall = Interp.default_syscall) ?(extra_tools = [])
     let v = syscall n in
     (* the syscall retires as the current instruction: icount was already
        incremented when the hook fired, so the consuming instruction's
-       index is icount - 1.  Every interpreter tier upholds this — the
-       block-stepping engine bulk-advances icount per block but rolls it
-       back to the exact per-instruction value around syscall dispatch *)
+       index is icount - 1.  The interpreter upholds this — it
+       bulk-advances icount per chain of blocks but rolls it back to
+       the exact per-instruction value around syscall dispatch *)
     recorded := (machine.Interp.icount - 1, v) :: !recorded;
     v
   in

@@ -101,7 +101,7 @@ let decode_body s : Pinball.t =
   let benchmark, kind, length = Frame.section s "META" decode_meta in
   let program = Frame.section s "PROG" Program.read in
   let code_len = Array.length program.Program.instrs in
-  (* the engines fetch unchecked: a replay must never fall or return
+  (* the engine fetches unchecked: a replay must never fall or return
      past the last instruction *)
   (match program.Program.instrs.(code_len - 1) with
   | Sp_isa.Isa.Jump _ | Ret | Halt -> ()

@@ -2,7 +2,7 @@
 
     The interpreter invokes these callbacks while executing; the
     {!Sp_pin} framework builds hook records out of pintools.  Every
-    callback is block-level: the engines fire it per basic-block entry,
+    callback is block-level: the engine fires it per basic-block entry,
     not per retired instruction, and a tool recovers each retired
     instruction from the aggregates.  Callbacks are plain (non-labelled)
     closures so the dispatch cost stays at one indirect call each. *)
@@ -21,8 +21,8 @@ type t = {
           Tools must be insensitive to the batching: counters by block
           (BBV collection), or classifiers that read each retired
           instruction's pc, kind or memory class from the static
-          program.  Every engine tier and every fuel split then produce
-          bit-identical results. *)
+          program.  Every fuel split then produces bit-identical
+          results. *)
   on_block_mems : int -> int -> int array -> int array -> int -> unit;
       (** [pc0, n, offs, addrs, nrefs]: an aggregate of [n] consecutive
           retired instructions starting at [pc0], carrying all of their
@@ -31,13 +31,13 @@ type t = {
           retirement order; [addrs.(r)] encodes its byte address [a] and
           direction as [(a lsl 1) lor w] with [w = 1] for a write
           ([a = addrs.(r) asr 1] recovers the address).  Segments
-          partition the retirement stream exactly — the block stepper
-          delivers at most one segment per block entry, splitting around
-          [Sys] instructions so a raising syscall handler still observes
-          every earlier reference, and always before the block's
-          [on_branch].  The arrays are reused between calls: callbacks
-          must consume them before returning and only read the first
-          [nrefs] entries. *)
+          partition the retirement stream exactly — the engine
+          delivers at most one segment per block entry, split after
+          each [Sys] instruction and delivered before its handler runs,
+          so a raising syscall handler still observes every earlier
+          reference, and always before the block's [on_branch].  The
+          arrays are reused between calls: callbacks must consume them
+          before returning and only read the first [nrefs] entries. *)
   on_branch : int -> bool -> unit;
       (** [pc, taken] for every conditional branch *)
 }
@@ -52,8 +52,8 @@ val is_nil : t -> bool
     its inner loop entirely. *)
 
 val has_block_mems : t -> bool
-(** True when the [on_block_mems] aggregate is live; such a set runs on
-    the block stepper, which collects each block's references. *)
+(** True when the [on_block_mems] aggregate is live; only then does the
+    interpreter collect each block's data references. *)
 
 val seq_all : t list -> t
 (** Run every hook set, in list order.  The chain is flattened: each

@@ -30,413 +30,19 @@ let create ?mem ~entry () =
 
 let default_syscall n = Sp_util.Rng.hash_string (string_of_int n) land 0xFFFF
 
-(* Execution metrics, flushed once per [run] (and once per engine loop
-   for block counts) so the hot loops stay untouched.  Instruction,
-   TLB-refill and copy-on-write page-copy totals are pure functions of
-   the retired work and are registered stable; per-tier run counts
-   depend on which pipeline path drove the interpreter, so they are
-   not. *)
+(* Execution metrics, flushed once per [run] so the hot loops stay
+   untouched.  Instruction, block-entry, TLB-refill and copy-on-write
+   page-copy totals are pure functions of the retired work and are
+   registered stable. *)
 module M = struct
   let instructions = Sp_obs.Metrics.counter "vm.instructions"
   let tlb_refills = Sp_obs.Metrics.counter "vm.tlb_refills"
   let page_copies = Sp_obs.Metrics.counter "vm.page_copies"
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
-  let runs_plain = Sp_obs.Metrics.counter ~stable:false "vm.runs.plain"
-  let runs_block = Sp_obs.Metrics.counter ~stable:false "vm.runs.block"
-  let runs_compiled = Sp_obs.Metrics.counter ~stable:false "vm.runs.compiled"
 end
 
-let exec_alu op a b =
-  match (op : Isa.alu_op) with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then 0 else a / b
-  | Rem -> if b = 0 then 0 else a mod b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Shl -> a lsl (b land 63)
-  | Shr -> a lsr (b land 63)
-
-let exec_falu op a b =
-  match (op : Isa.falu_op) with
-  | Fadd -> a +. b
-  | Fsub -> a -. b
-  | Fmul -> a *. b
-  | Fdiv -> if b = 0.0 then 0.0 else a /. b
-
-let eval_cond c a b =
-  match (c : Isa.cond) with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
-
-(* The nil-hook loop: one decode per retired instruction and no hook
-   site at all.  Nil runs pinned to [Interpreted] and the compiled
-   tier's nil fuel tails run here; its per-instruction walk is the
-   semantics the block stepper below batches — keep the two in
-   lockstep when touching either. *)
-let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  while !running do
-    let pc = m.pc in
-    m.icount <- m.icount + 1;
-    decr remaining;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Sys (n, rd) ->
-        Array.unsafe_set regs rd (syscall n);
-        m.pc <- pc + 1
-    | Halt ->
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  !status
-[@@inline never]
-
-(* The block stepper: all hook dispatch happens once per basic-block
-   entry.  The block's extent comes from [Program.block_end]; the
-   straight-line body then executes with no leader tests, no
-   per-instruction fuel checks and no closure calls, collecting its
-   data references into per-run buffers that reach [on_block_mems] as
-   one aggregate segment per block entry (the no-op sentinel when no
-   consumer is attached).  Only the final instruction of a block can
-   transfer control, so the body match never sees one.
-
-   Invariants kept in lockstep with a per-instruction execution (the
-   plain loop above, and the test suites' reference interpreter):
-   - [m.icount] is bulk-advanced at block entry, but any [Sys]
-     instruction observes the exact per-instruction count (pinball
-     logging records syscalls as [icount - 1]) and [m.pc] is set to the
-     syscall's pc so a raising handler leaves the machine addressable;
-   - a fuel boundary mid-block retires exactly [remaining] instructions
-     and leaves [m.pc] at the next unexecuted one, so resumed runs are
-     bit-identical to uninterrupted ones;
-   - [on_block] fires only when entering through the leader (a resume
-     mid-block does not re-announce the block), [on_block_span] fires on
-     every entry with the retired extent, and [on_branch] fires at the
-     terminator, after the block's last segment;
-   - segments partition the retirement stream: every retired
-     instruction belongs to exactly one segment, in order, so a
-     consumer's reconstructed fetch stream is the per-instruction one,
-     and a run in fuel legs of one instruction delivers it as [n = 1]
-     segments;
-   - a [Sys] in the body flushes the segment up to and including the
-     syscall instruction *before* invoking the handler, so a raising
-     handler leaves the consumer having seen exactly the instructions
-     retired up to it, whatever the fuel split;
-   - the terminator's references are collected (addresses are
-     computable before any state change) and the whole segment flushed
-     before the terminator's effect runs, so a [Call]/[Ret] stack
-     error also leaves the consumer exactly one instruction ahead of
-     the machine, the faulting instruction counted;
-   - reference buffers are reused across segments; offsets are relative
-     to the segment start and addresses carry the write bit in bit 0
-     (see [Hooks.on_block_mems]). *)
-let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let block_end = prog.block_end in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_block_mems = hooks.Hooks.on_block_mems in
-  let on_branch = hooks.Hooks.on_branch in
-  (* at most two references per instruction (Movs: read then write) *)
-  let cap = 2 * prog.max_block_len in
-  let offs = Array.make cap 0 in
-  let addrs = Array.make cap 0 in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  let blocks = ref 0 in
-  while !running do
-    incr blocks;
-    let pc0 = m.pc in
-    let bb = Array.unsafe_get bb_of_pc pc0 in
-    if Array.unsafe_get is_leader pc0 then on_block bb;
-    let stop = Array.unsafe_get block_end bb in
-    let avail = stop - pc0 in
-    let n = if avail <= !remaining then avail else !remaining in
-    if has_span then on_block_span pc0 n;
-    m.icount <- m.icount + n;
-    remaining := !remaining - n;
-    let last = pc0 + n - 1 in
-    let seg_start = ref pc0 in
-    let nrefs = ref 0 in
-    for pc = pc0 to last - 1 do
-      match Array.unsafe_get instrs pc with
-      | Alu (op, rd, r1, r2) ->
-          Array.unsafe_set regs rd
-            (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2))
-      | Alui (op, rd, r1, imm) ->
-          Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm)
-      | Li (rd, imm) -> Array.unsafe_set regs rd imm
-      | Mov (rd, rs) -> Array.unsafe_set regs rd (Array.unsafe_get regs rs)
-      | Load (rd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r (a lsl 1);
-          nrefs := r + 1;
-          Array.unsafe_set regs rd (Memory.load mem a)
-      | Store (rv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r ((a lsl 1) lor 1);
-          nrefs := r + 1;
-          Memory.store mem a (Array.unsafe_get regs rv)
-      | Movs (rdst, rsrc) ->
-          let src = Array.unsafe_get regs rsrc in
-          let dst = Array.unsafe_get regs rdst in
-          let r = !nrefs in
-          let o = pc - !seg_start in
-          Array.unsafe_set offs r o;
-          Array.unsafe_set addrs r (src lsl 1);
-          Array.unsafe_set offs (r + 1) o;
-          Array.unsafe_set addrs (r + 1) ((dst lsl 1) lor 1);
-          nrefs := r + 2;
-          Memory.store mem dst (Memory.load mem src)
-      | Falu (op, fd, f1, f2) ->
-          Array.unsafe_set fregs fd
-            (exec_falu op (Array.unsafe_get fregs f1)
-               (Array.unsafe_get fregs f2))
-      | Fload (fd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r (a lsl 1);
-          nrefs := r + 1;
-          Array.unsafe_set fregs fd (Memory.loadf mem a)
-      | Fstore (fv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r ((a lsl 1) lor 1);
-          nrefs := r + 1;
-          Memory.storef mem a (Array.unsafe_get fregs fv)
-      | Fmovi (fd, x) -> Array.unsafe_set fregs fd x
-      | Cvtif (fd, rs) ->
-          Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs))
-      | Cvtfi (rd, fs) ->
-          Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs))
-      | Sys (num, rd) ->
-          (* flush through the syscall instruction, then expose the
-             exact retirement index to the handler *)
-          on_block_mems !seg_start (pc - !seg_start + 1) offs addrs !nrefs;
-          nrefs := 0;
-          seg_start := pc + 1;
-          let bulk = m.icount in
-          m.icount <- bulk - (last - pc);
-          m.pc <- pc;
-          Array.unsafe_set regs rd (syscall num);
-          m.icount <- bulk
-      | Branch _ | Jump _ | Call _ | Ret | Halt ->
-          (* control instructions end their block *)
-          assert false
-    done;
-    let pc = last in
-    (* the terminator's data addresses depend only on registers, so they
-       can be collected — and the whole segment flushed — before its
-       effect runs (see the invariants above) *)
-    (match Array.unsafe_get instrs pc with
-    | Load (_, rs, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r ((Array.unsafe_get regs rs + off) lsl 1);
-        nrefs := r + 1
-    | Store (_, rb, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r
-          (((Array.unsafe_get regs rb + off) lsl 1) lor 1);
-        nrefs := r + 1
-    | Movs (rdst, rsrc) ->
-        let r = !nrefs in
-        let o = pc - !seg_start in
-        Array.unsafe_set offs r o;
-        Array.unsafe_set addrs r (Array.unsafe_get regs rsrc lsl 1);
-        Array.unsafe_set offs (r + 1) o;
-        Array.unsafe_set addrs (r + 1) ((Array.unsafe_get regs rdst lsl 1) lor 1);
-        nrefs := r + 2
-    | Fload (_, rs, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r ((Array.unsafe_get regs rs + off) lsl 1);
-        nrefs := r + 1
-    | Fstore (_, rb, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r
-          (((Array.unsafe_get regs rb + off) lsl 1) lor 1);
-        nrefs := r + 1
-    | _ -> ());
-    on_block_mems !seg_start (pc - !seg_start + 1) offs addrs !nrefs;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Sys (num, rd) ->
-        m.pc <- pc;
-        Array.unsafe_set regs rd (syscall num);
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc))
-        end;
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc))
-        end;
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Halt ->
-        m.pc <- pc;
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  Sp_obs.Metrics.add M.blocks !blocks;
-  !status
-[@@inline never]
-
 (* ------------------------------------------------------------------ *)
-(* The compiled tier.
+(* The engine.
 
    A pre-compilation pass walks the program once and turns every basic
    block into a chain of straight-line OCaml closures: one closure per
@@ -444,8 +50,8 @@ let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
    and tail-calling the next.  Executing a block is then one indirect
    call per instruction with no opcode decode, no per-instruction fuel
    check and no pc bookkeeping — the pc is implicit in which closure is
-   running and is only materialised where an engine contract requires
-   it (syscalls, stack errors, chain exits).  Unconditional terminators
+   running and is only materialised where a contract below requires it
+   (syscalls, stack errors, chain exits).  Unconditional terminators
    with a forward static target ([Jump]/[Call]/fallthrough into the
    next leader) chain directly into the target block's closure, fusing
    superblocks; forward-only chaining makes the closure graph a DAG, so
@@ -454,24 +60,39 @@ let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
    dispatch can consume.
 
    Compiled closures are built once per program and shared across runs,
-   so they cannot capture any per-run state: machine, syscall handler
-   and hooks travel in a [cenv] handed to every closure.
+   so they cannot capture any per-run state: machine, syscall handler,
+   hooks and the segment buffers travel in a [cenv] handed to every
+   closure.
 
-   Contracts kept in lockstep with the other engines:
+   Contracts, each equal to a per-instruction execution (the test
+   suites' independent reference interpreter):
    - hook events: each block's closure chain starts with a prologue
-     firing [on_block]/[on_block_span] exactly as [run_block] does at a
-     block entry; mid-block resume entries fire the partial span
-     without [on_block];
+     firing [on_block] then [on_block_span]; a mid-block resume entry
+     fires the partial span without [on_block]; [on_branch] fires at
+     the terminator, after the block's last segment;
    - [m.icount] is bulk-advanced for the whole chain at dispatch, and
      every [Sys] closure rolls it back to the exact per-instruction
      value (the remainder of its chain is a compile-time constant), so
-     pinball syscall logging stays tier-independent; a [Call] overflow
-     rolls back the same way before raising;
+     pinball syscall logging sees the retirement index of the syscall;
+     a [Call] overflow rolls back the same way before raising;
    - fuel: a chain is dispatched only when the remaining fuel covers it
-     entirely; otherwise the run tail is delegated to the block
-     stepper (or the plain tier when nothing is hooked),
-     which lands the fuel boundary on exactly the same instruction with
-     identical partial-block events and machine state. *)
+     entirely; otherwise the run's tail is stepped one block entry at a
+     time through single-instruction closures, so the fuel boundary
+     lands on exactly the same instruction, with the partial span of a
+     truncated entry, and a resumed run is bit-identical to an
+     uninterrupted one;
+   - segments (only when an [on_block_mems] consumer is live): memory
+     closures append each data reference to the [cenv] buffers, and
+     the pending segment is delivered by the next block's prologue
+     (before its [on_block]), by its conditional branch (before
+     [on_branch]), by a [Sys] through itself (before the handler
+     runs), by a faulting [Call]/[Ret] (before it raises) and at the
+     end of the run.  Segments thus partition the retirement stream —
+     at most one per block entry, split after each [Sys] — and a
+     raising handler or stack error leaves the consumer having seen
+     exactly the instructions retired, the faulting one included.
+     Chained links stay direct closure references: a segment waits in
+     the buffers until whoever runs next delivers it. *)
 
 type cenv = {
   cm : machine;
@@ -481,8 +102,19 @@ type cenv = {
   csyscall : int -> int;
   c_block : int -> unit;
   c_span : int -> int -> unit;
+  c_mems : int -> int -> int array -> int array -> int -> unit;
   c_branch : int -> bool -> unit;
   c_hooked : bool;
+  c_segs : bool;  (* an [on_block_mems] consumer is live *)
+  (* the pending segment: its references so far (offset from
+     [seg_pc], address with the write bit in bit 0; at most two per
+     instruction, so [2 * max_block_len] slots), its first pc and the
+     exclusive end of the block entry it belongs to *)
+  offs : int array;
+  addrs : int array;
+  mutable nrefs : int;
+  mutable seg_pc : int;
+  mutable seg_end : int;
   mutable c_halted : bool;
 }
 
@@ -493,13 +125,39 @@ type compiled = {
       (* instructions the chain from pc retires (all-or-nothing) *)
   entry_blocks : int array;
       (* block entries the chain from pc makes, for [M.blocks] *)
+  steps : (cenv -> unit) array;
+      (* per pc: the single-instruction closure fuel tails step
+         through, built on a tail's first visit *)
 }
 
 (* Upper bound on the instructions one chain dispatch may retire.
    Chains are all-or-nothing against the remaining fuel, so this also
-   bounds how early the dispatcher must hand a run's tail to the
-   interpreted fallback. *)
+   bounds the fuel tail a run steps instruction by instruction. *)
 let max_chain_insns = 1024
+
+(* Deliver the pending segment's instructions before [upto]. *)
+let deliver e upto =
+  let pc0 = e.seg_pc in
+  if upto > pc0 then begin
+    e.c_mems pc0 (upto - pc0) e.offs e.addrs e.nrefs;
+    e.nrefs <- 0;
+    e.seg_pc <- upto
+  end
+
+let flush e = deliver e e.seg_end
+
+(* A block entry retiring [n] instructions from [pc0]: the previous
+   entry's segment is delivered and this one's opened. *)
+let open_segment e pc0 n =
+  flush e;
+  e.seg_pc <- pc0;
+  e.seg_end <- pc0 + n
+
+let[@inline] record e pc v =
+  let r = e.nrefs in
+  Array.unsafe_set e.offs r (pc - e.seg_pc);
+  Array.unsafe_set e.addrs r v;
+  e.nrefs <- r + 1
 
 (* One non-control instruction: perform the effect, tail-call [next].
    [clen_next] is the number of instructions the rest of the chain
@@ -643,12 +301,14 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
       fun e ->
         let regs = e.cregs in
         let a = Array.unsafe_get regs rs + off in
+        if e.c_segs then record e pc (a lsl 1);
         Array.unsafe_set regs rd (Memory.load e.cmem a);
         next e
   | Store (rv, rb, off) ->
       fun e ->
         let regs = e.cregs in
         let a = Array.unsafe_get regs rb + off in
+        if e.c_segs then record e pc ((a lsl 1) lor 1);
         Memory.store e.cmem a (Array.unsafe_get regs rv);
         next e
   | Movs (rdst, rsrc) ->
@@ -657,6 +317,10 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
         let mem = e.cmem in
         let src = Array.unsafe_get regs rsrc in
         let dst = Array.unsafe_get regs rdst in
+        if e.c_segs then begin
+          record e pc (src lsl 1);
+          record e pc ((dst lsl 1) lor 1)
+        end;
         Memory.store mem dst (Memory.load mem src);
         next e
   | Falu (op, fd, f1, f2) -> (
@@ -689,11 +353,13 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
   | Fload (fd, rs, off) ->
       fun e ->
         let a = Array.unsafe_get e.cregs rs + off in
+        if e.c_segs then record e pc (a lsl 1);
         Array.unsafe_set e.cfregs fd (Memory.loadf e.cmem a);
         next e
   | Fstore (fv, rb, off) ->
       fun e ->
         let a = Array.unsafe_get e.cregs rb + off in
+        if e.c_segs then record e pc ((a lsl 1) lor 1);
         Memory.storef e.cmem a (Array.unsafe_get e.cfregs fv);
         next e
   | Fmovi (fd, x) ->
@@ -713,9 +379,11 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
   | Sys (num, rd) ->
       let rb = clen_next in
       fun e ->
-        (* expose the exact retirement index and pc to the handler: the
-           chain's bulk advance overshoots by the statically known
-           remainder [rb] *)
+        (* deliver the segment through the syscall, then expose the
+           exact retirement index and pc to the handler: the chain's
+           bulk advance overshoots by the statically known remainder
+           [rb] *)
+        if e.c_segs then deliver e (pc + 1);
         let m = e.cm in
         let bulk = m.icount in
         m.icount <- bulk - rb;
@@ -724,8 +392,14 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
         m.icount <- bulk;
         next e
   | Branch _ | Jump _ | Call _ | Ret | Halt ->
-      (* control instructions are compiled by the terminator pass *)
+      (* control instructions are compiled by [compile_step] *)
       assert false
+
+(* a conditional branch ends its block: the block's last segment
+   precedes the branch event *)
+let branch_event e pc taken =
+  if e.c_segs then flush e;
+  e.c_branch pc taken
 
 let compile_branch pc c r1 r2 target : cenv -> unit =
   let next_pc = pc + 1 in
@@ -734,38 +408,77 @@ let compile_branch pc c r1 r2 target : cenv -> unit =
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 = Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Ne ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 <> Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Lt ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 < Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Le ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 <= Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Gt ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 > Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Ge ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 >= Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
+
+(* A call-stack fault: the faulting instruction's segment is
+   delivered and the machine left at it before the error escapes. *)
+let stack_fault e pc msg =
+  if e.c_segs then flush e;
+  e.cm.pc <- pc;
+  raise (Stack_error (Printf.sprintf "%s at pc %d" msg pc))
+
+(* One instruction on its own, leaving [m.pc] at its successor: a
+   control instruction's unchained terminator, or a non-control one
+   with a "set pc" continuation.  Chains end in these, and fuel tails
+   step through them. *)
+let compile_step pc (i : Isa.instr) : cenv -> unit =
+  match i with
+  | Branch (c, r1, r2, target) -> compile_branch pc c r1 r2 target
+  | Jump target -> fun e -> e.cm.pc <- target
+  | Call target ->
+      let ret_pc = pc + 1 in
+      fun e ->
+        let m = e.cm in
+        if m.sp >= stack_depth then stack_fault e pc "call-stack overflow";
+        m.callstack.(m.sp) <- ret_pc;
+        m.sp <- m.sp + 1;
+        m.pc <- target
+  | Ret ->
+      fun e ->
+        let m = e.cm in
+        if m.sp <= 0 then stack_fault e pc "ret on empty stack";
+        m.sp <- m.sp - 1;
+        m.pc <- m.callstack.(m.sp)
+  | Halt ->
+      fun e ->
+        e.cm.pc <- pc;
+        e.c_halted <- true
+  | i ->
+      let succ = pc + 1 in
+      compile_straight pc i ~next:(fun e -> e.cm.pc <- succ) ~clen_next:0
+
+let unbuilt (_ : cenv) = assert false
 
 let compile (prog : Program.t) : compiled =
   let instrs = prog.instrs in
@@ -773,17 +486,15 @@ let compile (prog : Program.t) : compiled =
   let blocks = prog.blocks in
   let bb_of_pc = prog.bb_of_pc in
   let nblocks = Array.length blocks in
-  let unreachable (_ : cenv) = assert false in
   (* [code.(pc)]: closure for the in-chain continuation at [pc] — block
      leaders carry their hook prologue, body pcs do not, so a chain
      link into a leader fires the next block's events exactly like a
-     fresh [run_block] entry.  [entry_code.(pc)] is what the dispatcher
-     calls: the same closure for leaders, a partial-aggregate wrapper
-     for mid-block resume points.  Index [n] catches a program that
-     runs off the end (the interpreted tiers fault on the out-of-range
-     fetch; here it raises cleanly). *)
-  let code : (cenv -> unit) array = Array.make (n + 1) unreachable in
-  let entry_code : (cenv -> unit) array = Array.make (n + 1) unreachable in
+     fresh block entry.  [entry_code.(pc)] is what the dispatcher
+     calls: the same closure for leaders, a partial-span wrapper for
+     mid-block resume points.  Index [n] catches a program that runs
+     off the end. *)
+  let code : (cenv -> unit) array = Array.make (n + 1) unbuilt in
+  let entry_code : (cenv -> unit) array = Array.make (n + 1) unbuilt in
   let clen = Array.make (n + 1) 0 in
   let entry_blocks = Array.make (n + 1) 0 in
   (* dynamic block entries made by a chain entering block [b] *)
@@ -798,124 +509,79 @@ let compile (prog : Program.t) : compiled =
     let len = blk.Program.len in
     let term_pc = start + len - 1 in
     let chainable t = t > term_pc && t < n && len + clen.(t) <= max_chain_insns in
+    let link t =
+      clen.(term_pc) <- 1 + clen.(t);
+      blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(t))
+    in
     (match instrs.(term_pc) with
-    | Branch (c, r1, r2, target) ->
-        code.(term_pc) <- compile_branch term_pc c r1 r2 target;
-        clen.(term_pc) <- 1
-    | Jump target ->
-        if chainable target then begin
-          (* the jump's only effect is the pc change the chain link
-             makes implicit: compile it to the target's closure *)
-          code.(term_pc) <- code.(target);
-          clen.(term_pc) <- 1 + clen.(target);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(target))
-        end
-        else begin
-          code.(term_pc) <- (fun e -> e.cm.pc <- target);
-          clen.(term_pc) <- 1
-        end
-    | Call target ->
+    | Jump target when chainable target ->
+        (* the jump's only effect is the pc change the chain link
+           makes implicit: compile it to the target's closure *)
+        code.(term_pc) <- code.(target);
+        link target
+    | Call target when chainable target ->
         let ret_pc = term_pc + 1 in
-        if chainable target then begin
-          let tgt = code.(target) in
-          let rb = clen.(target) in
-          code.(term_pc) <-
-            (fun e ->
-              let m = e.cm in
-              if m.sp >= stack_depth then begin
-                m.icount <- m.icount - rb;
-                m.pc <- term_pc;
-                raise
-                  (Stack_error
-                     (Printf.sprintf "call-stack overflow at pc %d" term_pc))
-              end;
-              m.callstack.(m.sp) <- ret_pc;
-              m.sp <- m.sp + 1;
-              tgt e);
-          clen.(term_pc) <- 1 + clen.(target);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(target))
-        end
-        else begin
-          code.(term_pc) <-
-            (fun e ->
-              let m = e.cm in
-              if m.sp >= stack_depth then begin
-                m.pc <- term_pc;
-                raise
-                  (Stack_error
-                     (Printf.sprintf "call-stack overflow at pc %d" term_pc))
-              end;
-              m.callstack.(m.sp) <- ret_pc;
-              m.sp <- m.sp + 1;
-              m.pc <- target);
-          clen.(term_pc) <- 1
-        end
-    | Ret ->
+        let tgt = code.(target) in
+        let rb = clen.(target) in
         code.(term_pc) <-
           (fun e ->
             let m = e.cm in
-            if m.sp <= 0 then begin
-              m.pc <- term_pc;
-              raise
-                (Stack_error
-                   (Printf.sprintf "ret on empty stack at pc %d" term_pc))
+            if m.sp >= stack_depth then begin
+              m.icount <- m.icount - rb;
+              stack_fault e term_pc "call-stack overflow"
             end;
-            m.sp <- m.sp - 1;
-            m.pc <- m.callstack.(m.sp));
-        clen.(term_pc) <- 1
-    | Halt ->
-        code.(term_pc) <-
-          (fun e ->
-            e.cm.pc <- term_pc;
-            e.c_halted <- true);
-        clen.(term_pc) <- 1
-    | i ->
-        (* fallthrough terminator: a non-control instruction whose
-           successor is a leader (or the end of the program) *)
+            m.callstack.(m.sp) <- ret_pc;
+            m.sp <- m.sp + 1;
+            tgt e);
+        link target
+    | i when (not (Isa.is_control i)) && chainable (term_pc + 1) ->
+        (* fallthrough into the next leader *)
         let succ = term_pc + 1 in
-        if chainable succ then begin
-          code.(term_pc) <-
-            compile_straight term_pc i ~next:code.(succ) ~clen_next:clen.(succ);
-          clen.(term_pc) <- 1 + clen.(succ);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(succ))
-        end
-        else begin
-          code.(term_pc) <-
-            compile_straight term_pc i
-              ~next:(fun e -> e.cm.pc <- succ)
-              ~clen_next:0;
-          clen.(term_pc) <- 1
-        end);
+        code.(term_pc) <-
+          compile_straight term_pc i ~next:code.(succ) ~clen_next:clen.(succ);
+        link succ
+    | i ->
+        code.(term_pc) <- compile_step term_pc i;
+        clen.(term_pc) <- 1);
     for pc = term_pc - 1 downto start do
       code.(pc) <-
         compile_straight pc instrs.(pc) ~next:code.(pc + 1)
           ~clen_next:clen.(pc + 1);
       clen.(pc) <- 1 + clen.(pc + 1)
     done;
-    (* leader prologue: the block's events, then the straight body *)
-    let plain_start = code.(start) in
+    (* leader prologue: the previous segment, the block's events, then
+       the straight body *)
+    let body = code.(start) in
     code.(start) <-
       (fun e ->
         if e.c_hooked then begin
+          if e.c_segs then open_segment e start len;
           e.c_block b;
           e.c_span start len
         end;
-        plain_start e);
+        body e);
     entry_code.(start) <- code.(start);
     entry_blocks.(start) <- blocks_from.(b);
-    (* mid-block resume entries: a partial span, no [on_block] —
-       matching [run_block] resuming inside a block *)
+    (* mid-block resume entries: a partial span, no [on_block] *)
     for pc = start + 1 to term_pc do
       let npart = term_pc + 1 - pc in
       let body = code.(pc) in
       entry_code.(pc) <-
         (fun e ->
-          if e.c_hooked then e.c_span pc npart;
+          if e.c_hooked then begin
+            if e.c_segs then open_segment e pc npart;
+            e.c_span pc npart
+          end;
           body e);
       entry_blocks.(pc) <- blocks_from.(b)
     done
   done;
-  { entry_code; entry_len = clen; entry_blocks }
+  {
+    entry_code;
+    entry_len = clen;
+    entry_blocks;
+    steps = Array.make (n + 1) unbuilt;
+  }
 
 (* Per-domain cache of compiled programs, keyed by physical identity of
    the [Program.t].  Compilation is deterministic and self-contained,
@@ -952,8 +618,20 @@ let compiled_for (prog : Program.t) : compiled =
           cache := (prog, c) :: entries;
           c)
 
+(* the single-instruction closure at [pc], built on first use *)
+let step_at c (prog : Program.t) pc =
+  let s = Array.unsafe_get c.steps pc in
+  if s != unbuilt then s
+  else begin
+    let s = compile_step pc prog.instrs.(pc) in
+    c.steps.(pc) <- s;
+    s
+  end
+
 let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let c = compiled_for prog in
+  let segs = Hooks.has_block_mems hooks in
+  let cap = if segs then 2 * prog.max_block_len else 0 in
   let e =
     {
       cm = m;
@@ -963,8 +641,15 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       csyscall = syscall;
       c_block = hooks.Hooks.on_block;
       c_span = hooks.Hooks.on_block_span;
+      c_mems = hooks.Hooks.on_block_mems;
       c_branch = hooks.Hooks.on_branch;
       c_hooked = not (Hooks.is_nil hooks);
+      c_segs = segs;
+      offs = Array.make cap 0;
+      addrs = Array.make cap 0;
+      nrefs = 0;
+      seg_pc = 0;
+      seg_end = 0;
       c_halted = false;
     }
   in
@@ -973,7 +658,6 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let entry_blocks = c.entry_blocks in
   let remaining = ref fuel in
   let blocks = ref 0 in
-  let status = ref Out_of_fuel in
   let running = ref (fuel > 0) in
   while !running do
     let pc = m.pc in
@@ -983,66 +667,50 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       remaining := !remaining - len;
       blocks := !blocks + Array.unsafe_get entry_blocks pc;
       (Array.unsafe_get entry_code pc) e;
-      if e.c_halted then begin
-        status := Halted;
-        running := false
-      end
-      else if !remaining <= 0 then running := false
+      if e.c_halted || !remaining <= 0 then running := false
     end
     else begin
-      (* Not enough fuel for the whole chain: the block stepper (or
-         the plain tier when nothing is hooked) retires exactly
-         [remaining] instructions from here, landing the fuel boundary
-         on the same instruction with identical partial-block events
-         and machine state. *)
-      status :=
-        (if e.c_hooked then run_block ~hooks ~syscall ~fuel:!remaining prog m
-         else run_plain ~syscall ~fuel:!remaining prog m);
+      (* Not enough fuel for the whole chain: step its first
+         [remaining] instructions one block entry at a time, firing
+         the events of each (possibly truncated) entry as the chain's
+         prologues would. *)
+      while !remaining > 0 && not e.c_halted do
+        let pc0 = m.pc in
+        let bb = Array.unsafe_get prog.bb_of_pc pc0 in
+        let n = min (Array.unsafe_get prog.block_end bb - pc0) !remaining in
+        if e.c_hooked then begin
+          if e.c_segs then open_segment e pc0 n;
+          if Array.unsafe_get prog.is_leader pc0 then e.c_block bb;
+          e.c_span pc0 n;
+          incr blocks
+        end;
+        for pc = pc0 to pc0 + n - 1 do
+          let step = step_at c prog pc in
+          m.icount <- m.icount + 1;
+          step e
+        done;
+        remaining := !remaining - n
+      done;
       running := false
     end
   done;
-  (* [vm.blocks_stepped] counts only hooked runs, mirroring the other
-     tiers: nil-hook runs historically go through [run_plain] (which
-     never counts) and their fuel splits legitimately differ between
-     replay strategies (sequential scan vs capture-then-fan-out), so
-     counting them would break the metric's jobs-invariance.  Hooked
-     runs count exactly what [run_block] would for the same fuel. *)
+  if segs then flush e;
+  (* [vm.blocks_stepped] counts only hooked runs: nil-hook fuel splits
+     legitimately differ between replay strategies (sequential scan vs
+     capture-then-fan-out), so counting them would break the metric's
+     jobs-invariance *)
   if e.c_hooked then Sp_obs.Metrics.add M.blocks !blocks;
-  !status
+  if e.c_halted then Halted else Out_of_fuel
 [@@inline never]
 
-type engine = Auto | Interpreted
-
-(* Engine tiers, one counter each; under [Auto] the fastest tier the
-   hook set admits wins:
-   - nil, or no [on_block_mems] consumer
-                        -> [run_compiled]: one closure call per
-     instruction, chained per superblock, zero decode, block prologues
-     firing the aggregates
-   - a consumer         -> [run_block]: per-block dispatch, data
-     references delivered as one aggregate segment per block
-   [Interpreted] pins the run to the decoding loops for differential
-   testing and benchmarking: [run_plain] for nil hooks, [run_block] for
-   any other set.  A pin never changes what the hook set can observe:
-   all tiers retire identical instruction streams, fire equivalent
-   aggregates and leave identical machine state for any fuel split. *)
-let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
-    ?(fuel = max_int) (prog : Program.t) (m : machine) =
+(* One engine for every hook set: the run's counters around
+   [run_compiled]. *)
+let run ?(hooks = Hooks.nil) ?(syscall = default_syscall) ?(fuel = max_int)
+    (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
   let copies0 = Memory.page_copies m.mem in
-  let status =
-    match engine with
-    | Interpreted when Hooks.is_nil hooks ->
-        Sp_obs.Metrics.incr M.runs_plain;
-        run_plain ~syscall ~fuel prog m
-    | Auto when not (Hooks.has_block_mems hooks) ->
-        Sp_obs.Metrics.incr M.runs_compiled;
-        run_compiled ~hooks ~syscall ~fuel prog m
-    | Auto | Interpreted ->
-        Sp_obs.Metrics.incr M.runs_block;
-        run_block ~hooks ~syscall ~fuel prog m
-  in
+  let status = run_compiled ~hooks ~syscall ~fuel prog m in
   Sp_obs.Metrics.add M.instructions (m.icount - icount0);
   Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);
   Sp_obs.Metrics.add M.page_copies (Memory.page_copies m.mem - copies0);

@@ -26,18 +26,7 @@ val default_syscall : int -> int
 (** Deterministic syscall used when none is supplied: channel [n] returns
     a fixed hash of [n] — the "recorded input" of a default environment. *)
 
-type engine =
-  | Auto
-      (** fastest tier the hook set admits: the compiled-block tier for
-          nil sets and sets without an [on_block_mems] consumer, the
-          block stepper when a consumer is live. *)
-  | Interpreted
-      (** pin to the decoding loops — the per-instruction plain loop for
-          nil hooks, the block stepper for any other set — for
-          differential testing and benchmarking. *)
-
 val run :
-  ?engine:engine ->
   ?hooks:Hooks.t ->
   ?syscall:(int -> int) ->
   ?fuel:int ->
@@ -46,14 +35,12 @@ val run :
   status
 (** Execute until [Halt] or until [fuel] instructions have retired.
 
-    [engine] (default [Auto]) picks the engine tier.  The pin never
-    changes observable behaviour — every tier retires the same
-    instruction stream, fires equivalent hook aggregates and leaves
-    bit-identical machine state for any fuel split — only how fast it
-    happens.  Hook events are block-level (see {!Hooks.t}); a run in
-    fuel legs of one instruction delivers one single-instruction span
-    and segment per leg, which is how a caller observes the machine
-    between two retirements.
+    Every hook set runs on the same engine: basic blocks compiled once
+    per program into chained straight-line closures.  Hook events are
+    block-level (see {!Hooks.t}) and independent of the fuel split: a
+    run in fuel legs of one instruction delivers one single-instruction
+    span and segment per leg, which is how a caller observes the
+    machine between two retirements.
 
     Semantics notes: integer division/remainder by zero yields 0 (the
     machine never traps); shift counts are masked to 6 bits; call-stack

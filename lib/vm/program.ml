@@ -30,11 +30,11 @@ type t = {
   is_leader : bool array;
   blocks : block array;
   (* exclusive end pc per block id: [block_end.(bb) = start_pc + len].
-     Kept as a flat array so the block-stepping interpreter finds the
-     straight-line extent of the current block with one load. *)
+     Kept as a flat array so the interpreter's fuel tails and the span
+     tools find the straight-line extent of a block with one load. *)
   block_end : int array;
   (* longest straight-line block body, in instructions — sizes the
-     block stepper's reference buffers *)
+     interpreter's segment buffers *)
   max_block_len : int;
   entry : int;
   code_base : int;

@@ -41,10 +41,11 @@ type t = private {
   is_leader : bool array;   (** true at each block's first pc *)
   blocks : block array;
   block_end : int array;    (** exclusive end pc per block id, for the
-                                block-stepping interpreter *)
+                                interpreter's fuel tails and the span
+                                tools *)
   max_block_len : int;      (** longest straight-line block body, in
-                                instructions — sizes the block stepper's
-                                reference buffers *)
+                                instructions — sizes the interpreter's
+                                segment buffers *)
   entry : int;
   code_base : int;          (** byte address of pc 0, for i-fetch addresses *)
 }

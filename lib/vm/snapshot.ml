@@ -56,8 +56,8 @@ let write buf t =
   Binio.w_i64 buf t.icount;
   Memory.write buf t.mem
 
-(* The engines fetch unchecked at [pc] and at every return address they
-   pop, and push unchecked below [Interp.stack_depth]: a snapshot that
+(* The engine fetches unchecked at [pc] and at every return address it
+   pops, and pushes unchecked below [Interp.stack_depth]: a snapshot that
    resumes outside the program or with a short stack must not decode. *)
 let read ~code_len r =
   let open Sp_util in

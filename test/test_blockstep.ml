@@ -1,17 +1,21 @@
-(* Differential tests for the block-stepping execution engine.
+(* Differential tests for the execution engine's block-level events.
 
    A per-instruction reference interpreter lives in this file, written
    against the ISA documentation and independent of lib/vm/interp.ml
-   (its own memory model, its own leader/block computation).  Random
-   programs exercising every terminator kind — fallthrough, conditional
-   branch, jump, call, ret, halt — plus self-loops, mid-block syscalls
-   and slice boundaries that land mid-block are executed by the
-   reference and by the real engine tiers; icount, final machine state,
-   memory, hook traces, BBV slices and syscall observation points must
-   match bit-for-bit, for any fuel split.  The engines deliver events
-   block by block; expanding their [on_block_mems] segments one event
-   at a time must reproduce the reference's per-retirement trace, data
-   addresses and write bits in order. *)
+   (its own memory model, its own leader/block computation).  It is the
+   engine's reference: random programs exercising every terminator
+   kind — fallthrough, conditional branch, jump, call, ret, halt — plus
+   self-loops, mid-block syscalls and slice boundaries that land
+   mid-block are executed by the reference and by [Interp.run] in one
+   run and in fuel legs; icount, final machine state, memory, hook
+   traces, BBV slices and syscall observation points must match
+   bit-for-bit, for any fuel split.  The engine delivers events block
+   by block; expanding its [on_block_mems] segments one event at a time
+   must reproduce the reference's per-retirement trace, data addresses
+   and write bits in order, every segment must lie inside its block
+   entry's span, cut only after a [Sys], and a syscall handler must
+   find the segment consumer exactly caught up with the retirement
+   index. *)
 
 open Sp_isa
 open Sp_vm
@@ -279,20 +283,16 @@ let test_syscall n = ((n * 37) + 11) land 0xFF
 (* ------------------------------------------------------------------ *)
 (* Helpers over the real engines *)
 
-(* This suite targets the block-stepping tier, so every run is pinned
-   to [Interpreted] by default — under [Auto] the interpreter routes
-   hook sets without a segment consumer to the compiled tier (covered
-   by test_compiled.ml), which would silently drop [run_block] from
-   coverage.  [leg] splits the run into [Interp.run] calls of that
-   many instructions; legs of one deliver single-instruction spans and
-   segments. *)
-let run_legs ?(engine = Interp.Interpreted) ?(leg = max_int) ~hooks ~syscall
-    ~fuel p m =
+(* [fuel] instructions in [Interp.run] calls of [leg] instructions
+   each; legs of one deliver single-instruction spans and segments,
+   and every leg shorter than the chain at the machine's pc exercises
+   the engine's fuel-tail stepping. *)
+let run_legs ?(leg = max_int) ~hooks ~syscall ~fuel p m =
   let rec go left =
     if left <= 0 then R_fuel
     else
       let f = min leg left in
-      match Interp.run ~engine ~hooks ~syscall ~fuel:f p m with
+      match Interp.run ~hooks ~syscall ~fuel:f p m with
       | Interp.Halted -> R_halted
       | Interp.Out_of_fuel -> go (left - f)
   in
@@ -333,6 +333,37 @@ let retire_stream_of_events bb_of_pc events =
   List.filter_map
     (function E_instr (pc, _) -> Some bb_of_pc.(pc) | _ -> None)
     events
+
+(* the segments a block entry's span [pc0, n] must be delivered as: its
+   instructions, cut after each [Sys] *)
+let segments_of_span instrs (pc0, n) =
+  let stop = pc0 + n in
+  let rec go start pc acc =
+    if pc = stop then List.rev (if pc > start then (start, pc - start) :: acc else acc)
+    else
+      match instrs.(pc) with
+      | Isa.Sys _ -> go (pc + 1) (pc + 1) ((start, pc + 1 - start) :: acc)
+      | _ -> go start (pc + 1) acc
+  in
+  go pc0 pc0 []
+
+(* spans and segments in delivery order *)
+type delivery = D_span of (int * int) | D_seg of (int * int)
+
+(* every span is followed by exactly its own segments *)
+let segments_follow_spans instrs deliveries =
+  let rec go = function
+    | [] -> true
+    | D_seg _ :: _ -> false
+    | D_span s :: rest ->
+        let rec take acc = function
+          | D_seg g :: rest -> take (g :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let segs, rest = take [] rest in
+        segs = segments_of_span instrs s && go rest
+  in
+  go deliveries
 
 let write_addrs events =
   List.filter_map (function E_write a -> Some a | _ -> None) events
@@ -407,22 +438,36 @@ let prop_engines_agree =
         let ref_events = List.rev !ref_events in
         let ref_pcs = pc_stream_of_events ref_events in
         let ref_sys = List.rev !ref_sys in
-        (* block stepper with every aggregate live, in one run and in
-           fuel legs of one instruction: its segments, expanded one
-           event at a time, must be the reference's exact trace *)
+        (* every aggregate live, in one run and in fuel legs of one
+           instruction: the segments, expanded one event at a time,
+           must be the reference's exact trace; each span must be
+           followed by exactly its own segments; and at each syscall
+           the consumer must have received every instruction retired
+           so far, the syscall included *)
         let traced leg =
           let events = ref [] and spans = ref [] and sys = ref [] in
+          let deliveries = ref [] and delivered = ref 0 and sys_seen = ref [] in
           let m = Interp.create ~entry:0 () in
+          let base = event_hooks p (fun e -> events := e :: !events) in
           let hooks =
             {
-              (event_hooks p (fun e -> events := e :: !events)) with
-              Hooks.on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
+              base with
+              Hooks.on_block_span =
+                (fun pc0 n ->
+                  spans := (pc0, n) :: !spans;
+                  deliveries := D_span (pc0, n) :: !deliveries);
+              on_block_mems =
+                (fun pc0 n offs addrs nrefs ->
+                  base.Hooks.on_block_mems pc0 n offs addrs nrefs;
+                  delivered := !delivered + n;
+                  deliveries := D_seg (pc0, n) :: !deliveries);
             }
           in
           let out =
             run_legs ?leg ~hooks
               ~syscall:(fun n ->
                 sys := (n, m.Interp.icount) :: !sys;
+                sys_seen := (n, !delivered) :: !sys_seen;
                 test_syscall n)
               ~fuel:test_fuel p m
           in
@@ -430,9 +475,11 @@ let prop_engines_agree =
           && List.rev !events = ref_events
           && pcs_of_spans (List.rev !spans) = ref_pcs
           && List.rev !sys = ref_sys
+          && List.rev !sys_seen = ref_sys
+          && segments_follow_spans instrs (List.rev !deliveries)
           && state_matches st m ref_events
         in
-        (* block-stepping engine without a segment consumer *)
+        (* the engine without a segment consumer *)
         let b_blocks = ref [] in
         let b_spans = ref [] in
         let b_branches = ref [] in
@@ -499,9 +546,7 @@ let prop_fuel_split =
            while !left > 0 && !outcome = R_fuel do
              let f = min chunk !left in
              left := !left - f;
-             match
-               Interp.run ~engine:Interp.Interpreted ~hooks ~syscall ~fuel:f p m
-             with
+             match Interp.run ~hooks ~syscall ~fuel:f p m with
              | Interp.Halted -> outcome := R_halted
              | Interp.Out_of_fuel -> ()
            done
@@ -527,10 +572,7 @@ let prop_fuel_split =
         in
         let outcome =
           try
-            match
-              Interp.run ~engine:Interp.Interpreted ~hooks ~syscall
-                ~fuel:test_fuel p m
-            with
+            match Interp.run ~hooks ~syscall ~fuel:test_fuel p m with
             | Interp.Halted -> R_halted
             | Interp.Out_of_fuel -> R_fuel
           with Interp.Stack_error msg -> R_stack msg
@@ -547,7 +589,7 @@ let prop_fuel_split =
       && mc.Interp.icount = m1.Interp.icount)
 
 (* ------------------------------------------------------------------ *)
-(* BBV slices: block-stepped delivery, in one run and in fuel legs of
+(* BBV slices: block-level delivery, in one run and in fuel legs of
    one instruction, vs a reference slicer over the per-retirement
    stream *)
 

@@ -1,21 +1,21 @@
-(* Differential tests for the compiled-block execution engine.
+(* Differential tests for the compiled execution engine.
 
-   The compiled tier pre-compiles every basic block into a straight-line
+   The engine pre-compiles every basic block into a straight-line
    closure and chains superblocks across unconditional terminators; its
    contract is bit-identical observable behaviour to the independent
-   reference and to block-stepping — same machine state, same icount,
-   same hook traces and syscall observation points — for any fuel split,
-   including handlers that raise out of the run.  This suite reuses the
-   independent reference interpreter and program generator from
-   {!Test_blockstep} and adds the compiled engine (and the combined
-   single-pass profiler built on [on_block_span]) to the differential. *)
+   reference — same machine state, same icount, same hook traces and
+   syscall observation points — for any fuel split and whether or not
+   a segment consumer is attached, including handlers that raise out of
+   the run.  This suite reuses the independent reference interpreter
+   and program generator from {!Test_blockstep} and adds the combined
+   single-pass profiler built on [on_block_span] to the differential. *)
 
 open Sp_isa
 open Sp_vm
 open Sp_pin
 module B = Test_blockstep
 
-(* one run on a chosen engine with the full block-level hook set *)
+(* one run with the span, block and branch hooks (plus [extra]) *)
 type obs = {
   o_out : B.ref_outcome;
   o_blocks : int list;
@@ -27,7 +27,7 @@ type obs = {
 
 (* [leg] splits the run into [Interp.run] calls of that many
    instructions *)
-let observe ~engine ?(extra = Hooks.nil) ?(leg = max_int) ~fuel p =
+let observe ?(extra = Hooks.nil) ?(leg = max_int) ~fuel p =
   let blocks = ref [] in
   let spans = ref [] in
   let branches = ref [] in
@@ -49,7 +49,7 @@ let observe ~engine ?(extra = Hooks.nil) ?(leg = max_int) ~fuel p =
     sys := (n, m.Interp.icount) :: !sys;
     B.test_syscall n
   in
-  let o_out = B.run_legs ~engine ~leg ~hooks ~syscall ~fuel p m in
+  let o_out = B.run_legs ~leg ~hooks ~syscall ~fuel p m in
   {
     o_out;
     o_blocks = List.rev !blocks;
@@ -74,10 +74,12 @@ let snapshot_bytes m =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Compiled engine vs the reference interpreter and the other tiers *)
+(* Compiled engine vs the reference interpreter *)
 
-(* a live segment consumer: the block stepper under either engine *)
+(* a live segment consumer: the engine collects and delivers segments *)
 let mems_consumer = { Hooks.nil with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) }
+
+let span_only = { Hooks.nil with Hooks.on_block_span = (fun _ _ -> ()) }
 
 let prop_compiled_agrees =
   QCheck.Test.make ~name:"compiled engine agrees with reference" ~count:400
@@ -117,30 +119,24 @@ let prop_compiled_agrees =
         && o.o_sys = ref_sys
         && B.state_matches st o.o_m ref_events
       in
-      let oc = observe ~engine:Interp.Auto ~fuel:B.test_fuel p in
-      let ob = observe ~engine:Interp.Interpreted ~fuel:B.test_fuel p in
-      (* same hook set with a segment consumer, which puts [Auto] on
-         the block stepper, in fuel legs of one instruction *)
-      let oi =
-        observe ~engine:Interp.Auto ~extra:mems_consumer ~leg:1
-          ~fuel:B.test_fuel p
-      in
-      (* hooks-free compiled run: outcome and final state only *)
+      let oc = observe ~fuel:B.test_fuel p in
+      (* same hook set with a segment consumer, in one run and in fuel
+         legs of one instruction *)
+      let ob = observe ~extra:mems_consumer ~fuel:B.test_fuel p in
+      let oi = observe ~extra:mems_consumer ~leg:1 ~fuel:B.test_fuel p in
+      (* hooks-free run: outcome and final state only *)
       let m0 = Interp.create ~entry:0 () in
       let out0 =
         try
-          match
-            Interp.run ~engine:Interp.Auto ~syscall:B.test_syscall
-              ~fuel:B.test_fuel p m0
-          with
+          match Interp.run ~syscall:B.test_syscall ~fuel:B.test_fuel p m0 with
           | Interp.Halted -> B.R_halted
           | Interp.Out_of_fuel -> B.R_fuel
         with Interp.Stack_error msg -> B.R_stack msg
       in
       agrees oc && agrees ob && agrees oi
-      (* block tiers deliver at most one span per block entry, and one
-         per retirement in legs of one — never more spans than
-         retirements, and at least one per block entry *)
+      (* at most one span per block entry, and one per retirement in
+         legs of one — never more spans than retirements, and at least
+         one per block entry *)
       && List.length oc.o_spans <= List.length ref_pcs
       && List.length oc.o_spans >= List.length ref_blocks
       && List.length oi.o_spans = List.length ref_pcs
@@ -149,25 +145,30 @@ let prop_compiled_agrees =
 
 (* ------------------------------------------------------------------ *)
 (* Fuel splits: resuming the compiled engine in arbitrary chunks is
-   bit-identical to one uninterrupted run and to block-stepping; chunk
-   sizes range past typical superblock lengths so chains execute *)
+   bit-identical to one uninterrupted run, with and without a segment
+   consumer; chunk sizes range past typical superblock lengths so both
+   chains and fuel tails execute *)
 
 let prop_compiled_fuel_split =
   QCheck.Test.make ~name:"compiled engine is fuel-split invariant" ~count:300
     (QCheck.make QCheck.Gen.(pair B.prog_gen (int_range 1 80)))
     (fun (instrs, chunk) ->
       let p = Program.of_instrs instrs in
-      let chunked engine =
+      let chunked extra =
         let blocks = ref [] in
         let spans = ref [] in
         let sys = ref [] in
         let m = Interp.create ~entry:0 () in
         let hooks =
-          {
-            Hooks.nil with
-            Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
-            on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
-          }
+          Hooks.seq_all
+            [
+              {
+                Hooks.nil with
+                Hooks.on_block = (fun bb -> blocks := bb :: !blocks);
+                on_block_span = (fun pc0 n -> spans := (pc0, n) :: !spans);
+              };
+              extra;
+            ]
         in
         let syscall n =
           sys := (n, m.Interp.icount) :: !sys;
@@ -179,7 +180,7 @@ let prop_compiled_fuel_split =
            while !left > 0 && !outcome = B.R_fuel do
              let f = min chunk !left in
              left := !left - f;
-             match Interp.run ~engine ~hooks ~syscall ~fuel:f p m with
+             match Interp.run ~hooks ~syscall ~fuel:f p m with
              | Interp.Halted -> outcome := B.R_halted
              | Interp.Out_of_fuel -> ()
            done
@@ -190,7 +191,7 @@ let prop_compiled_fuel_split =
           List.rev !sys,
           m )
       in
-      let oc = observe ~engine:Interp.Auto ~fuel:B.test_fuel p in
+      let oc = observe ~fuel:B.test_fuel p in
       let check (out, blocks, pcs, sys, m) =
         out = oc.o_out && blocks = oc.o_blocks
         && pcs = B.pcs_of_spans oc.o_spans
@@ -198,13 +199,14 @@ let prop_compiled_fuel_split =
         && machines_match m oc.o_m
         && snapshot_bytes m = snapshot_bytes oc.o_m
       in
-      check (chunked Interp.Auto) && check (chunked Interp.Interpreted))
+      check (chunked Hooks.nil) && check (chunked mems_consumer))
 
 (* ------------------------------------------------------------------ *)
-(* Syscall handlers that raise: the exception must escape every tier at
-   the same observation point, with the machine showing the exact pc and
-   retirement index of the faulting [Sys] (chained bulk icount rolled
-   back), so pinball logging is tier-independent *)
+(* Syscall handlers that raise: the exception must escape at the
+   reference's observation point, with the machine showing the exact pc
+   and retirement index of the faulting [Sys] (chained bulk icount
+   rolled back), so pinball logging sees the same index whatever the
+   hook set — nil, span-only or with a segment consumer *)
 
 exception Boom
 
@@ -214,35 +216,52 @@ let prop_syscall_raise =
     (QCheck.make QCheck.Gen.(pair B.prog_gen (int_range 1 4)))
     (fun (instrs, fatal) ->
       let p = Program.of_instrs instrs in
-      let run ?(hooks = Hooks.nil) engine =
+      (* records (n, icount, pc) at each call; the [fatal]-th raises *)
+      let handler observe =
         let sys = ref [] in
         let calls = ref 0 in
-        let m = Interp.create ~entry:0 () in
         let syscall n =
           incr calls;
-          sys := (n, m.Interp.icount, m.Interp.pc) :: !sys;
+          let icount, pc = observe () in
+          sys := (n, icount, pc) :: !sys;
           if !calls = fatal then raise Boom;
           B.test_syscall n
         in
+        (sys, syscall)
+      in
+      let st = B.ref_create 0 in
+      let ref_sys, syscall = handler (fun () -> (st.B.r_icount, st.B.r_pc)) in
+      let ref_events = ref [] in
+      let ref_out =
+        try
+          match
+            B.ref_run
+              ~record:(fun e -> ref_events := e :: !ref_events)
+              ~syscall ~fuel:B.test_fuel instrs st
+          with
+          | B.R_halted -> `Halted
+          | B.R_fuel -> `Fuel
+          | B.R_stack _ -> `Stack
+        with Boom -> `Boom
+      in
+      let agrees hooks =
+        let m = Interp.create ~entry:0 () in
+        let sys, syscall =
+          handler (fun () -> (m.Interp.icount, m.Interp.pc))
+        in
         let out =
           try
-            match
-              Interp.run ~engine ~hooks ~syscall ~fuel:B.test_fuel p m
-            with
+            match Interp.run ~hooks ~syscall ~fuel:B.test_fuel p m with
             | Interp.Halted -> `Halted
             | Interp.Out_of_fuel -> `Fuel
           with
           | Boom -> `Boom
           | Interp.Stack_error _ -> `Stack
         in
-        (out, List.rev !sys, m)
+        out = ref_out && !sys = !ref_sys
+        && B.state_matches st m (List.rev !ref_events)
       in
-      let out_c, sys_c, m_c = run Interp.Auto in
-      let out_b, sys_b, m_b = run ~hooks:mems_consumer Interp.Interpreted in
-      let out_r, sys_r, m_r = run Interp.Interpreted in
-      out_c = out_b && out_c = out_r && sys_c = sys_b && sys_c = sys_r
-      && machines_match m_c m_b
-      && machines_match m_c m_r)
+      agrees Hooks.nil && agrees span_only && agrees mems_consumer)
 
 (* ------------------------------------------------------------------ *)
 (* The combined single-pass profiler: one compiled replay must produce
@@ -255,26 +274,25 @@ let prop_profile_combined =
     (QCheck.make QCheck.Gen.(pair B.prog_gen (int_range 3 9)))
     (fun (instrs, slice_len) ->
       let p = Program.of_instrs instrs in
-      let replay ~engine hooks =
+      let replay hooks =
         let m = Interp.create ~entry:0 () in
         try
           ignore
-            (Interp.run ~engine ~hooks ~syscall:B.test_syscall
-               ~fuel:B.test_fuel p m)
+            (Interp.run ~hooks ~syscall:B.test_syscall ~fuel:B.test_fuel p m)
         with Interp.Stack_error _ -> ()
       in
-      (* one combined replay on the compiled tier *)
+      (* one combined replay *)
       let prof = Profile_tool.create ~slice_len p in
-      replay ~engine:Interp.Auto (Profile_tool.hooks prof);
+      replay (Profile_tool.hooks prof);
       Profile_tool.finish prof;
-      (* three dedicated replays, each on its natural tier *)
+      (* three dedicated replays *)
       let bbv = Bbv_tool.create ~slice_len p in
-      replay ~engine:Interp.Interpreted (Bbv_tool.hooks bbv);
+      replay (Bbv_tool.hooks bbv);
       Bbv_tool.finish bbv;
       let mixt = Ldstmix.create p in
-      replay ~engine:Interp.Interpreted (Ldstmix.hooks mixt);
+      replay (Ldstmix.hooks mixt);
       let ins = Inscount.create p in
-      replay ~engine:Interp.Interpreted (Inscount.hooks ins);
+      replay (Inscount.hooks ins);
       let mix_bits (x : Mix.t) =
         ( Int64.bits_of_float x.Mix.no_mem,
           Int64.bits_of_float x.Mix.mem_r,
@@ -282,7 +300,7 @@ let prop_profile_combined =
           Int64.bits_of_float x.Mix.mem_rw )
       in
       let kinds = List.init Isa.num_kinds Isa.kind_of_code in
-      (* no segment consumer: the combined replay stays compiled *)
+      (* spans alone: the combined replay collects no segments *)
       (not (Hooks.has_block_mems (Profile_tool.hooks prof)))
       && Array.length (Profile_tool.slices prof)
          = Array.length (Bbv_tool.slices bbv)
@@ -316,7 +334,7 @@ let test_cache_reuse_and_eviction () =
     Array.iteri
       (fun i p ->
         let m = Interp.create ~entry:p.Program.entry () in
-        (match Interp.run ~engine:Interp.Auto p m with
+        (match Interp.run p m with
         | Interp.Halted -> ()
         | Interp.Out_of_fuel -> Alcotest.fail "unexpected out-of-fuel");
         Alcotest.(check int)

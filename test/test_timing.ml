@@ -5,17 +5,15 @@
    [on_block_mems] segments, branch outcomes — with per-segment
    batching and same-line repeat filters; [Ref_interval_core] walks
    each segment one event at a time.  Random memory-heavy programs (the
-   fused cache suite's generator) run under the library core on the
-   block stepper, under the same core in fuel legs of one instruction
+   fused cache suite's generator) run under the library core in whole
+   chunks, under the same core in fuel legs of one instruction
    (single-instruction segments), and under the per-event reference.
    Fuel splits land mid-block, warming flips and state resets happen at
    fuel boundaries, syscall handlers raise and recursion overflows the
    call stack; every [stats] field must match, floats to the bit.
 
-   The rest pins the engine tier each kind of hook set selects under
-   each engine, the tier the pipeline's tool sets select, and the
-   [Ldstmix] span counter against the reference interpreter's events on
-   every engine. *)
+   The rest pins the [Ldstmix] span counter against the reference
+   interpreter's events, in whole chunks and in fuel legs of one. *)
 
 open Sp_isa
 open Sp_vm
@@ -166,7 +164,10 @@ let prop_block_matches_per_event =
 
 (* Unbounded recursion through a memory-heavy body: every tier must
    raise the overflow with the core one instruction ahead of the
-   machine (the faulting [Call] counted) and identical statistics *)
+   machine (the faulting [Call] counted) and identical statistics.  The
+   recursion is a call back to the body's start, or a forward call
+   into a body that jumps back to it, which the engine chains, so the
+   overflow fires inside a chain *)
 let straight_gen =
   QCheck.Gen.(
     let reg = 0 -- 7 in
@@ -184,11 +185,15 @@ let prop_stack_overflow =
     ~count:40
     (QCheck.make
        QCheck.Gen.(
-         triple
+         quad
            (list_size (int_range 1 8) straight_gen)
-           (int_range 0 3) (int_range 1 997)))
-    (fun (body, cfg, chunk) ->
-      let instrs = Array.of_list (body @ [ Isa.Call 0 ]) in
+           (int_range 0 3) (int_range 1 997) bool))
+    (fun (body, cfg, chunk, forward) ->
+      let instrs =
+        Array.of_list
+          (if forward then (Isa.Call 2 :: Isa.Halt :: body) @ [ Isa.Jump 0 ]
+           else body @ [ Isa.Call 0 ])
+      in
       (* well past the interpreter's 4096-deep call stack *)
       let fuel = Array.length instrs * 5000 in
       let run tier =
@@ -285,95 +290,8 @@ let test_reset_clears_filters () =
      ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection: every hook set lands on exactly one of the three
-   tiers under each engine (the DESIGN §5d table), and the pipeline's
-   tool sets, each with a segment consumer, land on the block stepper *)
-
-let counter name =
-  Option.value ~default:0.0
-    (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ()) name)
-
-let tier_names = [ "vm.runs.compiled"; "vm.runs.block"; "vm.runs.plain" ]
-
-let runs_delta f =
-  let before = List.map counter tier_names in
-  f ();
-  List.map2 (fun n b -> (n, int_of_float (counter n -. b))) tier_names before
-
-let check_lands name expected f =
-  Alcotest.(check (list (pair string int)))
-    (name ^ " lands on " ^ expected)
-    (List.map (fun n -> (n, if n = expected then 1 else 0)) tier_names)
-    (runs_delta f)
-
-let test_tier_map () =
-  let p =
-    Program.of_instrs
-      [| Isa.Li (1, 64); Isa.Load (2, 1, 0); Isa.Store (2, 1, 8); Isa.Halt |]
-  in
-  let span = { Hooks.nil with Hooks.on_block_span = (fun _ _ -> ()) } in
-  let branch = { Hooks.nil with Hooks.on_branch = (fun _ _ -> ()) } in
-  let mems = { span with Hooks.on_block_mems = (fun _ _ _ _ _ -> ()) } in
-  List.iter
-    (fun (name, hooks, by_engine) ->
-      List.iter2
-        (fun engine expected ->
-          check_lands name expected (fun () ->
-              ignore (Interp.run ~engine ~hooks p (Interp.create ~entry:0 ()))))
-        [ Interp.Auto; Interp.Interpreted ]
-        by_engine)
-    [
-      ("nil", Hooks.nil, [ "vm.runs.compiled"; "vm.runs.plain" ]);
-      ("spans", span, [ "vm.runs.compiled"; "vm.runs.block" ]);
-      ("branches", branch, [ "vm.runs.compiled"; "vm.runs.block" ]);
-      ("spans + mems", mems, [ "vm.runs.block"; "vm.runs.block" ]);
-    ]
-
-let test_pipeline_tool_sets_block_level () =
-  let spec = Sp_workloads.Suite.find "557.xz_r" in
-  let built = Sp_workloads.Benchspec.build ~slices_scale:0.05 spec in
-  let prog = built.Sp_workloads.Benchspec.program in
-  let profile () = Profile_tool.hooks (Profile_tool.create ~slice_len:100 prog) in
-  let ldst () = Ldstmix.hooks (Ldstmix.create prog) in
-  let cache () = Allcache_tool.hooks (Allcache_tool.create prog) in
-  let core () = Interval_core.hooks (Interval_core.create prog) in
-  List.iter
-    (fun (name, tools) ->
-      let hooks = Hooks.seq_all tools in
-      check_lands name "vm.runs.block" (fun () ->
-          ignore
-            (Interp.run ~hooks ~fuel:10_000 prog
-               (Interp.create ~entry:prog.Program.entry ()))))
-    [
-      ("log+profile", [ profile (); cache (); core () ]);
-      ("cold replay", [ ldst (); cache (); core () ]);
-      ("warm prefix", [ cache (); core () ]);
-      ("warm region", [ ldst (); cache (); core () ]);
-      ("native", [ core () ]);
-    ];
-  (* and end to end: a whole pipeline run fast-forwards on the compiled
-     tier, replays on the block stepper and never pins the plain loop *)
-  let options =
-    {
-      Specrepro.Pipeline.default_options with
-      slices_scale = 0.05;
-      collect_variance = false;
-      progress = false;
-    }
-  in
-  let delta =
-    runs_delta (fun () ->
-        ignore (Specrepro.Pipeline.run_benchmark ~options spec);
-        ignore (Sp_perf.Native.run built.Sp_workloads.Benchspec.program))
-  in
-  Alcotest.(check bool) "compiled runs" true
-    (List.assoc "vm.runs.compiled" delta > 0);
-  Alcotest.(check bool) "block runs" true (List.assoc "vm.runs.block" delta > 0);
-  Alcotest.(check int) "plain runs" 0 (List.assoc "vm.runs.plain" delta)
-
-(* ------------------------------------------------------------------ *)
 (* Ldstmix: the span counter against the reference interpreter's
-   per-retirement kinds, on both engines and in fuel legs of one *)
+   per-retirement kinds, in random fuel legs and in legs of one *)
 
 let prop_ldstmix_engines =
   QCheck.Test.make ~name:"ldstmix span counts agree on every engine"
@@ -381,10 +299,10 @@ let prop_ldstmix_engines =
     (QCheck.make QCheck.Gen.(pair F.mem_prog_gen (int_range 1 17)))
     (fun (instrs, chunk) ->
       let p = Program.of_instrs instrs in
-      let run hooks engine leg =
+      let run hooks leg =
         ignore
-          (B.run_legs ~engine ~leg ~hooks ~syscall:F.test_syscall
-             ~fuel:F.test_fuel p (Interp.create ~entry:0 ()))
+          (B.run_legs ~leg ~hooks ~syscall:F.test_syscall ~fuel:F.test_fuel p
+             (Interp.create ~entry:0 ()))
       in
       let reference = Array.make 4 0 in
       ignore
@@ -396,14 +314,14 @@ let prop_ldstmix_engines =
              | _ -> ())
            ~syscall:F.test_syscall ~fuel:F.test_fuel instrs (B.ref_create 0));
       List.for_all
-        (fun (engine, chunk) ->
+        (fun leg ->
           let t = Ldstmix.create p in
-          run (Ldstmix.hooks t) engine chunk;
+          run (Ldstmix.hooks t) leg;
           List.for_all
             (fun cls ->
               Ldstmix.count t cls = reference.(Isa.mem_class_code cls))
             Isa.all_mem_classes)
-        [ (Interp.Interpreted, chunk); (Interp.Auto, chunk); (Interp.Auto, 1) ])
+        [ chunk; 1 ])
 
 let suite =
   [
@@ -413,8 +331,5 @@ let suite =
     Alcotest.test_case "straight-line cycles" `Quick test_straightline_cycles;
     Alcotest.test_case "reset clears the repeat filters" `Quick
       test_reset_clears_filters;
-    Alcotest.test_case "engine tier map" `Quick test_tier_map;
-    Alcotest.test_case "pipeline tool sets are block-level" `Quick
-      test_pipeline_tool_sets_block_level;
     QCheck_alcotest.to_alcotest prop_ldstmix_engines;
   ]

@@ -3,8 +3,8 @@
    [Inorder_core], [Reuse.hooks_of], [Roi_tool], [Inscount] and the
    [rate] experiment's [Shared_hierarchy.hooks] read block-level
    aggregates: spans and [on_block_mems] segments.  On the fused cache
-   suite's random memory-heavy programs, each runs on the block stepper
-   in random fuel legs and must equal a per-event form of itself fed
+   suite's random memory-heavy programs, each runs on the engine in
+   random fuel legs and must equal a per-event form of itself fed
    one event at a time from [Test_blockstep]'s independent reference
    interpreter, run in the same legs:
    - the in-order core's instructions, and cycles by bits, with warming

@@ -375,8 +375,8 @@ let test_hooks_nil_detection () =
     (Hooks.is_nil (Hooks.seq_all [ Hooks.nil; live ]))
 
 let test_interp_fast_path_equivalent () =
-  (* the uninstrumented fast path must leave the machine in exactly the
-     state the hooked loop does *)
+  (* a nil-hook run must leave the machine in exactly the state a run
+     collecting segments does *)
   let p =
     Program.of_instrs
       [|
@@ -395,7 +395,7 @@ let test_interp_fast_path_equivalent () =
     let status = Interp.run ~hooks ~fuel:350 p m in
     (status, m.Interp.pc, m.Interp.icount, Array.copy m.Interp.regs)
   in
-  (* a segment consumer puts the hooked run on the block stepper *)
+  (* a segment consumer makes the run collect data references *)
   let counting = { Hooks.nil with on_block_mems = (fun _ _ _ _ _ -> ()) } in
   let s1, pc1, ic1, regs1 = run Hooks.nil in
   let s2, pc2, ic2, regs2 = run counting in

@@ -21,7 +21,7 @@ type 'a lookup = 'a Entry_cache.lookup =
   | Miss
   | Quarantined of { path : string; reason : string }
 
-(* A decoded whole pinball is shared as is: its snapshot is frozen, so
+(* A decoded whole pinball is shared as is: a restore only reads it, so
    handing the same value to concurrent restorers is safe. *)
 let load_whole path =
   match Store.load path with

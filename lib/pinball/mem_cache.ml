@@ -1,8 +1,8 @@
 (* In-memory LRU over *decoded* artifacts, in front of the on-disk
    content-addressed caches.  A daemon serving repeat benchmarks skips
-   the disk read, CRC sweep and decode entirely on the hot path; COW
-   snapshots make handing one decoded pinball to many concurrent jobs
-   safe (each restore is an O(pages) copy-on-write view).
+   the disk read, CRC sweep and decode entirely on the hot path, and
+   one decoded pinball can go to many concurrent jobs (each restore
+   copies the image and only reads the shared value).
 
    One byte budget is shared by every member cache (whole pinballs and
    profile entries live in the same pool), so [--mem-cache-mb] means
@@ -16,8 +16,8 @@
 
    Domain safety: every operation takes the pool mutex.  Cached values
    are returned without copying, so they must never be mutated by
-   consumers — pinball snapshots are frozen at decode time, which makes
-   [Snapshot.restore] from several domains at once read-only. *)
+   consumers; [Snapshot.restore] only reads a cached pinball (it copies
+   the image), so several domains may restore one at once. *)
 
 module M = struct
   let hits = Sp_obs.Metrics.counter "pbcache.mem_hits"

@@ -7,9 +7,9 @@
     least-recently-used across the whole pool.
 
     Every operation is domain-safe (one pool mutex).  Values come back
-    uncopied, so consumers must treat them as immutable — decoded
-    pinball snapshots are frozen, making concurrent
-    [Snapshot.restore]s of a cached pinball read-only.
+    uncopied, so consumers must treat them as immutable;
+    [Snapshot.restore] copies a cached pinball's image and only reads
+    the value, so concurrent restores of one pinball are safe.
 
     Counters: [pbcache.mem_hits] (stable across job counts) and
     [pbcache.mem_evictions] (unstable: eviction order under a

@@ -35,12 +35,6 @@ type output = {
   diagnostics : (string * float) list;
 }
 
-module type S = sig
-  val kind : kind
-
-  val run : input -> output
-end
-
 let point_of_slice inp ~cluster ~weight i =
   let s = inp.slices.(i) in
   {
@@ -378,23 +372,6 @@ module Rss_impl = struct
     }
 end
 
-(* -- registry ------------------------------------------------------- *)
-
-let registry : (kind, (module S)) Hashtbl.t = Hashtbl.create 8
-
-let register (module I : S) = Hashtbl.replace registry I.kind (module I : S)
-
-let implementation k =
-  match Hashtbl.find_opt registry k with
-  | Some i -> i
-  | None -> invalid_arg ("Sampler.implementation: " ^ name k)
-
-let () =
-  register (module Simpoint_impl);
-  register (module Systematic_impl);
-  register (module Stratified_impl);
-  register (module Rss_impl)
-
 let select ?(config = Simpoints.default_config) ?budget ?fits k ~slice_len
     slices =
   let n = Array.length slices in
@@ -412,5 +389,11 @@ let select ?(config = Simpoints.default_config) ?budget ?fits k ~slice_len
         float_of_int s.Sp_pin.Bbv_tool.length /. float_of_int (max 1 total))
       slices
   in
-  let (module I : S) = implementation k in
-  I.run { slices; fits; slice_weights; slice_len; budget; config }
+  let run =
+    match k with
+    | Simpoint -> Simpoint_impl.run
+    | Systematic -> Systematic_impl.run
+    | Stratified -> Stratified_impl.run
+    | Rss -> Rss_impl.run
+  in
+  run { slices; fits; slice_weights; slice_len; budget; config }

@@ -12,10 +12,9 @@
     points plus method-specific diagnostics, and everything downstream
     of select (replay, warm replay, aggregation) is sampler-agnostic.
 
-    All four built-in implementations are registered at module-load
-    time; {!register} lets out-of-tree methodologies join the same
-    registry.  Every implementation is deterministic in (input, seed)
-    and bit-identical for every [jobs] value. *)
+    {!select} dispatches on the closed {!kind}, one implementation per
+    constructor.  Every implementation is deterministic in (input,
+    seed) and bit-identical for every [jobs] value. *)
 
 type kind =
   | Simpoint  (** k-means phase clustering with BIC-guided k (the default) *)
@@ -30,7 +29,7 @@ type kind =
           draw is repeated to attach an empirical variance estimate *)
 
 val all_kinds : kind list
-(** The four built-in samplers, in registration order. *)
+(** The four samplers, in the order reports list them. *)
 
 val name : kind -> string
 (** CLI name: ["simpoint"], ["systematic"], ["stratified"], ["rss"]. *)
@@ -72,18 +71,6 @@ type output = {
           repeated-subsampling variance, ...) in a fixed order *)
 }
 
-module type S = sig
-  val kind : kind
-  val run : input -> output
-end
-
-val register : (module S) -> unit
-(** Register (or replace) the implementation for a kind. *)
-
-val implementation : kind -> (module S)
-(** Look up the registered implementation.
-    @raise Invalid_argument if none is registered. *)
-
 val select :
   ?config:Simpoints.config ->
   ?budget:int ->
@@ -93,7 +80,7 @@ val select :
   Sp_pin.Bbv_tool.slice array ->
   output
 (** Project the slices once ({!Projection.project} under [config]) and
-    run the registered implementation for [kind].  [fits] supplies the
+    run the implementation for [kind].  [fits] supplies the
     projection and k-means memo instead (checked as
     {!Simpoints.resolve_fits} does); the [Simpoint] path fills its
     memo, so a later {!Variance.sweep} given the same [fits] reuses

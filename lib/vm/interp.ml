@@ -31,13 +31,11 @@ let create ?mem ~entry () =
 let default_syscall n = Sp_util.Rng.hash_string (string_of_int n) land 0xFFFF
 
 (* Execution metrics, flushed once per [run] so the hot loops stay
-   untouched.  Instruction, block-entry, TLB-refill and copy-on-write
-   page-copy totals are pure functions of the retired work and are
-   registered stable. *)
+   untouched.  Instruction, block-entry and TLB-refill totals are pure
+   functions of the retired work and are registered stable. *)
 module M = struct
   let instructions = Sp_obs.Metrics.counter "vm.instructions"
   let tlb_refills = Sp_obs.Metrics.counter "vm.tlb_refills"
-  let page_copies = Sp_obs.Metrics.counter "vm.page_copies"
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
 end
 
@@ -116,6 +114,7 @@ type cenv = {
   mutable seg_pc : int;
   mutable seg_end : int;
   mutable c_halted : bool;
+  mutable entered : int;  (* block entries of a hooked run, for [M.blocks] *)
 }
 
 type compiled = {
@@ -123,8 +122,6 @@ type compiled = {
       (* per pc: closure executing from pc to the end of its chain *)
   entry_len : int array;
       (* instructions the chain from pc retires (all-or-nothing) *)
-  entry_blocks : int array;
-      (* block entries the chain from pc makes, for [M.blocks] *)
   steps : (cenv -> unit) array;
       (* per pc: the single-instruction closure fuel tails step
          through, built on a tail's first visit *)
@@ -484,7 +481,6 @@ let compile (prog : Program.t) : compiled =
   let instrs = prog.instrs in
   let n = Array.length instrs in
   let blocks = prog.blocks in
-  let bb_of_pc = prog.bb_of_pc in
   let nblocks = Array.length blocks in
   (* [code.(pc)]: closure for the in-chain continuation at [pc] — block
      leaders carry their hook prologue, body pcs do not, so a chain
@@ -496,9 +492,6 @@ let compile (prog : Program.t) : compiled =
   let code : (cenv -> unit) array = Array.make (n + 1) unbuilt in
   let entry_code : (cenv -> unit) array = Array.make (n + 1) unbuilt in
   let clen = Array.make (n + 1) 0 in
-  let entry_blocks = Array.make (n + 1) 0 in
-  (* dynamic block entries made by a chain entering block [b] *)
-  let blocks_from = Array.make nblocks 1 in
   entry_code.(n) <-
     (fun _ -> invalid_arg "Interp: execution ran off the end of the program");
   (* Decreasing block order: every chain target (strictly beyond the
@@ -509,10 +502,7 @@ let compile (prog : Program.t) : compiled =
     let len = blk.Program.len in
     let term_pc = start + len - 1 in
     let chainable t = t > term_pc && t < n && len + clen.(t) <= max_chain_insns in
-    let link t =
-      clen.(term_pc) <- 1 + clen.(t);
-      blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(t))
-    in
+    let link t = clen.(term_pc) <- 1 + clen.(t) in
     (match instrs.(term_pc) with
     | Jump target when chainable target ->
         (* the jump's only effect is the pc change the chain link
@@ -556,12 +546,12 @@ let compile (prog : Program.t) : compiled =
       (fun e ->
         if e.c_hooked then begin
           if e.c_segs then open_segment e start len;
+          e.entered <- e.entered + 1;
           e.c_block b;
           e.c_span start len
         end;
         body e);
     entry_code.(start) <- code.(start);
-    entry_blocks.(start) <- blocks_from.(b);
     (* mid-block resume entries: a partial span, no [on_block] *)
     for pc = start + 1 to term_pc do
       let npart = term_pc + 1 - pc in
@@ -570,18 +560,13 @@ let compile (prog : Program.t) : compiled =
         (fun e ->
           if e.c_hooked then begin
             if e.c_segs then open_segment e pc npart;
+            e.entered <- e.entered + 1;
             e.c_span pc npart
           end;
-          body e);
-      entry_blocks.(pc) <- blocks_from.(b)
+          body e)
     done
   done;
-  {
-    entry_code;
-    entry_len = clen;
-    entry_blocks;
-    steps = Array.make (n + 1) unbuilt;
-  }
+  { entry_code; entry_len = clen; steps = Array.make (n + 1) unbuilt }
 
 (* Per-domain cache of compiled programs, keyed by physical identity of
    the [Program.t].  Compilation is deterministic and self-contained,
@@ -628,7 +613,66 @@ let step_at c (prog : Program.t) pc =
     s
   end
 
-let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
+(* The dispatch loop: whole chains while the fuel covers them, then
+   the fuel tail. *)
+let run_compiled c (prog : Program.t) e ~fuel =
+  let m = e.cm in
+  let entry_code = c.entry_code in
+  let entry_len = c.entry_len in
+  let remaining = ref fuel in
+  let running = ref (fuel > 0) in
+  while !running do
+    let pc = m.pc in
+    let len = Array.unsafe_get entry_len pc in
+    if len <= !remaining then begin
+      m.icount <- m.icount + len;
+      remaining := !remaining - len;
+      (Array.unsafe_get entry_code pc) e;
+      if e.c_halted || !remaining <= 0 then running := false
+    end
+    else begin
+      (* Not enough fuel for the whole chain: step its first
+         [remaining] instructions one block entry at a time, firing
+         the events of each (possibly truncated) entry as the chain's
+         prologues would. *)
+      while !remaining > 0 && not e.c_halted do
+        let pc0 = m.pc in
+        let bb = Array.unsafe_get prog.bb_of_pc pc0 in
+        let n = min (Array.unsafe_get prog.block_end bb - pc0) !remaining in
+        if e.c_hooked then begin
+          if e.c_segs then open_segment e pc0 n;
+          if Array.unsafe_get prog.is_leader pc0 then e.c_block bb;
+          e.c_span pc0 n;
+          e.entered <- e.entered + 1
+        end;
+        for pc = pc0 to pc0 + n - 1 do
+          let step = step_at c prog pc in
+          m.icount <- m.icount + 1;
+          step e
+        done;
+        remaining := !remaining - n
+      done;
+      running := false
+    end
+  done;
+  if e.c_segs then flush e
+[@@inline never]
+
+(* A run's counters, added whether it returns or raises: a run ending
+   in [Stack_error] or a raising syscall handler counts what it
+   retired.  [vm.blocks_stepped] counts only hooked runs: nil-hook fuel
+   splits legitimately differ between replay strategies (sequential
+   scan vs capture-then-fan-out), so counting them would break the
+   metric's jobs-invariance. *)
+let add_counters e icount0 tlb0 =
+  let m = e.cm in
+  Sp_obs.Metrics.add M.instructions (m.icount - icount0);
+  Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);
+  if e.c_hooked then Sp_obs.Metrics.add M.blocks e.entered
+
+(* One engine for every hook set. *)
+let run ?(hooks = Hooks.nil) ?(syscall = default_syscall) ?(fuel = max_int)
+    (prog : Program.t) (m : machine) =
   let c = compiled_for prog in
   let segs = Hooks.has_block_mems hooks in
   let cap = if segs then 2 * prog.max_block_len else 0 in
@@ -651,67 +695,15 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       seg_pc = 0;
       seg_end = 0;
       c_halted = false;
+      entered = 0;
     }
   in
-  let entry_code = c.entry_code in
-  let entry_len = c.entry_len in
-  let entry_blocks = c.entry_blocks in
-  let remaining = ref fuel in
-  let blocks = ref 0 in
-  let running = ref (fuel > 0) in
-  while !running do
-    let pc = m.pc in
-    let len = Array.unsafe_get entry_len pc in
-    if len <= !remaining then begin
-      m.icount <- m.icount + len;
-      remaining := !remaining - len;
-      blocks := !blocks + Array.unsafe_get entry_blocks pc;
-      (Array.unsafe_get entry_code pc) e;
-      if e.c_halted || !remaining <= 0 then running := false
-    end
-    else begin
-      (* Not enough fuel for the whole chain: step its first
-         [remaining] instructions one block entry at a time, firing
-         the events of each (possibly truncated) entry as the chain's
-         prologues would. *)
-      while !remaining > 0 && not e.c_halted do
-        let pc0 = m.pc in
-        let bb = Array.unsafe_get prog.bb_of_pc pc0 in
-        let n = min (Array.unsafe_get prog.block_end bb - pc0) !remaining in
-        if e.c_hooked then begin
-          if e.c_segs then open_segment e pc0 n;
-          if Array.unsafe_get prog.is_leader pc0 then e.c_block bb;
-          e.c_span pc0 n;
-          incr blocks
-        end;
-        for pc = pc0 to pc0 + n - 1 do
-          let step = step_at c prog pc in
-          m.icount <- m.icount + 1;
-          step e
-        done;
-        remaining := !remaining - n
-      done;
-      running := false
-    end
-  done;
-  if segs then flush e;
-  (* [vm.blocks_stepped] counts only hooked runs: nil-hook fuel splits
-     legitimately differ between replay strategies (sequential scan vs
-     capture-then-fan-out), so counting them would break the metric's
-     jobs-invariance *)
-  if e.c_hooked then Sp_obs.Metrics.add M.blocks !blocks;
-  if e.c_halted then Halted else Out_of_fuel
-[@@inline never]
-
-(* One engine for every hook set: the run's counters around
-   [run_compiled]. *)
-let run ?(hooks = Hooks.nil) ?(syscall = default_syscall) ?(fuel = max_int)
-    (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
-  let copies0 = Memory.page_copies m.mem in
-  let status = run_compiled ~hooks ~syscall ~fuel prog m in
-  Sp_obs.Metrics.add M.instructions (m.icount - icount0);
-  Sp_obs.Metrics.add M.tlb_refills (Memory.tlb_refills m.mem - tlb0);
-  Sp_obs.Metrics.add M.page_copies (Memory.page_copies m.mem - copies0);
-  status
+  match run_compiled c prog e ~fuel with
+  | () ->
+      add_counters e icount0 tlb0;
+      if e.c_halted then Halted else Out_of_fuel
+  | exception x ->
+      add_counters e icount0 tlb0;
+      raise x

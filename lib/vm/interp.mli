@@ -42,6 +42,10 @@ val run :
     span and segment per leg, which is how a caller observes the
     machine between two retirements.
 
+    The run's [vm.instructions], [vm.tlb_refills] and
+    [vm.blocks_stepped] deltas are added whether it returns or raises
+    (a [Stack_error], or an exception from [syscall]).
+
     Semantics notes: integer division/remainder by zero yields 0 (the
     machine never traps); shift counts are masked to 6 bits; call-stack
     depth is bounded (overflow raises [Stack_error]). *)

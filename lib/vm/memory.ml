@@ -9,23 +9,10 @@ let addr_mask = (1 lsl 38) - 1
 
 (* Direct-mapped software TLB: a small page-pointer cache in front of
    the page hashtables, so hot loads and stores resolve their page with
-   one tag compare instead of a hashtable lookup.
-
-   Copy-on-write sharing adds a second tag array per view.  A page may
-   be *frozen* — its array shared with one or more snapshots — in which
-   case this memory must never write through it.  Loads check [tags]
-   (a frozen page is fine to read); stores check [wtags], which only
-   ever holds the index of a *private* page, so the store fast path
-   stays a single compare and can never write through a shared array.
-   Both tag arrays index the same [tlb] page-pointer slots; the
-   invariant is: [wtags.(s) = i] implies [tags.(s) = i] and [tlb.(s)]
-   is the private page array for index [i].  Freezing clears [wtags];
-   privatising a page copies its array, replaces it in the hashtable
-   and reinstalls the slot with both tags set.  Tags hold the page
-   index (-1 = empty); pages are never replaced in the hashtable except
-   by privatisation (which reinstalls the TLB slot) or dropped
-   wholesale by [clear] (which resets the TLB), so a matching tag can
-   never be stale. *)
+   one tag compare instead of a hashtable lookup.  Tags hold the page
+   index (-1 = empty).  A slot is installed only for a page present in
+   the table, and pages are never replaced there, so a matching tag can
+   never be stale; [clear] resets the TLB and [copy] starts cold. *)
 let tlb_slots_log2 = 6
 let tlb_slots = 1 lsl tlb_slots_log2
 let tlb_mask = tlb_slots - 1
@@ -36,37 +23,24 @@ let no_float_page : float array = [||]
 type t = {
   int_pages : (int, int array) Hashtbl.t;
   float_pages : (int, float array) Hashtbl.t;
-  (* indices of pages whose arrays are shared copy-on-write with a
-     snapshot (always a subset of the corresponding page table) *)
-  int_frozen : (int, unit) Hashtbl.t;
-  float_frozen : (int, unit) Hashtbl.t;
   int_tags : int array;
-  int_wtags : int array;
   int_tlb : int array array;
   float_tags : int array;
-  float_wtags : int array;
   float_tlb : float array array;
-  (* cumulative TLB refills (fast-path misses that installed an entry)
-     and copy-on-write privatisations; off the fast path, read by the
-     interpreter's metrics flush *)
+  (* cumulative TLB refills (fast-path misses that installed an entry);
+     off the fast path, read by the interpreter's metrics flush *)
   mutable tlb_refills : int;
-  mutable page_copies : int;
 }
 
 let create () =
   {
     int_pages = Hashtbl.create 64;
     float_pages = Hashtbl.create 16;
-    int_frozen = Hashtbl.create 16;
-    float_frozen = Hashtbl.create 16;
     int_tags = Array.make tlb_slots (-1);
-    int_wtags = Array.make tlb_slots (-1);
     int_tlb = Array.make tlb_slots no_int_page;
     float_tags = Array.make tlb_slots (-1);
-    float_wtags = Array.make tlb_slots (-1);
     float_tlb = Array.make tlb_slots no_float_page;
     tlb_refills = 0;
-    page_copies = 0;
   }
 
 let load t addr =
@@ -82,28 +56,15 @@ let load t addr =
     | p ->
         t.tlb_refills <- t.tlb_refills + 1;
         Array.unsafe_set t.int_tags slot idx;
-        Array.unsafe_set t.int_wtags slot
-          (if Hashtbl.mem t.int_frozen idx then -1 else idx);
         Array.unsafe_set t.int_tlb slot p;
         Array.unsafe_get p (w land offset_mask)
     | exception Not_found -> 0
 
-(* Store slow path: missing page (allocate), frozen page (privatise:
-   copy the array, replace it in the table, unfreeze) or plain TLB
-   miss.  In every case the slot ends up holding a private page, so
-   [wtags] may be installed. *)
+(* Store slow path: a TLB miss, allocating the page on first touch. *)
 let store_slow t idx slot off v =
   let p =
     match Hashtbl.find t.int_pages idx with
-    | p ->
-        if Hashtbl.mem t.int_frozen idx then begin
-          let q = Array.copy p in
-          Hashtbl.replace t.int_pages idx q;
-          Hashtbl.remove t.int_frozen idx;
-          t.page_copies <- t.page_copies + 1;
-          q
-        end
-        else p
+    | p -> p
     | exception Not_found ->
         let p = Array.make page_words 0 in
         Hashtbl.add t.int_pages idx p;
@@ -111,7 +72,6 @@ let store_slow t idx slot off v =
   in
   t.tlb_refills <- t.tlb_refills + 1;
   Array.unsafe_set t.int_tags slot idx;
-  Array.unsafe_set t.int_wtags slot idx;
   Array.unsafe_set t.int_tlb slot p;
   Array.unsafe_set p off v
 
@@ -119,7 +79,7 @@ let store t addr v =
   let w = (addr land addr_mask) lsr 3 in
   let idx = w lsr page_words_log2 in
   let slot = idx land tlb_mask in
-  if Array.unsafe_get t.int_wtags slot = idx then
+  if Array.unsafe_get t.int_tags slot = idx then
     Array.unsafe_set
       (Array.unsafe_get t.int_tlb slot)
       (w land offset_mask) v
@@ -138,8 +98,6 @@ let loadf t addr =
     | p ->
         t.tlb_refills <- t.tlb_refills + 1;
         Array.unsafe_set t.float_tags slot idx;
-        Array.unsafe_set t.float_wtags slot
-          (if Hashtbl.mem t.float_frozen idx then -1 else idx);
         Array.unsafe_set t.float_tlb slot p;
         Array.unsafe_get p (w land offset_mask)
     | exception Not_found -> 0.0
@@ -147,15 +105,7 @@ let loadf t addr =
 let storef_slow t idx slot off v =
   let p =
     match Hashtbl.find t.float_pages idx with
-    | p ->
-        if Hashtbl.mem t.float_frozen idx then begin
-          let q = Array.copy p in
-          Hashtbl.replace t.float_pages idx q;
-          Hashtbl.remove t.float_frozen idx;
-          t.page_copies <- t.page_copies + 1;
-          q
-        end
-        else p
+    | p -> p
     | exception Not_found ->
         let p = Array.make page_words 0.0 in
         Hashtbl.add t.float_pages idx p;
@@ -163,7 +113,6 @@ let storef_slow t idx slot off v =
   in
   t.tlb_refills <- t.tlb_refills + 1;
   Array.unsafe_set t.float_tags slot idx;
-  Array.unsafe_set t.float_wtags slot idx;
   Array.unsafe_set t.float_tlb slot p;
   Array.unsafe_set p off v
 
@@ -171,70 +120,28 @@ let storef t addr v =
   let w = (addr land addr_mask) lsr 3 in
   let idx = w lsr page_words_log2 in
   let slot = idx land tlb_mask in
-  if Array.unsafe_get t.float_wtags slot = idx then
+  if Array.unsafe_get t.float_tags slot = idx then
     Array.unsafe_set
       (Array.unsafe_get t.float_tlb slot)
       (w land offset_mask) v
   else storef_slow t idx slot (w land offset_mask) v
 
 let tlb_refills t = t.tlb_refills
-let page_copies t = t.page_copies
 
 let footprint_bytes t =
   (Hashtbl.length t.int_pages + Hashtbl.length t.float_pages) * page_bytes
 
-(* ------------------------------------------------------------------ *)
-(* Copy-on-write sharing *)
-
-let fully_frozen t =
-  Hashtbl.length t.int_frozen = Hashtbl.length t.int_pages
-  && Hashtbl.length t.float_frozen = Hashtbl.length t.float_pages
-
-let freeze t =
-  if not (fully_frozen t) then begin
-    Hashtbl.iter (fun idx _ -> Hashtbl.replace t.int_frozen idx ()) t.int_pages;
-    Hashtbl.iter
-      (fun idx _ -> Hashtbl.replace t.float_frozen idx ())
-      t.float_pages;
-    (* no slot may claim write permission on a now-shared page *)
-    Array.fill t.int_wtags 0 tlb_slots (-1);
-    Array.fill t.float_wtags 0 tlb_slots (-1)
-  end
-
-let cow_clone t =
-  freeze t;
-  (* [t] is now fully frozen, so the clone shares every page array;
-     either side privatises on its first write to a page.  When [t] was
-     already fully frozen (a snapshot image) [freeze] mutated nothing,
-     making concurrent clones of one snapshot safe: this is pure
-     reading. *)
-  {
-    int_pages = Hashtbl.copy t.int_pages;
-    float_pages = Hashtbl.copy t.float_pages;
-    int_frozen = Hashtbl.copy t.int_frozen;
-    float_frozen = Hashtbl.copy t.float_frozen;
-    int_tags = Array.make tlb_slots (-1);
-    int_wtags = Array.make tlb_slots (-1);
-    int_tlb = Array.make tlb_slots no_int_page;
-    float_tags = Array.make tlb_slots (-1);
-    float_wtags = Array.make tlb_slots (-1);
-    float_tlb = Array.make tlb_slots no_float_page;
-    tlb_refills = 0;
-    page_copies = 0;
-  }
-
+(* the copy starts with a cold TLB and owns every page privately *)
 let copy t =
-  let dup tbl = Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) tbl [] in
-  let restore pairs =
-    let tbl = Hashtbl.create (List.length pairs * 2) in
-    List.iter (fun (k, v) -> Hashtbl.add tbl k v) pairs;
-    tbl
+  let dup tbl =
+    let c = Hashtbl.copy tbl in
+    Hashtbl.filter_map_inplace (fun _ p -> Some (Array.copy p)) c;
+    c
   in
-  (* the copy starts with a cold TLB and owns every page privately *)
   {
     (create ()) with
-    int_pages = restore (dup t.int_pages);
-    float_pages = restore (dup t.float_pages);
+    int_pages = dup t.int_pages;
+    float_pages = dup t.float_pages;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -289,13 +196,9 @@ let read r =
 let clear t =
   Hashtbl.reset t.int_pages;
   Hashtbl.reset t.float_pages;
-  Hashtbl.reset t.int_frozen;
-  Hashtbl.reset t.float_frozen;
   (* every cached page pointer is now dangling: empty the TLB and drop
      the page arrays so they can be collected *)
   Array.fill t.int_tags 0 tlb_slots (-1);
-  Array.fill t.int_wtags 0 tlb_slots (-1);
   Array.fill t.float_tags 0 tlb_slots (-1);
-  Array.fill t.float_wtags 0 tlb_slots (-1);
   Array.fill t.int_tlb 0 tlb_slots no_int_page;
   Array.fill t.float_tlb 0 tlb_slots no_float_page

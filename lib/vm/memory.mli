@@ -38,26 +38,11 @@ val tlb_refills : t -> int
     access stream; the interpreter flushes deltas into the
     [vm.tlb_refills] metric. *)
 
-val page_copies : t -> int
-(** Cumulative copy-on-write page copies (first stores to a page shared
-    with a snapshot); flushed like {!tlb_refills}, into [vm.page_copies]. *)
-
 val copy : t -> t
-(** Deep copy; the result shares nothing with the source. *)
-
-val freeze : t -> unit
-(** Mark every current page as shared (copy-on-write): subsequent
-    stores privatise a page on first write instead of mutating the
-    shared array.  Idempotent, and a no-op (with no mutation at all)
-    when the memory is already fully frozen. *)
-
-val cow_clone : t -> t
-(** A logically independent copy that shares every page array with [t]
-    copy-on-write: O(pages) bookkeeping instead of O(image) copying,
-    and either side privatises a page the first time it writes to it.
-    Freezes [t] as a side effect.  When [t] is already fully frozen (a
-    snapshot image) the call mutates nothing, so concurrent clones of
-    one frozen memory from multiple domains are safe. *)
+(** Deep copy: every page array is copied, so the result shares
+    nothing with the source, and the source is only read — a memory
+    nobody writes (a snapshot's image) can be copied from several
+    domains at once.  The copy starts with a cold TLB. *)
 
 val clear : t -> unit
 

@@ -10,12 +10,9 @@ type t = {
 
 let captures = Sp_obs.Metrics.counter "vm.snapshots"
 
-(* The snapshot's memory shares the machine's page arrays copy-on-write
-   and is fully frozen from construction on: [capture] freezes the
-   source machine (its later stores privatise pages), and the snapshot
-   itself is never written.  [restore] therefore only reads the
-   snapshot, which makes restoring one snapshot from many domains at
-   once safe — each restored machine gets its own COW view. *)
+(* Both directions copy the memory image, so a snapshot shares no
+   mutable state with any machine.  [restore] only reads the snapshot,
+   which makes restoring one snapshot from many domains at once safe. *)
 let capture (m : Interp.machine) =
   Sp_obs.Metrics.incr captures;
   {
@@ -24,7 +21,7 @@ let capture (m : Interp.machine) =
     pc = m.pc;
     callstack = Array.copy m.callstack;
     sp = m.sp;
-    mem = Memory.cow_clone m.mem;
+    mem = Memory.copy m.mem;
     icount = m.icount;
   }
 
@@ -35,7 +32,7 @@ let restore t : Interp.machine =
     pc = t.pc;
     callstack = Array.copy t.callstack;
     sp = t.sp;
-    mem = Memory.cow_clone t.mem;
+    mem = Memory.copy t.mem;
     icount = t.icount;
   }
 
@@ -89,8 +86,4 @@ let read ~code_len r =
   let icount = Binio.r_i64 r in
   if icount < 0 then Binio.fail "Snapshot: negative icount %d" icount;
   let mem = Memory.read r in
-  (* freeze eagerly so the first [restore] never mutates the snapshot:
-     a decoded pinball may be cached and restored from several domains
-     at once *)
-  Memory.freeze mem;
   { regs; fregs; pc; callstack; sp; mem; icount }

@@ -6,23 +6,20 @@
     machine that replays identically, independent of the machine the
     snapshot was taken from.
 
-    Memory is shared copy-on-write rather than deep-copied: the
-    snapshot's image is frozen from construction on, capture freezes
-    the source machine's pages (its later writes privatise them), and
-    each restore hands out an O(pages) view whose first write to a page
-    copies just that page.  Restoring never mutates the snapshot, so
-    one snapshot can be restored concurrently from many domains. *)
+    Capture and restore each copy the memory image ({!Memory.copy}), so
+    a snapshot shares nothing with any machine.  Restoring only reads
+    the snapshot, so one snapshot can be restored concurrently from
+    many domains. *)
 
 type t
 
 val capture : Interp.machine -> t
-(** Counted by the [vm.snapshots] metric: each capture freezes the
-    machine's pages, so its later writes copy them ([vm.page_copies]). *)
+(** Counted by the [vm.snapshots] metric.  Costs a copy of the
+    machine's memory image. *)
 
 val restore : t -> Interp.machine
-(** A fresh machine; logically shares no mutable state with the
-    snapshot (memory pages are shared copy-on-write), so a snapshot can
-    be restored many times, including concurrently. *)
+(** A fresh machine with its own copy of the snapshot's state, so a
+    snapshot can be restored many times, including concurrently. *)
 
 val icount : t -> int
 (** Dynamic instruction count at capture time. *)

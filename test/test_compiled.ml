@@ -264,6 +264,100 @@ let prop_syscall_raise =
       agrees Hooks.nil && agrees span_only && agrees mems_consumer)
 
 (* ------------------------------------------------------------------ *)
+(* A run that raises still counts what it retired: whether a call-stack
+   overflow or a raising syscall handler ends it, [vm.instructions]
+   grows by exactly the machine's icount delta, and with a segment
+   consumer [vm.blocks_stepped] grows by the block entries whose spans
+   fired *)
+
+let overflow_program () =
+  (* f: r1 += 1; call f — recursion until the call stack overflows *)
+  let a = Asm.create ~name:"overflow" () in
+  let f = Asm.new_label a in
+  Asm.call a f;
+  Asm.halt a;
+  Asm.place a f;
+  Asm.alui a Isa.Add 1 1 1;
+  Asm.call a f;
+  Asm.ret a;
+  Asm.assemble a
+
+let sys_loop_program () =
+  (* one recorded input per iteration, ahead of the rest of its block,
+     so the chain's bulk icount advance is rolled back when the handler
+     raises *)
+  let a = Asm.create ~name:"sys-loop" () in
+  Asm.li a 1 0;
+  Asm.loop_down a ~counter:5 ~from:1_000 (fun () ->
+      Asm.sys a 0 3;
+      Asm.store a 3 1 0;
+      Asm.alui a Isa.Add 1 1 8);
+  Asm.halt a;
+  Asm.assemble a
+
+let test_raising_runs_counted () =
+  let raise_at n =
+    let calls = ref 0 in
+    fun ch ->
+      incr calls;
+      if !calls = n then raise Boom;
+      B.test_syscall ch
+  in
+  let cases =
+    [
+      ("stack overflow", overflow_program, (fun () -> B.test_syscall));
+      ("handler raises", sys_loop_program, fun () -> raise_at 300);
+    ]
+  in
+  List.iter
+    (fun (what, prog, syscall) ->
+      List.iter
+        (fun segs ->
+          let prog = prog () in
+          let spans = ref 0 in
+          let hooks =
+            if segs then
+              {
+                mems_consumer with
+                Hooks.on_block_span = (fun _ _ -> incr spans);
+              }
+            else Hooks.nil
+          in
+          let syscall = syscall () in
+          let m = Interp.create ~entry:prog.Program.entry () in
+          (* a first leg that returns, so the raising run starts mid-way *)
+          ignore (Interp.run ~hooks ~syscall ~fuel:37 prog m);
+          Sp_obs.Metrics.reset ();
+          spans := 0;
+          let icount0 = m.Interp.icount in
+          let raised =
+            match Interp.run ~hooks ~syscall prog m with
+            | _ -> false
+            | exception (Boom | Interp.Stack_error _) -> true
+          in
+          let snap = Sp_obs.Metrics.stable_snapshot () in
+          Sp_obs.Metrics.reset ();
+          let label =
+            Printf.sprintf "%s (%s)" what
+              (if segs then "segment consumer" else "nil hooks")
+          in
+          Alcotest.(check bool) (label ^ ": raised") true raised;
+          let retired = m.Interp.icount - icount0 in
+          Alcotest.(check bool) (label ^ ": retired work") true
+            (retired > 500);
+          Alcotest.(check (option (float 0.0)))
+            (label ^ ": vm.instructions")
+            (Some (float_of_int retired))
+            (Sp_obs.Metrics.counter_value snap "vm.instructions");
+          if segs then
+            Alcotest.(check (option (float 0.0)))
+              (label ^ ": vm.blocks_stepped")
+              (Some (float_of_int !spans))
+              (Sp_obs.Metrics.counter_value snap "vm.blocks_stepped"))
+        [ false; true ])
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* The combined single-pass profiler: one compiled replay must produce
    the BBV slices, ldst mix and per-kind counts of three dedicated-tool
    replays, bit for bit *)
@@ -405,6 +499,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compiled_agrees;
     QCheck_alcotest.to_alcotest prop_compiled_fuel_split;
     QCheck_alcotest.to_alcotest prop_syscall_raise;
+    Alcotest.test_case "raising runs count what they retired" `Quick
+      test_raising_runs_counted;
     QCheck_alcotest.to_alcotest prop_profile_combined;
     Alcotest.test_case "compiled cache reuse and eviction" `Quick
       test_cache_reuse_and_eviction;

@@ -1,7 +1,7 @@
-(* Differential tests for the zero-copy artifact hot path: COW memory
-   snapshots, the shared in-memory decoded-artifact cache, and the
-   speculative BIC probes in point selection.  Everything here checks
-   bit-identity against the eager deep-copy / sequential behaviour. *)
+(* Tests for the artifact hot path: snapshot copies, the shared
+   in-memory decoded-artifact cache, and the speculative BIC probes in
+   point selection.  Everything here checks isolation or bit-identity
+   against the sequential behaviour. *)
 
 open Specrepro
 
@@ -20,16 +20,16 @@ let populated () =
   m
 
 (* ------------------------------------------------------------------ *)
-(* COW isolation *)
+(* Copy isolation *)
 
-let test_cow_isolation () =
+let test_copy_isolation () =
   let m = populated () in
-  let c1 = Sp_vm.Memory.cow_clone m in
-  let c2 = Sp_vm.Memory.cow_clone m in
+  let c1 = Sp_vm.Memory.copy m in
+  let c2 = Sp_vm.Memory.copy m in
   let before_m = Sp_vm.Memory.load m (addr 5) in
   let before_f = Sp_vm.Memory.loadf m (addr 5) in
-  (* a clone's writes — to a shared page and to a fresh page — must not
-     leak into the source or a sibling clone *)
+  (* a copy's writes — to a copied page and to a fresh page — must not
+     leak into the source or a sibling copy *)
   Sp_vm.Memory.store c1 (addr 5) 12345;
   Sp_vm.Memory.storef c1 (addr 5) 9.75;
   Sp_vm.Memory.store c1 (addr (100 * page_words)) 777;
@@ -45,48 +45,47 @@ let test_cow_isolation () =
     (Sp_vm.Memory.load c2 (addr 5));
   Alcotest.(check int) "fresh page private" 0
     (Sp_vm.Memory.load c2 (addr (100 * page_words)));
-  (* the frozen source privatises on write too: its writes must not
-     reach the clones *)
+  (* nor may the source's later writes reach the copies *)
   Sp_vm.Memory.store m (addr 6) (-42);
-  Alcotest.(check bool) "clone misses source write" true
+  Alcotest.(check bool) "copy misses source write" true
     (Sp_vm.Memory.load c2 (addr 6) <> -42)
 
-let test_cow_tlb_no_writethrough () =
-  (* regression for the frozen-page TLB hazard: a load caches the page
-     in the TLB; a store to the same page immediately after must still
-     privatise rather than write through the cached frozen pointer *)
+let test_copy_tlb_no_writethrough () =
+  (* the source's TLB is warm on every page it stored to, and the copy
+     starts cold: a load warms the copy's TLB on its own page, so a
+     store right after must land there and never in the source's *)
   let m = populated () in
-  let c = Sp_vm.Memory.cow_clone m in
+  let c = Sp_vm.Memory.copy m in
   let before = Sp_vm.Memory.load m (addr 9) in
-  ignore (Sp_vm.Memory.load c (addr 9)); (* warm c's TLB on the shared page *)
+  ignore (Sp_vm.Memory.load c (addr 9)); (* warm c's TLB on the page *)
   Sp_vm.Memory.store c (addr 9) 31337;
-  Alcotest.(check int) "clone write landed" 31337 (Sp_vm.Memory.load c (addr 9));
-  Alcotest.(check int) "shared page intact" before
+  Alcotest.(check int) "copy write landed" 31337
+    (Sp_vm.Memory.load c (addr 9));
+  Alcotest.(check int) "source page intact" before
     (Sp_vm.Memory.load m (addr 9));
-  (* same hazard on the float view *)
+  (* same on the float view *)
   let beforef = Sp_vm.Memory.loadf m (addr 9) in
   ignore (Sp_vm.Memory.loadf c (addr 9));
   Sp_vm.Memory.storef c (addr 9) 2.5;
-  Alcotest.(check (float 0.0)) "float shared page intact" beforef
+  Alcotest.(check (float 0.0)) "float source page intact" beforef
     (Sp_vm.Memory.loadf m (addr 9))
 
 (* ------------------------------------------------------------------ *)
-(* serialisation byte-identity: COW views encode exactly like deep
-   copies, before and after mutation *)
+(* serialisation byte-identity: a copy encodes exactly like its source,
+   before and after the same writes *)
 
 let encode m =
   let b = Buffer.create 4096 in
   Sp_vm.Memory.write b m;
   Buffer.contents b
 
-let test_cow_serialise_identical () =
+let test_copy_serialise_identical () =
   let m = populated () in
   let golden = encode m in
-  let deep = Sp_vm.Memory.copy m in
-  let cow = Sp_vm.Memory.cow_clone m in
-  Alcotest.(check bool) "pristine clone encodes identically" true
-    (encode cow = golden);
-  (* identical mutations: overwrite shared pages, touch new ones *)
+  let c = Sp_vm.Memory.copy m in
+  Alcotest.(check bool) "pristine copy encodes identically" true
+    (encode c = golden);
+  (* identical mutations: overwrite copied pages, touch new ones *)
   let mutate mm =
     Sp_vm.Memory.store mm (addr 3) 11;
     Sp_vm.Memory.store mm (addr (page_words + 1)) 22;
@@ -94,14 +93,13 @@ let test_cow_serialise_identical () =
     Sp_vm.Memory.storef mm (addr 3) 4.5;
     Sp_vm.Memory.storef mm (addr (60 * page_words)) 6.5
   in
-  mutate deep;
-  mutate cow;
-  Alcotest.(check bool) "mutated clone = mutated deep copy" true
-    (encode cow = encode deep);
-  Alcotest.(check bool) "frozen source still pristine" true
-    (encode m = golden);
-  Alcotest.(check int) "same footprint" (Sp_vm.Memory.footprint_bytes deep)
-    (Sp_vm.Memory.footprint_bytes cow)
+  mutate c;
+  Alcotest.(check bool) "source still pristine" true (encode m = golden);
+  mutate m;
+  Alcotest.(check bool) "mutated copy = mutated source" true
+    (encode c = encode m);
+  Alcotest.(check int) "same footprint" (Sp_vm.Memory.footprint_bytes m)
+    (Sp_vm.Memory.footprint_bytes c)
 
 let test_snapshot_restore_isolated () =
   let mach = Sp_vm.Interp.create ~entry:0 () in
@@ -124,10 +122,10 @@ let test_snapshot_restore_isolated () =
     (encode c.Sp_vm.Interp.mem = golden);
   Alcotest.(check int) "registers copied" 99 c.Sp_vm.Interp.regs.(3)
 
-(* a capture freezes the live machine, so its next store to each page
-   it had touched copies that page: [vm.snapshots] counts the capture
-   and [vm.page_copies], flushed per [Interp.run], the two pages *)
-let test_snapshot_counters () =
+(* [vm.snapshots] counts captures only: the runs around a capture and
+   a restore of it add nothing, and the capture holds the machine's
+   whole image at that point *)
+let test_snapshot_counter () =
   let a = Sp_vm.Asm.create ~name:"two-pages" () in
   Sp_vm.Asm.li a 1 0;
   Sp_vm.Asm.li a 6 Sp_vm.Memory.page_bytes;
@@ -139,17 +137,115 @@ let test_snapshot_counters () =
   let mach = Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry () in
   ignore (Sp_vm.Interp.run ~fuel:100 prog mach);
   Sp_obs.Metrics.reset ();
-  ignore (Sp_vm.Snapshot.capture mach);
+  let snap = Sp_vm.Snapshot.capture mach in
   ignore (Sp_vm.Interp.run ~fuel:100 prog mach);
-  let snap = Sp_obs.Metrics.stable_snapshot () in
+  ignore (Sp_vm.Interp.run ~fuel:100 prog (Sp_vm.Snapshot.restore snap));
+  let stable = Sp_obs.Metrics.stable_snapshot () in
   Sp_obs.Metrics.reset ();
   Alcotest.(check (option (float 0.0))) "one capture" (Some 1.0)
-    (Sp_obs.Metrics.counter_value snap "vm.snapshots");
-  Alcotest.(check (option (float 0.0))) "one copy per written page"
-    (Some 2.0)
-    (Sp_obs.Metrics.counter_value snap "vm.page_copies");
-  Alcotest.(check int) "memory's own count" 2
-    (Sp_vm.Memory.page_copies mach.Sp_vm.Interp.mem)
+    (Sp_obs.Metrics.counter_value stable "vm.snapshots");
+  Alcotest.(check int) "both written pages captured"
+    (2 * Sp_vm.Memory.page_bytes)
+    (Sp_vm.Snapshot.mem_bytes snap)
+
+(* A Regional Pinball with a non-empty image, decoded once and shared
+   the way a mem-cached artifact is: replays from several domains at
+   once each restore their own copy, so every one equals a sequential
+   replay and the shared value's encoding never changes.  The program
+   fills four int and four float pages, then reads and rewrites them
+   with recorded inputs mixed in; the region starts inside that second
+   phase, so its replay depends on the captured image. *)
+let image_program () =
+  let a = Sp_vm.Asm.create ~name:"image" () in
+  let stride = 16 * Sp_vm.Memory.word_bytes in
+  let iters = 4 * Sp_vm.Memory.page_bytes / stride in
+  Sp_vm.Asm.li a 1 0;
+  Sp_vm.Asm.loop_down a ~counter:5 ~from:iters (fun () ->
+      Sp_vm.Asm.store a 5 1 0;
+      Sp_vm.Asm.instr a (Sp_isa.Isa.Cvtif (1, 5));
+      Sp_vm.Asm.fstore a 1 1 0;
+      Sp_vm.Asm.alui a Sp_isa.Isa.Add 1 1 stride);
+  Sp_vm.Asm.li a 1 0;
+  Sp_vm.Asm.loop_down a ~counter:5 ~from:iters (fun () ->
+      Sp_vm.Asm.sys a 0 3;
+      Sp_vm.Asm.load a 4 1 0;
+      Sp_vm.Asm.alu a Sp_isa.Isa.Add 4 4 3;
+      Sp_vm.Asm.store a 4 1 8;
+      Sp_vm.Asm.fload a 2 1 0;
+      Sp_vm.Asm.falu a Sp_isa.Isa.Fadd 2 2 2;
+      Sp_vm.Asm.fstore a 2 1 8;
+      Sp_vm.Asm.alui a Sp_isa.Isa.Add 1 1 stride);
+  Sp_vm.Asm.halt a;
+  Sp_vm.Asm.assemble a
+
+(* the cold regional tool set at the pipeline's configurations *)
+let replay_region (pb : Sp_pinball.Pinball.t) =
+  let o = Pipeline.default_options in
+  let prog = pb.Sp_pinball.Pinball.program in
+  let mixt = Sp_pin.Ldstmix.create prog in
+  let cache =
+    Sp_pin.Allcache_tool.create ~config:o.cache_config
+      ~prefetch:o.next_line_prefetch prog
+  in
+  let core = Sp_cpu.Interval_core.create ~config:o.core_config prog in
+  let r =
+    Sp_pinball.Replayer.replay
+      ~tools:
+        [
+          Sp_pin.Ldstmix.hooks mixt;
+          Sp_pin.Allcache_tool.hooks cache;
+          Sp_cpu.Interval_core.hooks core;
+        ]
+      pb
+  in
+  let m = r.Sp_pinball.Replayer.machine in
+  ( r.Sp_pinball.Replayer.retired,
+    Sp_pin.Ldstmix.mix mixt,
+    Sp_pin.Allcache_tool.stats cache,
+    Int64.bits_of_float (Sp_cpu.Interval_core.cpi core),
+    (Array.to_list m.Sp_vm.Interp.regs, encode m.Sp_vm.Interp.mem) )
+
+let test_decoded_region_concurrent_replays () =
+  let whole =
+    Sp_pinball.Logger.log_whole ~benchmark:"image" (image_program ())
+  in
+  let total = whole.Sp_pinball.Logger.total_insns in
+  let point =
+    {
+      Sp_simpoint.Simpoints.cluster = 0;
+      slice_index = 0;
+      start_icount = total / 2;
+      length = total / 4;
+      weight = 1.0;
+    }
+  in
+  let captured = (Sp_pinball.Logger.capture_regions whole [| point |]).(0) in
+  let bytes = Sp_pinball.Store.encode captured in
+  let shared =
+    match Sp_pinball.Store.of_bytes bytes with
+    | Ok pb -> pb
+    | Error e -> Alcotest.fail (Sp_pinball.Store.error_message e)
+  in
+  Alcotest.(check bool) "image spans eight pages" true
+    (Sp_vm.Snapshot.mem_bytes shared.Sp_pinball.Pinball.snapshot
+    >= 8 * Sp_vm.Memory.page_bytes);
+  let seq = replay_region shared in
+  let retired, _, _, _, _ = seq in
+  Alcotest.(check int) "sequential replay runs the region" point.length
+    retired;
+  let par =
+    Sp_util.Pool.parallel_map ~jobs:4
+      (fun () -> replay_region shared)
+      (Array.make 8 ())
+  in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "concurrent replay %d = sequential" i)
+        true (r = seq))
+    par;
+  Alcotest.(check bool) "shared value encodes unchanged" true
+    (Sp_pinball.Store.encode shared = bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Mem_cache unit behaviour *)
@@ -351,15 +447,16 @@ let test_speculative_select_parity () =
 
 let suite =
   [
-    Alcotest.test_case "cow isolation" `Quick test_cow_isolation;
-    Alcotest.test_case "cow tlb no write-through" `Quick
-      test_cow_tlb_no_writethrough;
-    Alcotest.test_case "cow serialise byte-identical" `Quick
-      test_cow_serialise_identical;
+    Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
+    Alcotest.test_case "copy tlb no write-through" `Quick
+      test_copy_tlb_no_writethrough;
+    Alcotest.test_case "copy serialise byte-identical" `Quick
+      test_copy_serialise_identical;
     Alcotest.test_case "snapshot restore isolated" `Quick
       test_snapshot_restore_isolated;
-    Alcotest.test_case "snapshot and page-copy counters" `Quick
-      test_snapshot_counters;
+    Alcotest.test_case "snapshot counter" `Quick test_snapshot_counter;
+    Alcotest.test_case "decoded region: concurrent replays" `Quick
+      test_decoded_region_concurrent_replays;
     Alcotest.test_case "mem cache disabled" `Quick test_mem_cache_disabled;
     Alcotest.test_case "mem cache lru eviction" `Quick
       test_mem_cache_lru_eviction;

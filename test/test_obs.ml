@@ -224,13 +224,11 @@ let test_stable_metrics_jobs_equivalence () =
     | Some v -> v > 1000.0
     | None -> false);
   (* the logging pass captures each program's initial state: the
-     snapshot and page-copy counters are in the compared set *)
+     snapshot counter is in the compared set *)
   Alcotest.(check bool) "vm.snapshots counted" true
     (match List.assoc_opt "vm.snapshots" seq with
     | Some v -> v >= 2.0
     | None -> false);
-  Alcotest.(check bool) "vm.page_copies reported" true
-    (List.mem_assoc "vm.page_copies" seq);
   List.iter
     (fun (name, v1) ->
       match List.assoc_opt name par with

@@ -16,7 +16,7 @@
 
    Pipeline-driving subcommands share one options surface (the [common]
    term group below): --scale, --quiet, --jobs, --sampler,
-   --pinball-cache, --profile-cache, --warmup-insns, --slice-insns and
+   --profile-cache, --mem-cache-mb, --warmup-insns, --slice-insns and
    --trace-out mean the same thing everywhere they appear.
 
    Reporting subcommands all take --json and emit one specrepro/v2
@@ -41,7 +41,6 @@ type common = {
   quiet : bool;
   jobs : int;
   sampler : Sp_simpoint.Sampler.kind;
-  pinball_cache : string option;
   profile_cache : string option;
   mem_cache_mb : int option;
   warmup_insns : int option;
@@ -85,33 +84,16 @@ let sampler_arg =
     & opt (enum Sp_simpoint.Sampler.kind_enum) Sp_simpoint.Sampler.Simpoint
     & info [ "sampler" ] ~docv:"SAMPLER" ~doc ~env)
 
-let cache_arg =
-  let doc =
-    "Content-addressed pinball cache directory.  The whole pinball logged \
-     for each (benchmark, slice length, scale) is stored under a digest key \
-     and reused by later invocations instead of re-logging; corrupt or \
-     stale entries are quarantined and recomputed.  Inspect the directory \
-     with $(b,specrepro pinballs)."
-  in
-  let env =
-    Cmd.Env.info "SPECREPRO_PINBALL_CACHE"
-      ~doc:"Default for $(b,--pinball-cache)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "pinball-cache" ] ~docv:"DIR" ~doc ~env)
-
 let profile_cache_arg =
   let doc =
-    "Content-addressed profile-result cache directory.  The log+profile \
-     stage's outputs (BBV slices, instruction mix, whole-run cache and \
-     timing statistics) are stored keyed by (benchmark, slice length, \
-     scale, warmup) and decoded by later invocations instead of replaying \
-     the whole program under instrumentation; corrupt entries are \
-     quarantined and recomputed.  Unless $(b,--pinball-cache) is also \
-     given, the same directory caches the whole pinballs, so a fully-warm \
-     re-run skips whole-program execution entirely."
+    "Content-addressed cache directory.  The log+profile stage stores two \
+     entries per benchmark: its outputs (BBV slices, instruction mix, \
+     whole-run cache and timing statistics) and the whole pinball.  A later \
+     invocation with the same benchmark, slice length, scale and warmup \
+     decodes both and executes no whole program; otherwise it logs and \
+     profiles once and stores both.  Corrupt or stale entries are \
+     quarantined and recomputed, and a failed write only warns.  Inspect \
+     the directory with $(b,specrepro pinballs)."
   in
   let env =
     Cmd.Env.info "SPECREPRO_PROFILE_CACHE"
@@ -125,9 +107,9 @@ let profile_cache_arg =
 let mem_cache_mb_arg =
   let doc =
     "Budget (MiB) of the in-memory decoded-artifact cache fronting the \
-     pinball and profile caches: a hit skips the disk read, checksum sweep \
-     and decode.  Strictly a performance knob — results are bit-identical \
-     regardless.  0 disables; default 64."
+     $(b,--profile-cache) directory: a hit skips the disk read, checksum \
+     sweep and decode.  Strictly a performance knob — results are \
+     bit-identical regardless.  0 disables; default 64."
   in
   let env =
     Cmd.Env.info "SPECREPRO_MEM_CACHE_MB"
@@ -173,14 +155,13 @@ let trace_out_arg =
     value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let common_term =
-  let make scale quiet jobs sampler pinball_cache profile_cache mem_cache_mb
-      warmup_insns slice_insns trace_out =
+  let make scale quiet jobs sampler profile_cache mem_cache_mb warmup_insns
+      slice_insns trace_out =
     {
       scale;
       quiet;
       jobs;
       sampler;
-      pinball_cache;
       profile_cache;
       mem_cache_mb;
       warmup_insns;
@@ -189,7 +170,7 @@ let common_term =
     }
   in
   Term.(
-    const make $ scale_arg $ quiet_arg $ jobs_arg $ sampler_arg $ cache_arg
+    const make $ scale_arg $ quiet_arg $ jobs_arg $ sampler_arg
     $ profile_cache_arg $ mem_cache_mb_arg $ warmup_insns_arg
     $ slice_insns_arg $ trace_out_arg)
 
@@ -208,7 +189,6 @@ let options_of c =
         Option.value ~default:base.Pipeline.warmup_insns c.warmup_insns;
       progress = not c.quiet;
       jobs = resolve_jobs c.jobs;
-      pinball_cache = c.pinball_cache;
       profile_cache = c.profile_cache;
       mem_cache_mb =
         Option.value ~default:base.Pipeline.mem_cache_mb c.mem_cache_mb;
@@ -405,7 +385,9 @@ let simpoints_cmd =
     match find_bench bench with
     | Error e -> prerr_endline e; exit 1
     | Ok spec ->
-        with_trace common @@ fun () ->
+        (* a failed save exits 1 once the trace is written *)
+        Result.iter_error (fun e -> prerr_endline e; exit 1)
+        @@ with_trace common @@ fun () ->
         let options = options_of common in
         let options =
           {
@@ -471,20 +453,25 @@ let simpoints_cmd =
             sel.Sp_simpoint.Sampler.points
         end;
         match out with
-        | None -> ()
-        | Some dir ->
+        | None -> Ok ()
+        | Some dir -> (
             let saved = ref 1 in
-            ignore
-              (Sp_pinball.Store.save ~dir
-                 profile.Pipeline.sweep_whole.Sp_pinball.Logger.pinball);
-            Sp_pinball.Logger.walk ~warmup_insns:0
-              profile.Pipeline.sweep_whole sel.Sp_simpoint.Sampler.points
-              (fun _ c ->
-                let pb = Sp_pinball.Logger.region c in
-                ignore (Sp_pinball.Store.save ~dir pb);
-                incr saved);
-            if not json then
-              Printf.printf "saved %d pinballs under %s\n" !saved dir
+            try
+              ignore
+                (Sp_pinball.Store.save ~dir
+                   profile.Pipeline.sweep_whole.Sp_pinball.Logger.pinball);
+              Sp_pinball.Logger.walk ~warmup_insns:0
+                profile.Pipeline.sweep_whole sel.Sp_simpoint.Sampler.points
+                (fun _ c ->
+                  let pb = Sp_pinball.Logger.region c in
+                  ignore (Sp_pinball.Store.save ~dir pb);
+                  incr saved);
+              if not json then
+                Printf.printf "saved %d pinballs under %s\n" !saved dir;
+              Ok ()
+            with Sys_error m | Failure m ->
+              Error
+                (Printf.sprintf "could not save pinballs under %s (%s)" dir m))
   in
   Cmd.v
     (Cmd.info "simpoints"

@@ -47,7 +47,7 @@ val options_json :
     [benchmark] (when given), [scale], [jobs], [sampler],
     [slice_insns], [warmup_insns], then any command-specific [extra]
     fields.  Presentation and host-local resource knobs (progress,
-    trace output, cache directories) are deliberately excluded — they
+    trace output, the cache directory) are deliberately excluded — they
     cannot change a result, so they are not part of the public API. *)
 
 val options_of_json :

@@ -16,11 +16,10 @@ type options = {
   collect_variance : bool;
   progress : bool;
   jobs : int;
-  pinball_cache : string option;
   profile_cache : string option;
   (* shared budget of the in-memory decoded-artifact cache, in MiB
      (0 disables); result-neutral, so excluded from the API v2 options
-     envelope like the cache directories *)
+     envelope like the cache directory *)
   mem_cache_mb : int;
 }
 
@@ -48,7 +47,6 @@ let default_options =
     (* sequential: parallel execution is strictly opt-in (--jobs), and
        every stage is bit-for-bit identical across job counts anyway *)
     jobs = 1;
-    pinball_cache = None;
     profile_cache = None;
     (* a few dozen decoded artifacts at tiny-suite sizes; enough for a
        daemon to keep its working set without surprising anyone's RSS *)
@@ -60,14 +58,6 @@ let default_options =
    the pipeline-level jobs knob unless the caller left it sequential).
    Idempotent, so the explicit calls in the entry points compose. *)
 let normalize options =
-  (* a profile cache is only fully effective with a pinball cache (the
-     whole pinball is what a profile hit replays nothing of), so it
-     doubles as the pinball cache directory unless one was given *)
-  let options =
-    match (options.profile_cache, options.pinball_cache) with
-    | Some dir, None -> { options with pinball_cache = Some dir }
-    | _ -> options
-  in
   let options = { options with mem_cache_mb = max 0 options.mem_cache_mb } in
   (* publish the budget to the process-wide pool here, since every
      entry point normalizes first; repeat calls with the same value are
@@ -324,92 +314,18 @@ let warm_replay_points options ~warmup_insns whole points =
 let replay_cold_warm options ~warmup_insns whole points =
   walk options ~warmup_insns ~cold:true ~warm:true whole points
 
-(* The pinball-cache skeleton: produce the whole pinball by logging
-   ([log]), unless a cache directory is configured and holds a valid
-   entry for this (benchmark, slice, scale) key — then [on_hit] decides
-   what to do with the cached artifact.  Cache failures are never
-   fatal: corrupt or stale entries are quarantined with a warning and
-   recomputed. *)
-let whole_cached ~options ~slice_insns ~(spec : Benchspec.t) ~log ~on_hit =
-  match options.pinball_cache with
-  | None -> log ()
-  | Some dir -> (
-      let key =
-        Artifact_cache.key ~benchmark:spec.Benchspec.name ~slice_insns
-          ~slices_scale:options.slices_scale
-      in
-      let log_and_store () =
-        let whole = log () in
-        (try
-           ignore (Artifact_cache.store_whole ~dir ~key whole)
-         with Sys_error m | Failure m ->
-           Sp_obs.Log.printf "[%s] pinball cache: could not store entry (%s)\n"
-             spec.Benchspec.name m);
-        whole
-      in
-      match Artifact_cache.find_whole ~dir ~key with
-      | Artifact_cache.Hit whole ->
-          on_hit ~key whole;
-          whole
-      | Artifact_cache.Miss -> log_and_store ()
-      | Artifact_cache.Quarantined { path; reason } ->
-          (* always warn, even under --quiet: data loss is news *)
-          Sp_obs.Log.printf
-            "[%s] pinball cache: quarantined corrupt entry %s (%s); \
-             recomputing\n"
-            spec.Benchspec.name path reason;
-          log_and_store ())
-
-(* Produce the whole pinball with [tools] piggybacked: either log it
-   fresh, or replay the cached artifact under the same tools.  Replay
-   reproduces the logged execution bit-for-bit (recorded inputs
-   included), so the tools observe an identical event stream either
-   way and every downstream statistic is unchanged. *)
-let log_whole_cached ~options ~slice_insns ~(spec : Benchspec.t) ~tools prog =
-  whole_cached ~options ~slice_insns ~spec
-    ~log:(fun () ->
-      Logger.log_whole ~benchmark:spec.Benchspec.name ~extra_tools:tools prog)
-    ~on_hit:(fun ~key whole ->
-      progressf options
-        "[%s] pinball cache hit (%s): replaying cached whole pinball \
-         instead of re-logging\n"
-        spec.Benchspec.name key;
-      ignore (Replayer.replay ~tools whole.Logger.pinball))
-
-(* Produce the whole pinball with no instrumentation at all — a
-   profile-cache hit already has every statistic the instrumented
-   replay would measure.  A pinball-cache hit is then a plain load
-   (zero execution); a miss re-logs on the interpreter's nil-hook
-   compiled fast path and stores the artifact for next time. *)
-let whole_uninstrumented ~options ~slice_insns ~(spec : Benchspec.t) prog =
-  whole_cached ~options ~slice_insns ~spec
-    ~log:(fun () -> Logger.log_whole ~benchmark:spec.Benchspec.name prog)
-    ~on_hit:(fun ~key:_ _whole -> ())
-
-(* What the log+profile stage produces besides the pinball, however it
-   was obtained: everything downstream stages derive whole-run figures
-   from.  [kind_counts] rather than the finished mix, because the mix
-   (and the imix table) are cheap pure folds over it. *)
-type profile_data = {
-  prof_slices : Bbv_tool.slice array;
-  prof_kind_counts : int array;
-  prof_cache_stats : Sp_cache.Hierarchy.stats;
-  prof_core_stats : Sp_cpu.Interval_core.stats;
-}
-
-(* One instrumented pass: logger + single-pass profiler (BBVs +
-   ldst-mix + instruction-mix from one hook) + allcache + timing.
-   The stage wants several profiles from the same replay, so it takes
-   [Profile_tool] — the combined streaming consumer — rather than
-   seq'ing the dedicated per-profile tools; single-profile callers
-   (regional replays) keep the dedicated tools. *)
-let measure_profile ~options ~slice_insns ~spec prog =
-  let profile = Profile_tool.create ~slice_len:slice_insns prog in
+(* One instrumented pass: the logger plus the combined streaming
+   profiler (BBVs, ldst mix and instruction mix from one hook), allcache
+   and the timing model.  It keeps [kind_counts] rather than the mix,
+   since the mix and the imix table are cheap pure folds over them. *)
+let measure_profile ~options ~(spec : Benchspec.t) prog =
+  let benchmark = spec.Benchspec.name in
+  let profile = Profile_tool.create ~slice_len:options.slice_insns prog in
   with_tools options prog @@ fun t _ ->
   reset_tools t;
   let whole =
-    log_whole_cached ~options ~slice_insns ~spec
-      ~tools:
+    Logger.log_whole ~benchmark
+      ~extra_tools:
         [
           Profile_tool.hooks profile;
           Allcache_tool.hooks t.cache;
@@ -420,86 +336,93 @@ let measure_profile ~options ~slice_insns ~spec prog =
   Profile_tool.finish profile;
   ( whole,
     {
-      prof_slices = Profile_tool.slices profile;
-      prof_kind_counts = Profile_tool.kind_counts profile;
-      prof_cache_stats = Allcache_tool.stats t.cache;
-      prof_core_stats = Sp_cpu.Interval_core.stats t.core;
+      Profile_store.benchmark;
+      total_insns = whole.Logger.total_insns;
+      slices = Profile_tool.slices profile;
+      kind_counts = Profile_tool.kind_counts profile;
+      cache_stats = Allcache_tool.stats t.cache;
+      core_stats = Sp_cpu.Interval_core.stats t.core;
     } )
 
-(* The whole log+profile stage, through the profile-result cache when
-   one is configured: a hit replaces the instrumented whole-program
-   replay with a decode of the stored slices, kind counts and whole-run
-   cache/timing statistics (all bit-identical to remeasuring, since the
-   logged execution is deterministic by construction).  The pinball
-   itself comes from the pinball cache or an uninstrumented re-log.
-   Cache trouble of any kind falls back to measuring. *)
-let log_and_profile ~options ~slice_insns ~(spec : Benchspec.t) prog =
+(* The log+profile stage.  With a cache directory it either decodes a
+   clean pair, a valid [.prof] entry and a whole pinball of the same
+   execution, or measures once and stores both entries.  Cache trouble
+   is never fatal: corrupt or stale entries are quarantined and a failed
+   store only warns, always, even under --quiet (data loss is news). *)
+let log_and_profile ~options ~(spec : Benchspec.t) prog =
   let bench = spec.Benchspec.name in
-  let measured () = measure_profile ~options ~slice_insns ~spec prog in
   let whole, data =
     match options.profile_cache with
-    | None -> measured ()
+    | None -> measure_profile ~options ~spec prog
     | Some dir -> (
+        let { slice_insns; slices_scale; warmup_insns; _ } = options in
         let key =
-          Profile_store.key ~benchmark:bench ~slice_insns
-            ~slices_scale:options.slices_scale
-            ~warmup_insns:options.warmup_insns
+          Profile_store.key ~benchmark:bench ~slice_insns ~slices_scale
+            ~warmup_insns
         in
-        let store ((whole : Logger.whole), data) =
-          (try
-             ignore
-               (Profile_store.store ~dir ~key
-                  {
-                    Profile_store.benchmark = bench;
-                    total_insns = whole.Logger.total_insns;
-                    slices = data.prof_slices;
-                    kind_counts = data.prof_kind_counts;
-                    cache_stats = data.prof_cache_stats;
-                    core_stats = data.prof_core_stats;
-                  })
-           with Sys_error m | Failure m ->
-             Sp_obs.Log.printf
-               "[%s] profile cache: could not store entry (%s)\n" bench m);
-          (whole, data)
+        let pb_key =
+          Artifact_cache.key ~benchmark:bench ~slice_insns ~slices_scale
         in
-        match Profile_store.find ~dir ~key with
-        | Profile_store.Hit d -> (
-            let whole = whole_uninstrumented ~options ~slice_insns ~spec prog in
-            (* the entry was measured over this exact execution: its
-               instruction total must agree with the pinball's *)
-            if whole.Logger.total_insns = d.Profile_store.total_insns then begin
-              progressf options
-                "[%s] profile cache hit (%s): skipping the instrumented \
-                 whole-program replay\n"
-                bench key;
-              ( whole,
-                {
-                  prof_slices = d.Profile_store.slices;
-                  prof_kind_counts = d.Profile_store.kind_counts;
-                  prof_cache_stats = d.Profile_store.cache_stats;
-                  prof_core_stats = d.Profile_store.core_stats;
-                } )
-            end
-            else begin
-              Sp_obs.Log.printf
-                "[%s] profile cache: quarantined stale entry %s (instruction \
-                 total %d, pinball has %d); recomputing\n"
-                bench
-                (Profile_store.path ~dir ~key)
-                d.Profile_store.total_insns whole.Logger.total_insns;
-              ignore (Profile_store.quarantine (Profile_store.path ~dir ~key));
-              store (measured ())
-            end)
-        | Profile_store.Miss -> store (measured ())
-        | Profile_store.Quarantined { path; reason } ->
-            Sp_obs.Log.printf
-              "[%s] profile cache: quarantined corrupt entry %s (%s); \
-               recomputing\n"
-              bench path reason;
-            store (measured ()))
+        let warn cache fmt =
+          Sp_obs.Log.printf ("[%s] %s cache: " ^^ fmt) bench cache
+        in
+        let corrupt cache path reason =
+          warn cache "quarantined corrupt entry %s (%s); recomputing\n" path
+            reason;
+          None
+        in
+        let cached =
+          match Profile_store.find ~dir ~key with
+          | Profile_store.Miss -> None
+          | Profile_store.Quarantined { path; reason } ->
+              corrupt "profile" path reason
+          | Profile_store.Hit d -> (
+              match Artifact_cache.find_whole ~dir ~key:pb_key with
+              | Artifact_cache.Miss -> None
+              | Artifact_cache.Quarantined { path; reason } ->
+                  corrupt "pinball" path reason
+              | Artifact_cache.Hit whole
+                when whole.Logger.total_insns = d.Profile_store.total_insns ->
+                  progressf options
+                    "[%s] profile cache hit (%s): skipping the instrumented \
+                     whole-program replay\n"
+                    bench key;
+                  Some (whole, d)
+              | Artifact_cache.Hit whole ->
+                  (* the entry was measured over this exact execution: its
+                     instruction total must agree with the pinball's *)
+                  let path = Profile_store.path ~dir ~key in
+                  warn "profile"
+                    "quarantined stale entry %s (instruction total %d, \
+                     pinball has %d); recomputing\n"
+                    path d.Profile_store.total_insns whole.Logger.total_insns;
+                  ignore (Profile_store.quarantine path);
+                  None)
+        in
+        match cached with
+        | Some pair -> pair
+        | None ->
+            let ((whole, data) as pair) = measure_profile ~options ~spec prog in
+            let store cache f =
+              try ignore (f ())
+              with Sys_error m | Failure m ->
+                warn cache "could not store entry (%s)\n" m
+            in
+            store "pinball" (fun () ->
+                Artifact_cache.store_whole ~dir ~key:pb_key whole);
+            store "profile" (fun () -> Profile_store.store ~dir ~key data);
+            pair)
   in
-  Sp_cache.Hierarchy.observe_stats data.prof_cache_stats;
+  Sp_cache.Hierarchy.observe_stats data.Profile_store.cache_stats;
   (whole, data)
+
+(* the whole-run statistics of a profile: the mix and CPI are pure
+   folds over its kind counts and core statistics *)
+let whole_stats ~label (prof : Profile_store.data) =
+  Runstats.of_whole ~label ~insns:prof.total_insns
+    ~mix:(Profile_tool.ldst_mix_of_kind_counts prof.kind_counts)
+    ~cache:prof.cache_stats
+    ~cpi:(Sp_cpu.Interval_core.cpi_of_stats prof.core_stats)
 
 (* the order [run_report.stages] lists the stages in: warm replay runs
    before cold replay, since its walk also measures the cold regions
@@ -526,9 +449,9 @@ let run_benchmark ?(options = default_options) spec =
     bench spec.Benchspec.planted_phases;
   let whole, prof =
     stage ~bench ~timings "log+profile" (fun () ->
-        log_and_profile ~options ~slice_insns:options.slice_insns ~spec prog)
+        log_and_profile ~options ~spec prog)
   in
-  let slices = prof.prof_slices in
+  let slices = prof.Profile_store.slices in
   progressf options "[%s] %d instructions, %d slices; selecting points...\n"
     bench whole.Logger.total_insns (Array.length slices);
   (* the select stage is the pluggable sampler tier: every registered
@@ -555,14 +478,8 @@ let run_benchmark ?(options = default_options) spec =
             ~ks:options.variance_ks slices)
     else []
   in
-  let whole_stats =
-    Runstats.of_whole ~label:"Whole" ~insns:whole.Logger.total_insns
-      ~mix:(Profile_tool.ldst_mix_of_kind_counts prof.prof_kind_counts)
-      ~cache:prof.prof_cache_stats
-      ~cpi:(Sp_cpu.Interval_core.cpi_of_stats prof.prof_core_stats)
-  in
   let native =
-    Sp_perf.Native.sample_of_stats ~name:bench prof.prof_core_stats
+    Sp_perf.Native.sample_of_stats ~name:bench prof.Profile_store.core_stats
   in
   progressf options "[%s] %d simulation points; replaying regions...\n" bench
     (Array.length sel.Sp_simpoint.Sampler.points);
@@ -592,8 +509,8 @@ let run_benchmark ?(options = default_options) spec =
         bic_curve = sel.Sp_simpoint.Sampler.bic_curve;
         diagnostics = sel.Sp_simpoint.Sampler.diagnostics;
       };
-    whole = whole_stats;
-    whole_core = prof.prof_core_stats;
+    whole = whole_stats ~label:"Whole" prof;
+    whole_core = prof.Profile_store.core_stats;
     point_stats = cold;
     warm_point_stats = warm;
     native;
@@ -684,26 +601,22 @@ let profile_for_sweep ?(options = default_options) ?slice_insns spec =
     | None -> options
   in
   let options = normalize options in
-  let slice_insns = options.slice_insns in
   let built =
-    Benchspec.build ~slice_insns ~slices_scale:options.slices_scale spec
+    Benchspec.build ~slice_insns:options.slice_insns
+      ~slices_scale:options.slices_scale spec
   in
   let prog = built.Benchspec.program in
   (* the same cached log+profile stage [run_benchmark] uses: several
      profiles from one instrumented replay, or from the profile-result
      cache when one is configured *)
-  let whole, prof = log_and_profile ~options ~slice_insns ~spec prog in
+  let whole, prof = log_and_profile ~options ~spec prog in
   {
     sweep_built = built;
     sweep_whole = whole;
-    sweep_slices = prof.prof_slices;
-    sweep_whole_stats =
-      Runstats.of_whole ~label:"Full Run" ~insns:whole.Logger.total_insns
-        ~mix:(Profile_tool.ldst_mix_of_kind_counts prof.prof_kind_counts)
-        ~cache:prof.prof_cache_stats
-        ~cpi:(Sp_cpu.Interval_core.cpi_of_stats prof.prof_core_stats);
+    sweep_slices = prof.Profile_store.slices;
+    sweep_whole_stats = whole_stats ~label:"Full Run" prof;
     sweep_imix =
       Array.init Sp_isa.Isa.num_kinds (fun k ->
           ( Sp_isa.Isa.kind_name (Sp_isa.Isa.kind_of_code k),
-            prof.prof_kind_counts.(k) ));
+            prof.Profile_store.kind_counts.(k) ));
   }

@@ -34,36 +34,23 @@ type options = {
           k-means, variance sweep).  1 (the default) runs fully
           sequentially; any value produces bit-for-bit identical
           results, only wall-clock changes. *)
-  pinball_cache : string option;
-      (** content-addressed whole-pinball cache directory
-          ({!Sp_pinball.Artifact_cache}).  When set, the logging stage
-          first looks for a stored whole pinball keyed by (benchmark,
-          slice length, scale) and replays it under the same profiling
-          tools instead of re-logging — statistics are bit-for-bit
-          identical either way.  Corrupt or stale entries are
-          quarantined with a warning and recomputed, never fatal.
-          [None] (the default) disables caching. *)
   profile_cache : string option;
-      (** content-addressed profile-result cache directory
-          ({!Sp_pinball.Profile_store}).  When set, the log+profile
-          stage memoises its outputs (BBV slices, per-kind instruction
-          counts, whole-run cache and timing statistics) keyed by
-          md5(generation|benchmark|slice_insns|scale|warmup); a later
-          run with the same parameters skips the instrumented
-          whole-program replay entirely and decodes the entry instead —
-          bit-identical, since the logged execution is deterministic.
-          Unless [pinball_cache] is also set, the same directory caches
-          the whole pinballs (see {!normalize}), so a fully-warm re-run
-          performs no whole-program execution at all.  Same robustness
-          contract as the pinball cache.  [None] (the default)
-          disables it. *)
+      (** the cache directory: per benchmark, the log+profile stage's
+          outputs as a [.prof] entry ({!Sp_pinball.Profile_store}) and
+          the whole pinball as a [.pb] entry
+          ({!Sp_pinball.Artifact_cache}).  The stage either decodes both,
+          executing nothing, or logs once under the profiling tools and
+          stores both — bit-identical either way.  Corrupt or stale
+          entries are quarantined and recomputed, and a failed store
+          only warns: the cache never fails a run.  [None] (the
+          default) disables it. *)
   mem_cache_mb : int;
       (** shared budget (MiB) of the in-memory decoded-artifact LRU
-          ({!Sp_pinball.Mem_cache}) fronting both disk caches: a hit
-          skips the disk read, checksum sweep and decode.  Strictly a
-          performance knob — results are bit-identical with it on, off
-          or thrashing — so it is excluded from the API v2 options
-          envelope, like the cache directories.  0 disables; the
+          ({!Sp_pinball.Mem_cache}) fronting both kinds of cache entry:
+          a hit skips the disk read, checksum sweep and decode.
+          Strictly a performance knob — results are bit-identical with
+          it on, off or thrashing — so it is excluded from the API v2
+          options envelope, like the cache directory.  0 disables; the
           default is a small sane cap (64). *)
 }
 
@@ -71,8 +58,8 @@ val default_options : options
 
 val normalize : options -> options
 (** Resolve derived knobs once ([simpoint_config] inherits [jobs] when
-    parallel; [pinball_cache] defaults to the [profile_cache] directory
-    when only the latter is set), producing the single value every
+    parallel; a negative [mem_cache_mb] reads as 0, and the budget is
+    published to the in-memory cache), producing the single value every
     stage receives.  Idempotent; the entry points apply it themselves,
     so callers only need it when invoking stage building blocks
     directly. *)

@@ -5,8 +5,8 @@
     anywhere).  This cache keys a stored whole pinball by a digest of
     everything that determines the logged execution — benchmark name,
     slice length, run scale, format generation — so a later run with
-    identical parameters replays the stored artifact instead of
-    re-logging, with identical results.
+    identical parameters reuses the stored artifact, together with its
+    {!Profile_store} entry, instead of re-logging.
 
     Lookups and stores go through {!Entry_cache}, the same layer as
     {!Profile_store}.  Robustness contract: a cache can only ever help.

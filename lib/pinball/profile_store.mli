@@ -1,13 +1,17 @@
 (** Content-addressed cache of profile-stage results.
 
-    The log+profile stage of the pipeline replays the whole execution
+    The log+profile stage of the pipeline logs the whole execution
     under the combined profiler plus the cache and timing tools.  Its
     outputs — BBV slices, per-kind instruction counts (from which the
     ldst mix derives), whole-run hierarchy statistics and whole-run
-    core statistics — are pure functions of the same key that addresses
-    a cached whole pinball, plus the warmup setting surfaced in run
-    reports.  This store memoises them so a re-run with the same
-    parameters skips the instrumented whole-program replay entirely.
+    core statistics — are pure functions of the same parameters that
+    key a cached whole pinball.  This store memoises them as [.prof]
+    entries in the pipeline's one cache directory, beside the whole
+    pinballs ({!Artifact_cache}): a re-run that finds both entries of
+    a benchmark decodes them and executes no whole program, and a run
+    that finds anything less measures once and stores both.  The key
+    also hashes the warmup setting, though no stored field depends on
+    it, so a changed warmup measures again.
 
     Lookups and stores go through {!Entry_cache}, the same layer as
     {!Artifact_cache}: corrupt, truncated or version-mismatched entries

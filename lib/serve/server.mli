@@ -36,7 +36,7 @@ type config = {
   job_timeout : float;  (** seconds from submit to reply; 0 = none *)
   base_options : Specrepro.Pipeline.options;
       (** defaults for request fields left unset; also carries
-          host-local knobs requests cannot set (cache directories) *)
+          host-local knobs requests cannot set (the cache directory) *)
   quiet : bool;
 }
 

@@ -30,14 +30,16 @@ let write_atomic ~path data =
       (Domain.self () :> int)
   in
   let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc data)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  (* a write or the flush at close can fail (disk full, file-size
+     limit): drop the temp file and re-raise the plain error *)
+  try
+    output_string oc data;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let is_tmp name =
   let n = String.length name and m = String.length tmp_infix in

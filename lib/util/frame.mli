@@ -26,7 +26,9 @@ val mkdir_p : string -> unit
 val write_atomic : path:string -> string -> unit
 (** Write to [path.tmp.<pid>.<domain>] (creating the directory), then
     rename over [path]: concurrent savers never share a temporary and
-    readers never see a partial file. *)
+    readers never see a partial file.  On failure (a write, the flush
+    at close or the rename) the temporary is removed and the error
+    re-raised as it came, typically [Sys_error]. *)
 
 val is_tmp : string -> bool
 (** Whether a file name is a {!write_atomic} temporary. *)

@@ -217,7 +217,11 @@ let test_pipeline_deterministic () =
   in
   Alcotest.(check bool) "identical reruns" true (run () = run ())
 
-let test_pinball_cache_reuse () =
+(* The cache directory's two outcomes: the log+profile stage decodes a
+   clean pair (a valid [.prof] and the whole pinball of the same
+   execution), or it measures once and stores both entries.  Every run
+   below must be bit-identical to an uncached run. *)
+let test_cache_dir_reuse () =
   let dir = Filename.temp_file "spcache" "" in
   Sys.remove dir;
   let spec = Sp_workloads.Suite.find "648.exchange2_s" in
@@ -227,25 +231,48 @@ let test_pinball_cache_reuse () =
     {
       tiny_options with
       collect_variance = false;
-      pinball_cache = Some dir;
+      profile_cache = Some dir;
       mem_cache_mb = 0;
     }
   in
-  let fingerprint r =
-    ( r.Pipeline.whole_insns,
-      r.Pipeline.selection.chosen_k,
-      Array.map (fun (p : Sp_simpoint.Simpoints.point) -> (p.slice_index, p.weight))
+  let fingerprint (r : Pipeline.bench_result) =
+    ( ( r.Pipeline.whole_insns,
+        r.Pipeline.whole,
+        r.Pipeline.whole_core,
+        r.Pipeline.native ),
+      ( r.Pipeline.selection.chosen_k,
         r.Pipeline.selection.points,
-      (Pipeline.regional r).Runstats.cpi,
-      (Pipeline.warmup_regional r).Runstats.l3_miss )
+        r.Pipeline.point_stats,
+        r.Pipeline.warm_point_stats ) )
   in
-  let baseline =
+  let uncached options =
     fingerprint
-      (Pipeline.run_benchmark ~options:{ options with pinball_cache = None } spec)
+      (Pipeline.run_benchmark ~options:{ options with profile_cache = None }
+         spec)
   in
-  (* a cold cached run logs, stores, and matches the uncached run *)
-  let cold = fingerprint (Pipeline.run_benchmark ~options spec) in
-  Alcotest.(check bool) "cold cached run matches uncached" true (cold = baseline);
+  let baseline = uncached options in
+  (* run through the cache; check the result and the named counters *)
+  let cached what ?(options = options) ?(baseline = baseline) counters =
+    Sp_obs.Metrics.reset ();
+    let r = fingerprint (Pipeline.run_benchmark ~options spec) in
+    Alcotest.(check bool) (what ^ ": matches uncached") true
+      (Stdlib.compare r baseline = 0);
+    let snap = Sp_obs.Metrics.stable_snapshot () in
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check (float 0.0)) (what ^ ": " ^ name) v
+          (Option.value ~default:0.0 (Sp_obs.Metrics.counter_value snap name)))
+      counters;
+    Sp_obs.Metrics.reset ()
+  in
+  let stored_both =
+    [
+      ("profcache.stores", 1.0); ("pbcache.stored", 1.0); ("pbcache.hits", 0.0);
+    ]
+  in
+  (* a cold run logs once, stores both entries, and looks up no
+     pinball it is about to write *)
+  cached "cold" (("pbcache.misses", 0.0) :: stored_both);
   let key =
     Sp_pinball.Artifact_cache.key ~benchmark:"648.exchange2_s"
       ~slice_insns:options.Pipeline.slice_insns
@@ -253,24 +280,38 @@ let test_pinball_cache_reuse () =
   in
   let entry = Sp_pinball.Artifact_cache.whole_path ~dir key in
   Alcotest.(check bool) "cache entry written" true (Sys.file_exists entry);
-  (* a warm run replays the stored pinball; stats stay bit-identical *)
-  let warm = fingerprint (Pipeline.run_benchmark ~options spec) in
-  Alcotest.(check bool) "cache hit matches uncached" true (warm = baseline);
-  (* corrupt the entry: the next run quarantines it, recomputes and
-     re-stores — never fails *)
+  (* a warm run decodes both entries and stores nothing *)
+  cached "warm"
+    [
+      ("profcache.hits", 1.0);
+      ("pbcache.hits", 1.0);
+      ("profcache.stores", 0.0);
+      ("pbcache.stored", 0.0);
+      ("vm.snapshots", 0.0);
+    ];
+  (* corrupt the pinball under its valid profile entry: quarantined,
+     measured again and both entries stored again — never fatal *)
   let data = In_channel.with_open_bin entry In_channel.input_all in
   let broken = Bytes.of_string data in
   let mid = String.length data / 2 in
   Bytes.set broken mid (Char.chr (Char.code (Bytes.get broken mid) lxor 0x01));
   Out_channel.with_open_bin entry (fun oc -> Out_channel.output_bytes oc broken);
-  let recomputed = fingerprint (Pipeline.run_benchmark ~options spec) in
-  Alcotest.(check bool) "corrupt entry recomputed" true (recomputed = baseline);
+  cached "corrupt pinball" (("pbcache.quarantined", 1.0) :: stored_both);
   Alcotest.(check bool) "entry re-stored" true (Sys.file_exists entry);
   (match Sp_pinball.Store.verify entry with
   | Ok () -> ()
   | Error e ->
       Alcotest.failf "re-stored entry invalid: %s"
         (Sp_pinball.Store.error_message e));
+  (* a profile entry whose pinball was deleted measures again *)
+  Sys.remove entry;
+  cached "deleted pinball" (("pbcache.misses", 1.0) :: stored_both);
+  Alcotest.(check bool) "entry stored again" true (Sys.file_exists entry);
+  (* the warmup keys the profile entry only: a changed warmup misses
+     the profile and never looks the pinball up *)
+  let options = { options with warmup_insns = 100_000 } in
+  cached "changed warmup" ~options ~baseline:(uncached options)
+    (("profcache.misses", 1.0) :: ("pbcache.misses", 0.0) :: stored_both);
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -474,7 +515,7 @@ let suite =
     Alcotest.test_case "table2 + headlines" `Quick test_table2_and_headlines;
     Alcotest.test_case "figure tables render" `Quick test_fig_tables_render;
     Alcotest.test_case "pipeline deterministic" `Quick test_pipeline_deterministic;
-    Alcotest.test_case "pinball cache reuse" `Quick test_pinball_cache_reuse;
+    Alcotest.test_case "pinball cache reuse" `Quick test_cache_dir_reuse;
     Alcotest.test_case "profile cache reuse" `Quick test_profile_cache_reuse;
     Alcotest.test_case "golden results" `Quick test_golden_results;
   ]

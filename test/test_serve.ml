@@ -717,7 +717,7 @@ let test_daemon_bad_requests () =
                        J.Obj
                          [
                            ("benchmark", J.Str "557.xz_r");
-                           ("pinball_cache", J.Str "/tmp/x");
+                           ("profile_cache", J.Str "/tmp/x");
                          ] );
                    ])))
 
@@ -974,6 +974,29 @@ let bench_exe = Filename.concat build_root "bench/main.exe"
 
 let run_cmd cmd = Sys.command (cmd ^ " >/dev/null 2>&1")
 
+(* a shell command's exit code, stdout and stderr, through pipes *)
+let run_capture cmd =
+  let out, inp, err = Unix.open_process_full cmd (Unix.environment ()) in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED code -> (code, stdout, stderr)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, stdout, stderr)
+
+let rm_dir dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> rm (Filename.concat dir f)) (Sys.readdir dir);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  end
+
+let flip_byte path off =
+  let b =
+    Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
 let test_cli_exit_codes () =
   let store = tmp_path "cli-store.bin" in
   let qstore = Filename.quote store in
@@ -1029,10 +1052,34 @@ let test_cli_exit_codes () =
       (2, Printf.sprintf "%s bench-regress 505.mcf_r --results %s" cli qstore);
     ]
   in
-  List.iter
-    (fun (expected, cmd) ->
-      Alcotest.(check int) cmd expected (run_cmd cmd))
-    checks;
+  let check (expected, cmd) = Alcotest.(check int) cmd expected (run_cmd cmd) in
+  List.iter check checks;
+  (* a real cache directory with a byte-flipped profile entry: verify
+     fails, gc sweeps the entry, verify then passes, and no index file
+     is ever written beside the entries *)
+  let cachedir = tmp_path "cli-cachedir" in
+  let qcache = Filename.quote cachedir in
+  rm_dir cachedir;
+  check
+    ( 0,
+      Printf.sprintf "%s run 657.xz_s --scale 0.05 --quiet --profile-cache %s"
+        cli qcache );
+  (match
+     List.filter
+       (fun f -> Filename.check_suffix f ".prof")
+       (Array.to_list (Sys.readdir cachedir))
+   with
+  | [ prof ] -> flip_byte (Filename.concat cachedir prof) 200
+  | l -> Alcotest.failf "expected one .prof entry, found %d" (List.length l));
+  List.iter check
+    [
+      (1, Printf.sprintf "%s pinballs verify %s" cli qcache);
+      (0, Printf.sprintf "%s pinballs gc %s" cli qcache);
+      (0, Printf.sprintf "%s pinballs verify %s" cli qcache);
+    ];
+  Alcotest.(check bool) "no MANIFEST.tsv" false
+    (Sys.file_exists (Filename.concat cachedir "MANIFEST.tsv"));
+  rm_dir cachedir;
   rm store;
   rm single;
   rm garbage;
@@ -1040,6 +1087,53 @@ let test_cli_exit_codes () =
   (try Unix.rmdir pbdir with Unix.Unix_error _ -> ());
   rm (Filename.concat profdir "bad.prof");
   (try Unix.rmdir profdir with Unix.Unix_error _ -> ())
+
+(* A cache write that fails (here at the file-size limit; a full disk
+   takes the same path) never fails a run: the stage warns, leaves no
+   temporary file behind and reports what an uncached run reports.  An
+   explicit save is different: [simpoints --out] exits 1. *)
+let test_cli_failed_cache_write () =
+  let limited cmd =
+    "sh -c " ^ Filename.quote ("trap '' XFSZ; ulimit -f 8; exec " ^ cmd)
+  in
+  let dir = tmp_path "cli-fsize" in
+  let qdir = Filename.quote dir in
+  rm_dir dir;
+  let run extra =
+    Printf.sprintf "%s run 657.xz_s --scale 0.05 --quiet --json%s" cli extra
+  in
+  let norm json =
+    match J.parse json with
+    | Ok j -> norm_string j
+    | Error e -> Alcotest.failf "bad run --json output: %s" e
+  in
+  let code, cached, err =
+    run_capture (limited (run (" --profile-cache " ^ qdir)))
+  in
+  Alcotest.(check int) "run exits 0" 0 code;
+  List.iter
+    (fun cache ->
+      let warning =
+        Printf.sprintf "[657.xz_s] %s cache: could not store entry" cache
+      in
+      Alcotest.(check bool)
+        warning true
+        (Astring_contains.contains err warning))
+    [ "pinball"; "profile" ];
+  Alcotest.(check (list string)) "no temporary file left" []
+    (List.filter Sp_util.Frame.is_tmp (Array.to_list (Sys.readdir dir)));
+  let code, uncached, _ = run_capture (run "") in
+  Alcotest.(check int) "uncached run exits 0" 0 code;
+  Alcotest.(check string) "same results as an uncached run" (norm uncached)
+    (norm cached);
+  let code, _, _ =
+    run_capture
+      (limited
+         (Printf.sprintf "%s simpoints 657.xz_s --scale 0.05 --quiet --out %s"
+            cli qdir))
+  in
+  Alcotest.(check int) "simpoints --out exits 1" 1 code;
+  rm_dir dir
 
 (* ------------------------------------------------------------------ *)
 
@@ -1089,4 +1183,6 @@ let suite =
       test_daemon_fast_passes_slow;
     Alcotest.test_case "daemon spawn bound" `Quick test_daemon_spawn_bound;
     Alcotest.test_case "cli exit codes" `Quick test_cli_exit_codes;
+    Alcotest.test_case "cli survives a failed cache write" `Quick
+      test_cli_failed_cache_write;
   ]

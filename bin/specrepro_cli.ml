@@ -197,19 +197,33 @@ let options_of c =
 (* Run [f] with span tracing enabled when --trace-out was given; the
    trace file is written even when [f] raises.  Argument validation
    (and its [exit 1]s) must happen before entering — [Stdlib.exit]
-   does not unwind the stack, so it would skip the trace write. *)
+   does not unwind the stack, so it would skip the trace write.  A
+   trace that cannot be written exits 1 with one line once [f] has
+   returned; when [f] raised, that line is printed and [f]'s own
+   exception goes on, so a failed write never hides the run's error. *)
 let with_trace c f =
   match c.trace_out with
   | None -> f ()
-  | Some path ->
+  | Some path -> (
       Sp_obs.Tracer.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Sp_obs.Tracer.write path;
-          if not c.quiet then
-            Sp_obs.Log.printf "wrote %d spans to %s\n"
-              (Sp_obs.Tracer.span_count ()) path)
-        f
+      let write () =
+        match Sp_obs.Tracer.write path with
+        | () ->
+            if not c.quiet then
+              Sp_obs.Log.printf "wrote %d spans to %s\n"
+                (Sp_obs.Tracer.span_count ()) path;
+            true
+        | exception Sys_error m ->
+            Printf.eprintf "specrepro: could not write the trace to %s (%s)\n%!"
+              path m;
+            false
+      in
+      match f () with
+      | v -> if write () then v else exit 1
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (write ());
+          Printexc.raise_with_backtrace e bt)
 
 let find_bench name =
   match Sp_workloads.Suite.find name with
@@ -804,18 +818,27 @@ let experiment_cmd =
     in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
+  (* a CSV that cannot be written stops the run: exit 1, after the
+     trace is written *)
+  let exception Csv_failed of string in
   let write_csv dir name outputs =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    List.filter_map
-      (function Experiments.Table t -> Some t | Experiments.Text _ -> None)
-      outputs
-    |> List.iteri (fun i t ->
-           let file =
-             if i = 0 then name ^ ".csv" else Printf.sprintf "%s-%d.csv" name (i + 1)
-           in
-           let oc = open_out (Filename.concat dir file) in
-           output_string oc (Sp_util.Table.to_csv t);
-           close_out oc)
+    try
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      List.filter_map
+        (function Experiments.Table t -> Some t | Experiments.Text _ -> None)
+        outputs
+      |> List.iteri (fun i t ->
+             let file =
+               if i = 0 then name ^ ".csv"
+               else Printf.sprintf "%s-%d.csv" name (i + 1)
+             in
+             Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
+                 output_string oc (Sp_util.Table.to_csv t)))
+    with Sys_error m ->
+      raise
+        (Csv_failed
+           (Printf.sprintf "specrepro experiment: could not write CSV under %s (%s)"
+              dir m))
   in
   let output_json = function
     | Experiments.Table t -> ("table", table_json t)
@@ -832,10 +855,11 @@ let experiment_cmd =
               (String.concat " " names);
             exit 1
     in
-    with_trace common @@ fun () ->
-    let options = options_of common in
-    let ctx = Experiments.context options in
-    List.iteri
+    match
+      with_trace common @@ fun () ->
+      let options = options_of common in
+      let ctx = Experiments.context options in
+      List.iteri
       (fun i (e : Experiments.entry) ->
         Sp_obs.Tracer.with_span ~cat:"experiment" e.name @@ fun () ->
         let outputs = e.run ctx in
@@ -861,6 +885,9 @@ let experiment_cmd =
           print_outputs outputs
         end)
       entries
+    with
+    | () -> ()
+    | exception Csv_failed m -> prerr_endline m; exit 1
   in
   Cmd.v
     (Cmd.info "experiment"

@@ -8,9 +8,10 @@
 (** Replacement policy.  [Lru] is the default (and what the paper's
     tools model); [Fifo] and [Random] support replacement-policy
     ablations. *)
-type policy = Lru | Fifo | Random
+type policy = Cachesim.policy = Lru | Fifo | Random
 
-type t
+type t = Cachesim.cache
+(** A view of the set kernel of {!Cachesim}. *)
 
 val create : ?policy:policy -> ?seed:int -> Config.level -> t
 (** [seed] only matters for [Random] replacement (deterministic).
@@ -32,15 +33,6 @@ val access : t -> int -> bool
 val access_rw : t -> write:bool -> int -> bool
 (** Like {!access}; a write marks the line dirty, and evicting a dirty
     line counts a write-back. *)
-
-val access_bulk : t -> int -> unit
-(** [access_bulk c n] folds [n] guaranteed-hit read accesses into the
-    counters without touching replacement state.  Only sound when the
-    caller can prove each access would hit — e.g. repeats of the line
-    the cache just served, which are hits in place: no residency
-    change, no reorder (the line is already MRU under LRU; FIFO/Random
-    never reorder on hit), no dirty-bit change.  Statistics then stay
-    bit-identical to [n] individual {!access} calls. *)
 
 val warm : t -> int -> bool
 (** Like {!access} but does not count statistics — used for the paper's

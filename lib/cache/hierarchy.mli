@@ -4,7 +4,8 @@
     Lookups are strictly hierarchical and non-inclusive: a level is
     accessed (and counted) only if the level above missed. *)
 
-type t
+type t = Cachesim.hierarchy
+(** A view of the hierarchy walk of {!Cachesim}. *)
 
 type level_stats = { accesses : int; misses : int; miss_rate : float }
 
@@ -30,21 +31,6 @@ val read : t -> int -> unit
 
 val write : t -> int -> unit
 (** Data write; write-allocate, so it walks the same path as a read. *)
-
-val fetch_repeats : t -> int -> unit
-(** [fetch_repeats t n] counts [n] instruction fetches that are
-    guaranteed L1I hits (repeats of the line the last {!fetch}
-    touched) without walking: a repeat hit changes no replacement
-    state and never reaches L2/L3, so stats stay bit-identical to [n]
-    {!fetch} calls.  No-op while warming, exactly as [n] warmed
-    guaranteed hits would be. *)
-
-val data_repeats : t -> int -> unit
-(** Same-line filter for data references: [n] guaranteed L1D hits,
-    counters only.  Sound for repeat reads of the line the last data
-    access touched, and for repeat writes to it once it is known to be
-    dirty; any other write must go through {!write}, since it can set
-    the dirty bit. *)
 
 (** The level that served an access — what a timing model needs. *)
 type hit_level = L1 | L2 | L3 | Memory

@@ -1,30 +1,22 @@
+(* A view of the TLBs in [Cachesim]. *)
+
 type config = { name : string; entries : int; assoc : int; page_bytes : int }
 
 let itlb_default = { name = "ITLB"; entries = 64; assoc = 4; page_bytes = 4096 }
 let dtlb_default = { name = "DTLB"; entries = 64; assoc = 4; page_bytes = 4096 }
 let stlb_default = { name = "STLB"; entries = 512; assoc = 8; page_bytes = 4096 }
 
-type t = {
-  l1 : Cache.t;
-  l2 : Cache.t option;
-  mutable walks : int;
-  mutable warming_walks : int;
-}
+type t = Cachesim.tlb
 
-(* A TLB entry maps one page: reuse the cache machinery with
-   line size = page size. *)
+(* A TLB entry maps one page: the set kernel with line size = page
+   size. *)
 let as_level (c : config) =
   Config.level ~name:c.name
     ~size_kb:(c.entries * c.page_bytes / 1024)
     ~assoc:c.assoc ~line_bytes:c.page_bytes
 
 let create ?level2 cfg =
-  {
-    l1 = Cache.create (as_level cfg);
-    l2 = Option.map (fun c -> Cache.create (as_level c)) level2;
-    walks = 0;
-    warming_walks = 0;
-  }
+  Cachesim.tlb_create ?level2:(Option.map as_level level2) (as_level cfg)
 
 type stats = {
   accesses : int;
@@ -34,46 +26,20 @@ type stats = {
   walk_rate : float;
 }
 
-let access t addr =
-  if not (Cache.access t.l1 addr) then
-    let l2_hit =
-      match t.l2 with Some l2 -> Cache.access l2 addr | None -> false
-    in
-    if not l2_hit then t.walks <- t.walks + 1
+let access = Cachesim.tlb_access
+let warm = Cachesim.tlb_warm
 
-(* [n] guaranteed first-level hits (repeats of the page just
-   translated): counter-only, no replacement-state walk.  Exact for the
-   same reason as [Cache.access_bulk] — a first-level hit never reaches
-   the second level or the walk counter. *)
-let access_bulk t n = Cache.access_bulk t.l1 n
-
-let warm t addr =
-  if not (Cache.warm t.l1 addr) then
-    let l2_hit =
-      match t.l2 with Some l2 -> Cache.warm l2 addr | None -> false
-    in
-    if not l2_hit then t.warming_walks <- t.warming_walks + 1
-
-let stats t =
-  let accesses = Cache.accesses t.l1 in
-  let misses = Cache.misses t.l1 in
+let stats (t : t) =
+  let accesses = Cache.accesses t.tlb1 in
   {
     accesses;
-    misses;
+    misses = Cache.misses t.tlb1;
     walks = t.walks;
-    miss_rate = Cache.miss_rate t.l1;
+    miss_rate = Cache.miss_rate t.tlb1;
     walk_rate =
       (if accesses = 0 then 0.0
        else float_of_int t.walks /. float_of_int accesses);
   }
 
-let reset_stats t =
-  Cache.reset_stats t.l1;
-  Option.iter Cache.reset_stats t.l2;
-  t.walks <- 0
-
-let reset_state t =
-  Cache.reset_state t.l1;
-  Option.iter Cache.reset_state t.l2;
-  t.walks <- 0;
-  t.warming_walks <- 0
+let reset_stats = Cachesim.tlb_reset_stats
+let reset_state = Cachesim.tlb_reset_state

@@ -25,7 +25,8 @@ val dtlb_default : config
 val stlb_default : config
 (** Unified second-level TLB: 512-entry, 8-way. *)
 
-type t
+type t = Cachesim.tlb
+(** A view of the TLBs of {!Cachesim}. *)
 
 val create : ?level2:config -> config -> t
 (** [create ?level2 cfg] builds a TLB; misses in the first level probe
@@ -41,11 +42,6 @@ type stats = {
 
 val access : t -> int -> unit
 (** Translate the page containing a byte address. *)
-
-val access_bulk : t -> int -> unit
-(** [access_bulk t n] counts [n] guaranteed first-level hits without
-    walking — only sound for repeats of the page this TLB just
-    translated (statistics bit-identical to [n] {!access} calls). *)
 
 val warm : t -> int -> unit
 (** Translate without counting statistics. *)

@@ -24,20 +24,19 @@ type cycles = {
 type t = {
   cfg : Core_config.t;
   hier : Hierarchy.t;
+  mem : Cachesim.core_mem;  (* the data-segment walk over [hier] *)
   bp : Branch_predictor.t;
   blocks : Program.block array;
   kinds : int array;
   dispatch_cost : float;
   kind_extra : float array;
+  latency : float array;  (* exposed cycles per level class *)
   rob_window : int;  (* instructions the ROB can hold in flight *)
   i_line_shift : int;
-  d_line_shift : int;
-  (* line ids ([byte_addr lsr shift]) of the previous i-fetch and data
-     reference; [min_int] = none, reset with the cache state *)
+  (* line id ([byte_addr lsr i_line_shift]) of the previous leader
+     fetch; [min_int] = none, reset with the cache state *)
   mutable last_i_line : int;
-  mutable last_d_line : int;
-  (* the L1D holds [last_d_line] with its dirty bit set *)
-  mutable last_d_dirty : bool;
+  mutable levels : int array;  (* level class per reference of a segment *)
   mutable warming : bool;
   mutable instructions : int;
   cyc : cycles;
@@ -63,20 +62,28 @@ let log2 n =
   go 0 n
 
 let create ?(config = Core_config.i7_3770) (prog : Program.t) =
+  let hier = Hierarchy.create config.caches in
   {
     cfg = config;
-    hier = Hierarchy.create config.caches;
+    hier;
+    mem = Cachesim.core_mem_create hier;
     bp = Branch_predictor.create ();
     blocks = prog.blocks;
     kinds = prog.kinds;
     dispatch_cost = 1.0 /. float_of_int config.dispatch_width;
     kind_extra = Array.init Isa.num_kinds extra_of_kind;
+    latency =
+      Array.map float_of_int
+        [|
+          config.l1_latency;
+          config.l2_latency;
+          config.l3_latency;
+          config.memory_latency;
+        |];
     rob_window = config.rob_entries;
     i_line_shift = log2 config.caches.l1i.Config.line_bytes;
-    d_line_shift = log2 config.caches.l1d.Config.line_bytes;
     last_i_line = min_int;
-    last_d_line = min_int;
-    last_d_dirty = false;
+    levels = Array.make 64 0;
     warming = false;
     instructions = 0;
     cyc = { base = 0.0; branch_stall = 0.0; mem_stall = 0.0 };
@@ -85,49 +92,27 @@ let create ?(config = Core_config.i7_3770) (prog : Program.t) =
     last_miss_icount = min_int;
   }
 
-let latency t (where : Hierarchy.hit_level) =
-  match where with
-  | Hierarchy.L1 -> t.cfg.l1_latency
-  | Hierarchy.L2 -> t.cfg.l2_latency
-  | Hierarchy.L3 -> t.cfg.l3_latency
-  | Hierarchy.Memory -> t.cfg.memory_latency
-
-(* Charge a miss served by [where] (not L1) its exposed latency.
-   Streams (next-line misses inside the ROB window) overlap almost
-   fully; independent scattered misses inside the window overlap
+(* Charge a miss of level class [level] (not L1), by the reference of
+   the instruction that brings the count to [icount], its exposed
+   latency.  Streams (next-line misses inside the ROB window) overlap
+   almost fully; independent scattered misses inside the window overlap
    partially; isolated or dependent-looking misses pay in full minus
    what the window hides.  The exposure goes straight into the flat
    [cyc] record rather than back to the caller, which would box it. *)
-let charge_miss t ~is_write ~addr ~where =
+let charge_miss t ~icount ~is_write ~addr level =
   let line = addr lsr 6 in
-  let gap = t.instructions - t.last_miss_icount in
+  let gap = icount - t.last_miss_icount in
   let factor =
     if gap <= t.rob_window && abs (line - t.last_miss_line) <= 2 then 0.15
     else if gap <= t.rob_window then 0.5
     else 1.0
   in
   t.last_miss_line <- line;
-  t.last_miss_icount <- t.instructions;
-  let exposure = float_of_int (latency t where) *. factor in
+  t.last_miss_icount <- icount;
+  let exposure = Array.unsafe_get t.latency level *. factor in
   (* stores retire through the store buffer: half exposure *)
   let exposure = if is_write then exposure *. 0.5 else exposure in
   t.cyc.mem_stall <- t.cyc.mem_stall +. exposure
-
-let on_access t ~is_write addr =
-  let where =
-    if is_write then Hierarchy.write_where t.hier addr
-    else Hierarchy.read_where t.hier addr
-  in
-  if not t.warming then
-    match where with
-    | Hierarchy.L1 ->
-        (* exposes nothing and leaves the miss window alone: adding its
-           0 stall would not change a bit *)
-        t.level_hits.(0) <- t.level_hits.(0) + 1
-    | Hierarchy.L2 | Hierarchy.L3 | Hierarchy.Memory ->
-        let cls = Hierarchy.latency_class where in
-        t.level_hits.(cls) <- t.level_hits.(cls) + 1;
-        charge_miss t ~is_write ~addr ~where
 
 (* Leader fetch, with the same-line repeat filter of the fused
    [allcache] tool (DESIGN.md §5g): the core's L1I sees nothing but
@@ -138,7 +123,10 @@ let on_access t ~is_write addr =
 let fetch_leader t bb =
   let a = (Array.unsafe_get t.blocks bb).Program.fetch_base in
   let line = a lsr t.i_line_shift in
-  if line = t.last_i_line then Hierarchy.fetch_repeats t.hier 1
+  if line = t.last_i_line then begin
+    let l1i = t.hier.Cachesim.l1i in
+    if not t.warming then l1i.accesses <- l1i.accesses + 1
+  end
   else begin
     Hierarchy.fetch t.hier a;
     t.last_i_line <- line
@@ -156,59 +144,44 @@ let on_branch t pc taken =
    hold it to) because
    - base cycles still accumulate one instruction at a time, in
      retirement order and with the same association, so no float
-     rounding changes (a per-block sum would);
-   - reference [r] sees [instructions = first + offs.(r) + 1], the
+     rounding changes (a per-block sum would).  A kind with no extra
+     cycles skips its [+. 0.0], which on the positive finite sum
+     changes no bit;
+   - [Cachesim.core_segment] walks the references in order, with the
+     allcache tool's exact L1D same-line filter, and reports each one's
+     level; the misses are then charged in reference order, so the
+     miss window sees the same sequence;
+   - reference [r] is charged at [icount = first + offs.(r) + 1], the
      count once its own instruction is counted, and the count
-     [charge_miss] measures its window in;
-   - the L1D same-line filter is exact: the L1D sees only this data
-     stream, so a reference to the previous reference's line is an L1
-     hit on the MRU line — no replacement or miss-window state moves
-     and its exposure is 0.  Measured repeat reads fold into the L1D
-     counter and [level_hits.(0)], and so do repeat writes once the
-     line is known to be dirty ([last_d_dirty]); any other write walks
-     (it can set the dirty bit).  While warming, every repeat is a
-     no-op (warming walks carry no write bit and dirty nothing) and is
-     dropped. *)
+     [charge_miss] measures its window in. *)
 let process t pc0 n offs addrs nrefs =
-  if t.warming then
-    for r = 0 to nrefs - 1 do
-      let v = Array.unsafe_get addrs r in
-      let addr = v asr 1 in
-      let line = addr lsr t.d_line_shift in
-      if line <> t.last_d_line then begin
-        if v land 1 <> 0 then Hierarchy.write t.hier addr
-        else Hierarchy.read t.hier addr;
-        t.last_d_line <- line;
-        t.last_d_dirty <- false
-      end
-    done
+  if t.warming then ignore (Cachesim.core_segment t.mem addrs nrefs t.levels)
   else begin
     let kinds = t.kinds and kind_extra = t.kind_extra in
     let dispatch = t.dispatch_cost in
     let acc = ref t.cyc.base in
     for pc = pc0 to pc0 + n - 1 do
-      acc :=
-        !acc +. dispatch
-        +. Array.unsafe_get kind_extra (Array.unsafe_get kinds pc)
+      let x = !acc +. dispatch in
+      let extra = Array.unsafe_get kind_extra (Array.unsafe_get kinds pc) in
+      acc := if extra = 0.0 then x else x +. extra
     done;
     t.cyc.base <- !acc;
+    if Array.length t.levels < nrefs then t.levels <- Array.make (2 * nrefs) 0;
+    let levels = t.levels in
+    let missed = Cachesim.core_segment t.mem addrs nrefs levels in
     let first = t.instructions in
-    for r = 0 to nrefs - 1 do
-      t.instructions <- first + Array.unsafe_get offs r + 1;
-      let v = Array.unsafe_get addrs r in
-      let addr = v asr 1 in
-      let line = addr lsr t.d_line_shift in
-      let wr = v land 1 <> 0 in
-      if line = t.last_d_line && ((not wr) || t.last_d_dirty) then begin
-        Hierarchy.data_repeats t.hier 1;
-        t.level_hits.(0) <- t.level_hits.(0) + 1
-      end
-      else begin
-        on_access t ~is_write:wr addr;
-        t.last_d_dirty <- wr
-      end;
-      t.last_d_line <- line
-    done;
+    t.level_hits.(0) <- t.level_hits.(0) + (nrefs - missed);
+    if missed > 0 then
+      for r = 0 to nrefs - 1 do
+        let level = Array.unsafe_get levels r in
+        if level <> 0 then begin
+          t.level_hits.(level) <- t.level_hits.(level) + 1;
+          let v = Array.unsafe_get addrs r in
+          charge_miss t
+            ~icount:(first + Array.unsafe_get offs r + 1)
+            ~is_write:(v land 1 <> 0) ~addr:(v asr 1) level
+        end
+      done;
     t.instructions <- first + n
   end
 
@@ -264,8 +237,7 @@ let reset_state t =
   t.last_miss_icount <- min_int;
   (* the filters' residency guarantee died with the cache state *)
   t.last_i_line <- min_int;
-  t.last_d_line <- min_int;
-  t.last_d_dirty <- false;
+  Cachesim.core_mem_forget t.mem;
   t.warming <- false
 
 let config t = t.cfg

@@ -19,12 +19,12 @@ val create :
 val prefetches : t -> int
 
 val hooks : t -> Hooks.t
-(** The fused hook set: a single {!Hooks.on_block_mems} consumer that
-    replays each delivered segment's i-fetch grid and data references
-    in one pass, with exact same-line/same-page repeat filters.
-    Statistics are bit-identical to one TLB access and one hierarchy
-    walk per fetch and data reference (enforced by the differential
-    suite). *)
+(** The fused hook set: a single {!Hooks.on_block_mems} consumer,
+    {!Sp_cache.Cachesim.allcache_consumer}, that replays each delivered
+    segment's i-fetch grid and data references in one call, with exact
+    same-line/same-page repeat filters.  Statistics are bit-identical to
+    one TLB access and one hierarchy walk per fetch and data reference
+    (enforced by the differential suite). *)
 
 val hierarchy : t -> Sp_cache.Hierarchy.t
 

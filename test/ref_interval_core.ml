@@ -4,16 +4,17 @@
    first, then its own data references in order — through plain
    hierarchy walks, with none of the library core's batching or
    same-line repeat filters.  The block's leader fetch comes on
-   [on_block] and the predictor on [on_branch], as in the library. *)
+   [on_block] and the predictor on [on_branch], as in the library.  The
+   hierarchy is [Cache_model]'s, which shares no code with the kernel
+   the library core walks. *)
 
 open Sp_isa
 open Sp_vm
-open Sp_cache
 open Sp_cpu
 
 type t = {
   cfg : Core_config.t;
-  hier : Hierarchy.t;
+  hier : Cache_model.hier;
   bp : Branch_predictor.t;
   prog : Program.t;
   mutable warming : bool;
@@ -29,7 +30,7 @@ type t = {
 let create ?(config = Core_config.i7_3770) (prog : Program.t) =
   {
     cfg = config;
-    hier = Hierarchy.create config.caches;
+    hier = Cache_model.hier_create config.caches;
     bp = Branch_predictor.create ();
     prog;
     warming = false;
@@ -54,10 +55,10 @@ let extra kind =
       0.0
 
 let latency t = function
-  | Hierarchy.L1 -> t.cfg.l1_latency
-  | Hierarchy.L2 -> t.cfg.l2_latency
-  | Hierarchy.L3 -> t.cfg.l3_latency
-  | Hierarchy.Memory -> t.cfg.memory_latency
+  | 0 -> t.cfg.l1_latency
+  | 1 -> t.cfg.l2_latency
+  | 2 -> t.cfg.l3_latency
+  | _ -> t.cfg.memory_latency
 
 let instr t kind =
   if not t.warming then begin
@@ -71,13 +72,12 @@ let instr t kind =
    outside it; stores retire through the store buffer at half cost *)
 let access t ~is_write addr =
   let where =
-    if is_write then Hierarchy.write_where t.hier addr
-    else Hierarchy.read_where t.hier addr
+    if is_write then Cache_model.hier_write t.hier addr
+    else Cache_model.hier_read t.hier addr
   in
   if not t.warming then begin
-    let cls = Hierarchy.latency_class where in
-    t.level_hits.(cls) <- t.level_hits.(cls) + 1;
-    if where <> Hierarchy.L1 then begin
+    t.level_hits.(where) <- t.level_hits.(where) + 1;
+    if where <> 0 then begin
       let line = addr lsr 6 in
       let gap = t.instructions - t.last_miss_icount in
       let factor =
@@ -99,7 +99,7 @@ let hooks t =
     Hooks.on_block =
       (fun bb ->
         ignore
-          (Hierarchy.fetch_where t.hier t.prog.Program.blocks.(bb).fetch_base));
+          (Cache_model.hier_fetch t.hier t.prog.Program.blocks.(bb).fetch_base));
     on_block_span = Hooks.nil.on_block_span;
     on_block_mems =
       (fun pc0 n offs addrs nrefs ->
@@ -136,7 +136,7 @@ let stats t =
 
 let set_warming t b =
   t.warming <- b;
-  Hierarchy.set_warming t.hier b
+  t.hier.Cache_model.h_warming <- b
 
 let reset_state t =
   t.instructions <- 0;
@@ -144,9 +144,8 @@ let reset_state t =
   t.branch_stall <- 0.0;
   t.mem_stall <- 0.0;
   Array.fill t.level_hits 0 4 0;
-  Hierarchy.reset_stats t.hier;
   Branch_predictor.reset_stats t.bp;
-  Hierarchy.reset_state t.hier;
+  Cache_model.hier_reset t.hier;
   Branch_predictor.reset_state t.bp;
   t.last_miss_line <- min_int;
   t.last_miss_icount <- min_int;

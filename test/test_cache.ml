@@ -186,131 +186,9 @@ let test_latency_class () =
   Alcotest.(check int) "Memory" 3 (Hierarchy.latency_class Hierarchy.Memory)
 
 (* ------------------------------------------------------------------ *)
-(* An independent model of [Cache]: one list per set, no shared code
-   with the kernel beyond the line address ([addr lsr line_shift]) and
-   the Random policy's seed derivation and draw rule.  LRU keeps the
-   set most recent first; FIFO keeps it newest first and never reorders
-   on a hit; Random keeps [assoc] fixed positions, fills the first
-   empty one and otherwise evicts position [Rng.int rng assoc]. *)
+(* The kernel against [Cache_model]'s list-per-set model *)
 
-type model = {
-  m_policy : Cache.policy;
-  m_line_shift : int;
-  m_sets : int;
-  m_assoc : int;
-  m_seed : int;
-  mutable m_rng : Sp_util.Rng.t;
-  (* LRU/FIFO: (line, dirty) in order, at most [assoc];
-     Random: exactly [assoc] positions *)
-  m_lists : (int * bool) list array;
-  m_slots : (int * bool) option list array;
-  mutable m_accesses : int;
-  mutable m_misses : int;
-  mutable m_writebacks : int;
-}
-
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
-
-let model_create policy (cfg : Config.level) =
-  let sets = Config.num_sets cfg in
-  let seed = 0x5CA1AB1E lxor Sp_util.Rng.hash_string cfg.Config.name in
-  {
-    m_policy = policy;
-    m_line_shift = log2 cfg.Config.line_bytes;
-    m_sets = sets;
-    m_assoc = cfg.Config.assoc;
-    m_seed = seed;
-    m_rng = Sp_util.Rng.create seed;
-    m_lists = Array.make sets [];
-    m_slots = Array.make sets (List.init cfg.Config.assoc (fun _ -> None));
-    m_accesses = 0;
-    m_misses = 0;
-    m_writebacks = 0;
-  }
-
-let model_reset m =
-  Array.fill m.m_lists 0 m.m_sets [];
-  Array.fill m.m_slots 0 m.m_sets (List.init m.m_assoc (fun _ -> None));
-  m.m_rng <- Sp_util.Rng.create m.m_seed;
-  m.m_accesses <- 0;
-  m.m_misses <- 0;
-  m.m_writebacks <- 0
-
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
-
-(* one lookup; [count] is false for a warm, which leaves the counters
-   alone but not the state *)
-let model_touch m ~count ~write addr =
-  let line = addr lsr m.m_line_shift in
-  let set = line land (m.m_sets - 1) in
-  let evict dirty = if dirty then m.m_writebacks <- m.m_writebacks + 1 in
-  let hit =
-    match m.m_policy with
-    | Cache.Lru | Cache.Fifo -> (
-        let ways = m.m_lists.(set) in
-        match List.assoc_opt line ways with
-        | Some dirty ->
-            let entry = (line, dirty || write) in
-            m.m_lists.(set) <-
-              (if m.m_policy = Cache.Lru then
-                 entry :: List.remove_assoc line ways
-               else
-                 List.map (fun (l, d) -> if l = line then entry else (l, d)) ways);
-            true
-        | None ->
-            if List.length ways = m.m_assoc then
-              evict (snd (List.nth ways (m.m_assoc - 1)));
-            m.m_lists.(set) <- (line, write) :: take (m.m_assoc - 1) ways;
-            false)
-    | Cache.Random -> (
-        let slots = m.m_slots.(set) in
-        if List.mem_assoc line (List.filter_map Fun.id slots) then begin
-          m.m_slots.(set) <-
-            List.map
-              (function
-                | Some (l, d) when l = line -> Some (l, d || write)
-                | s -> s)
-              slots;
-          true
-        end
-        else
-          let rec first_empty i = function
-            | [] -> None
-            | None :: _ -> Some i
-            | Some _ :: rest -> first_empty (i + 1) rest
-          in
-          let victim =
-            match first_empty 0 slots with
-            | Some i -> i
-            | None -> Sp_util.Rng.int m.m_rng m.m_assoc
-          in
-          m.m_slots.(set) <-
-            List.mapi
-              (fun i s ->
-                if i <> victim then s
-                else begin
-                  (match s with Some (_, d) -> evict d | None -> ());
-                  Some (line, write)
-                end)
-              slots;
-          false)
-  in
-  if count then begin
-    m.m_accesses <- m.m_accesses + 1;
-    if not hit then m.m_misses <- m.m_misses + 1
-  end;
-  hit
-
-let model_resident m =
-  match m.m_policy with
-  | Cache.Lru | Cache.Fifo ->
-      Array.fold_left (fun acc l -> acc + List.length l) 0 m.m_lists
-  | Cache.Random ->
-      Array.fold_left
-        (fun acc l -> acc + List.length (List.filter Option.is_some l))
-        0 m.m_slots
+open Cache_model
 
 type cache_op = Read of int | Write of int | Warm of int | Reset
 

@@ -86,30 +86,29 @@ let mem_prog_gen =
 (* ------------------------------------------------------------------ *)
 (* The per-event reference: each segment walked one event at a time —
    an instruction's fetch, then its own data references in order — with
-   one TLB access and one hierarchy walk per event, on the same
-   geometry as [Allcache_tool.create] *)
+   one TLB translation and one hierarchy walk per event, on the same
+   geometry as [Allcache_tool.create].  It is built on [Cache_model],
+   which shares no code with the kernel under test. *)
 
 type reference = {
-  r_hier : Hierarchy.t;
-  r_itlb : Tlb.t;
-  r_dtlb : Tlb.t;
-  mutable r_warming : bool;
+  r_hier : Cache_model.hier;
+  r_itlb : Cache_model.tlb;
+  r_dtlb : Cache_model.tlb;
 }
 
 let reference_create ?(config = Config.allcache_table1) ~policy ~prefetch () =
   {
-    r_hier = Hierarchy.create ~policy ~next_line_prefetch:prefetch config;
-    r_itlb = Tlb.create ~level2:Tlb.stlb_default Tlb.itlb_default;
-    r_dtlb = Tlb.create ~level2:Tlb.stlb_default Tlb.dtlb_default;
-    r_warming = false;
+    r_hier = Cache_model.hier_create ~policy ~prefetch config;
+    r_itlb = Cache_model.tlb_create ~level2:Tlb.stlb_default Tlb.itlb_default;
+    r_dtlb = Cache_model.tlb_create ~level2:Tlb.stlb_default Tlb.dtlb_default;
   }
 
-let reference_set_warming r b =
-  r.r_warming <- b;
-  Hierarchy.set_warming r.r_hier b
+let reference_set_warming r b = r.r_hier.Cache_model.h_warming <- b
 
 let reference_hooks r p =
-  let tlb t addr = if r.r_warming then Tlb.warm t addr else Tlb.access t addr in
+  let tlb t addr =
+    Cache_model.tlb_translate t ~warming:r.r_hier.Cache_model.h_warming addr
+  in
   {
     Hooks.nil with
     Hooks.on_block_mems =
@@ -118,13 +117,14 @@ let reference_hooks r p =
         for i = 0 to n - 1 do
           let addr = Program.fetch_addr p (pc0 + i) in
           tlb r.r_itlb addr;
-          Hierarchy.fetch r.r_hier addr;
+          ignore (Cache_model.hier_fetch r.r_hier addr);
           while !ref_i < nrefs && offs.(!ref_i) = i do
             let v = addrs.(!ref_i) in
             let addr = v asr 1 in
             tlb r.r_dtlb addr;
-            if v land 1 = 0 then Hierarchy.read r.r_hier addr
-            else Hierarchy.write r.r_hier addr;
+            ignore
+              (if v land 1 = 0 then Cache_model.hier_read r.r_hier addr
+               else Cache_model.hier_write r.r_hier addr);
             incr ref_i
           done
         done);
@@ -154,23 +154,30 @@ let warm_fuel = 60
 let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
     ~chunk instrs =
   let p = Program.of_instrs instrs in
-  (* the hooks, the warming switch, and the hierarchy and TLB stats read
-     after the run *)
+  (* the hooks, the warming switch, and the hierarchy and TLB
+     statistics, prefetches and write-backs read after the run *)
   let hooks, set_warming, observe =
     match tier with
     | Per_event ->
         let r = reference_create ?config ~policy ~prefetch () in
         ( reference_hooks r p,
           reference_set_warming r,
-          fun () -> (r.r_hier, Tlb.stats r.r_itlb, Tlb.stats r.r_dtlb) )
+          fun () ->
+            ( Cache_model.hier_stats r.r_hier,
+              Cache_model.tlb_stats r.r_itlb,
+              Cache_model.tlb_stats r.r_dtlb,
+              r.r_hier.Cache_model.h_prefetches,
+              Cache_model.hier_writebacks r.r_hier ) )
     | Fused | Legs ->
         let tool = Allcache_tool.create ?config ~policy ~prefetch p in
         ( Allcache_tool.hooks tool,
           Allcache_tool.set_warming tool,
           fun () ->
-            ( Allcache_tool.hierarchy tool,
+            ( Allcache_tool.stats tool,
               Allcache_tool.itlb_stats tool,
-              Allcache_tool.dtlb_stats tool ) )
+              Allcache_tool.dtlb_stats tool,
+              Allcache_tool.prefetches tool,
+              Hierarchy.writebacks (Allcache_tool.hierarchy tool) ) )
   in
   let m = Interp.create ~entry:0 () in
   let outcome = ref 0 in
@@ -200,13 +207,13 @@ let run_tier ?config ?(warm_len = warm_fuel) tier ~policy ~prefetch ~warm
        run f
      done
    with Interp.Stack_error _ -> outcome := 2);
-  let hier, itlb, dtlb = observe () in
+  let hier, itlb, dtlb, prefetches, writebacks = observe () in
   {
-    o_hier = Hierarchy.stats hier;
+    o_hier = hier;
     o_itlb = itlb;
     o_dtlb = dtlb;
-    o_prefetches = Hierarchy.prefetches hier;
-    o_writebacks = Hierarchy.writebacks hier;
+    o_prefetches = prefetches;
+    o_writebacks = writebacks;
     o_icount = m.Interp.icount;
     o_outcome = !outcome;
   }
@@ -267,10 +274,50 @@ let alias_prog_gen =
           @ [ Isa.Halt ]))
       (list_size (1 -- 60) (triple bool (0 -- 3) (0 -- 3))))
 
+(* loads and stores over six data pages 64 KiB apart, which share one
+   4-way DTLB set but not an STLB set: every fifth distinct page evicts
+   a first-level entry, and its next use misses the DTLB and hits the
+   second level, which a walk that skipped that level would count as a
+   page-table walk *)
+let page_alias_prog_gen =
+  QCheck.Gen.(
+    map
+      (fun refs ->
+        Array.of_list
+          (List.concat_map
+             (fun (store, page, word) ->
+               [
+                 Isa.Li (1, (page * 65536) + (word * 8));
+                 (if store then Isa.Store (2, 1, 0) else Isa.Load (2, 1, 0));
+               ])
+             refs
+          @ [ Isa.Halt ]))
+      (list_size (1 -- 60) (triple bool (0 -- 5) (0 -- 3))))
+
+(* loads and stores over twelve lines 1 KiB apart, which on the scaled
+   i7-3770 share one L1D set and one 8-way L2 set but not an L3 set: a
+   line L2 has evicted comes back from L3, so the timing models see L3
+   hits, whose level a walk that misreported the serving level would
+   change *)
+let l3_alias_prog_gen =
+  QCheck.Gen.(
+    map
+      (fun refs ->
+        Array.of_list
+          (List.concat_map
+             (fun (store, line, word) ->
+               [
+                 Isa.Li (1, (line * 1024) + (word * 8));
+                 (if store then Isa.Store (2, 1, 0) else Isa.Load (2, 1, 0));
+               ])
+             refs
+          @ [ Isa.Halt ]))
+      (list_size (1 -- 60) (triple bool (0 -- 11) (0 -- 3))))
+
 let tiny_scenario_gen =
   QCheck.Gen.(
     triple
-      (oneof [ mem_prog_gen; alias_prog_gen ])
+      (oneof [ mem_prog_gen; alias_prog_gen; page_alias_prog_gen ])
       (triple (oneofl [ Cache.Lru; Cache.Fifo; Cache.Random ]) bool bool)
       (int_range 1 17))
 

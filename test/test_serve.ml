@@ -721,9 +721,12 @@ let test_daemon_bad_requests () =
                          ] );
                    ])))
 
-(* parallel=1 serialises jobs, so the second of two quick submissions
-   waits out the first's full runtime and deterministically exceeds a
-   0.05s deadline *)
+(* parallel=1 serialises jobs, so the second of two submissions waits
+   out the first's full runtime and must exceed a 0.05s deadline.  The
+   first job carries the margin: 505.mcf_r at scale 0.2 takes about
+   0.3s on a 2-vCPU host, 6x the deadline, so the test holds until the
+   pipeline gets several times faster again.  557.xz_r at scale 0.02
+   takes about 0.05s, the deadline itself, so it cannot be the first. *)
 let test_daemon_timeout () =
   let server, socket =
     start_server ~name:"timeout" ~parallel:1 ~job_timeout:0.05
@@ -736,13 +739,16 @@ let test_daemon_timeout () =
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          let submit =
+          let long =
+            Sp_serve.Client.submit ~benchmark:"505.mcf_r" (test_options 0.2 1)
+          in
+          let short =
             Sp_serve.Client.submit ~benchmark:"557.xz_r" (test_options 0.02 1)
           in
           (* fire both before reading either reply, so the second is
              queued for the first's whole runtime *)
-          P.write fd submit;
-          P.write fd submit;
+          P.write fd long;
+          P.write fd short;
           match (P.read fd, P.read fd) with
           | Ok (_, rep1), Ok (_, rep2) ->
               Alcotest.(check (option string))
@@ -1043,6 +1049,10 @@ let test_cli_exit_codes () =
            (Filename.quote (tmp_path "cli-none.bin")));
       (1, Printf.sprintf "%s submit 557.xz_r --socket %s" cli
            (Filename.quote (tmp_path "cli-no-daemon.sock")));
+      (* an output that cannot be written: one line and exit 1, not an
+         uncaught exception *)
+      (1, cli ^ " experiment table1 --csv /dev/null/x");
+      (1, cli ^ " profile 557.xz_r --scale 0.05 --quiet --trace-out /dev/null/t.json");
       (* bench/main.exe runs only the micros: any other argument is
          bad input *)
       (1, bench_exe ^ " nonesuch-experiment");
@@ -1087,6 +1097,73 @@ let test_cli_exit_codes () =
   (try Unix.rmdir pbdir with Unix.Unix_error _ -> ());
   rm (Filename.concat profdir "bad.prof");
   (try Unix.rmdir profdir with Unix.Unix_error _ -> ())
+
+(* The cache simulation's counters do not depend on the worker count.
+   [suite --json] at [--jobs 1] and [--jobs 4] must report the same
+   stable [vm.instructions] and [cache.*] metric entries, with a cold
+   profile cache per run and the in-memory decoded-artifact cache live
+   (the segment cache path, with snapshot restore and store), and with
+   no cache (the compiled tier alone).  Each run has two benchmarks, so
+   that at [--jobs 4] a helper domain can take one of them and its
+   counters reach the report only through that domain's metrics
+   shard; with one benchmark, every counter is recorded on the calling
+   domain. *)
+let test_cli_suite_jobs_invariance () =
+  let stable_cache_metrics cmd =
+    match run_capture cmd with
+    | 0, out, _ -> (
+        match J.parse out with
+        | Error e -> Alcotest.failf "%s: bad JSON (%s)" cmd e
+        | Ok doc ->
+            let metrics =
+              Option.bind (J.member "result" doc) (J.member "metrics")
+              |> Fun.flip Option.bind J.to_list
+              |> Option.value ~default:[]
+            in
+            List.filter
+              (fun m ->
+                J.member "stable" m = Some (J.Bool true)
+                &&
+                match Option.bind (J.member "name" m) J.to_str with
+                | Some n ->
+                    n = "vm.instructions"
+                    || String.length n > 6 && String.sub n 0 6 = "cache."
+                | None -> false)
+              metrics
+            |> List.map J.to_string)
+    | code, _, err -> Alcotest.failf "%s: exit %d (%s)" cmd code err
+  in
+  List.iter
+    (fun (what, cached) ->
+      let run jobs =
+        let dir = tmp_path (Printf.sprintf "jobs-inv-%s-%d" what jobs) in
+        rm_dir dir;
+        let cache =
+          if cached then
+            Printf.sprintf " --profile-cache %s --mem-cache-mb 64"
+              (Filename.quote dir)
+          else ""
+        in
+        let lines =
+          stable_cache_metrics
+            (Printf.sprintf
+               "%s suite --only 620.omnetpp_s,657.xz_s --scale 0.05 --jobs %d%s \
+                --quiet --json"
+               cli jobs cache)
+        in
+        rm_dir dir;
+        lines
+      in
+      let j1 = run 1 in
+      Alcotest.(check bool)
+        (what ^ ": vm.instructions reported") true
+        (List.exists
+           (fun l -> Astring_contains.contains l "\"vm.instructions\"")
+           j1);
+      Alcotest.(check bool)
+        (what ^ ": cache.* reported") true (List.length j1 > 1);
+      Alcotest.(check (list string)) (what ^ ": jobs 1 vs 4") j1 (run 4))
+    [ ("cached", true); ("uncached", false) ]
 
 (* A cache write that fails (here at the file-size limit; a full disk
    takes the same path) never fails a run: the stage warns, leaves no
@@ -1183,6 +1260,8 @@ let suite =
       test_daemon_fast_passes_slow;
     Alcotest.test_case "daemon spawn bound" `Quick test_daemon_spawn_bound;
     Alcotest.test_case "cli exit codes" `Quick test_cli_exit_codes;
+    Alcotest.test_case "cli suite stable metrics jobs-invariant" `Quick
+      test_cli_suite_jobs_invariance;
     Alcotest.test_case "cli survives a failed cache write" `Quick
       test_cli_failed_cache_write;
   ]

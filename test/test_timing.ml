@@ -5,7 +5,8 @@
    [on_block_mems] segments, branch outcomes — with per-segment
    batching and same-line repeat filters; [Ref_interval_core] walks
    each segment one event at a time.  Random memory-heavy programs (the
-   fused cache suite's generator) run under the library core in whole
+   fused cache suite's generators, one of them aliasing in L2 so that
+   L3 serves misses) run under the library core in whole
    chunks, under the same core in fuel legs of one instruction
    (single-instruction segments), and under the per-event reference.
    Fuel splits land mid-block, warming flips and state resets happen at
@@ -142,7 +143,8 @@ let all_tiers_agree run =
 
 let scenario_gen =
   QCheck.Gen.(
-    pair timing_prog_gen
+    pair
+      (frequency [ (3, timing_prog_gen); (1, F.l3_alias_prog_gen) ])
       (pair
          (triple (int_range 0 3) bool (int_range 0 3))
          (triple (int_range 1 17) (int_range 0 3) (int_range 0 5))))

@@ -30,10 +30,12 @@ module C = Sp_cpu.Core_config
 (* The in-order model one event at a time: a block's fetch before its
    first instruction, one cycle plus the kind's extra per instruction,
    each reference's full latency (stores half) after its instruction,
-   the mispredict penalty at the branch. *)
+   the mispredict penalty at the branch.  The hierarchy is
+   [Cache_model]'s, which shares no code with the walk [Inorder_core]
+   uses. *)
 type inorder = {
   cfg : C.t;
-  hier : Hierarchy.t;
+  hier : Cache_model.hier;
   bp : Sp_cpu.Branch_predictor.t;
   code_base : int;
   mutable warming : bool;
@@ -45,7 +47,7 @@ type inorder = {
 let inorder_create cfg (p : Program.t) =
   {
     cfg;
-    hier = Hierarchy.create cfg.C.caches;
+    hier = Cache_model.hier_create cfg.C.caches;
     bp = Sp_cpu.Branch_predictor.create ();
     code_base = p.Program.code_base;
     warming = false;
@@ -56,7 +58,7 @@ let inorder_create cfg (p : Program.t) =
 
 let inorder_set_warming t b =
   t.warming <- b;
-  Hierarchy.set_warming t.hier b
+  t.hier.Cache_model.h_warming <- b
 
 let inorder_extra kind =
   match Isa.kind_of_code kind with
@@ -70,17 +72,17 @@ let inorder_extra kind =
 
 let inorder_access t ~is_write addr =
   let where =
-    if is_write then Hierarchy.write_where t.hier addr
-    else Hierarchy.read_where t.hier addr
+    if is_write then Cache_model.hier_write t.hier addr
+    else Cache_model.hier_read t.hier addr
   in
   if not t.warming then begin
     let l =
       float_of_int
         (match where with
-        | Hierarchy.L1 -> t.cfg.C.l1_latency
-        | Hierarchy.L2 -> t.cfg.C.l2_latency
-        | Hierarchy.L3 -> t.cfg.C.l3_latency
-        | Hierarchy.Memory -> t.cfg.C.memory_latency)
+        | 0 -> t.cfg.C.l1_latency
+        | 1 -> t.cfg.C.l2_latency
+        | 2 -> t.cfg.C.l3_latency
+        | _ -> t.cfg.C.memory_latency)
     in
     t.cycles <- t.cycles +. (if is_write then l /. 2.0 else l)
   end
@@ -91,7 +93,7 @@ let inorder_event t = function
       if t.fetch_next then begin
         t.fetch_next <- false;
         ignore
-          (Hierarchy.fetch_where t.hier
+          (Cache_model.hier_fetch t.hier
              (t.code_base + (pc * Isa.bytes_per_instr)))
       end;
       if not t.warming then begin
@@ -124,7 +126,8 @@ let configs =
 
 let scenario_gen =
   QCheck.Gen.(
-    triple F.mem_prog_gen
+    triple
+      (frequency [ (3, F.mem_prog_gen); (1, F.l3_alias_prog_gen) ])
       (list_size (int_range 1 40) (pair (int_range 1 23) bool))
       (pair (int_range 0 1) nat))
 
